@@ -13,6 +13,7 @@ The two behaviors cannot hold at once; the README carries the full
 numbers.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -298,6 +299,83 @@ def test_8_reruns_are_byte_identical(fig4, tmp_path_factory):
         "8 (two runs of a bundled scenario are byte-identical)",
         identical,
         f"compared {len(names)} CSV files: {names}",
+    )
+
+
+# -- golden outputs: CSVs stay byte-identical across code versions -------------
+
+# sha256 of every CSV the module fixtures write.  Engine refactors must
+# leave these untouched; meta.txt is not pinned because its
+# events_processed line is expected to fall as the event set shrinks.
+GOLDEN_CSV_SHA256 = {
+    "fig4": {
+        "acr_fwd.csv": "c2c3143521e4aa9bdbbcbd3344c9db7d45ae4d390fecb93a6cd1b33273d8f089",
+        "acr_rev.csv": "c2c3143521e4aa9bdbbcbd3344c9db7d45ae4d390fecb93a6cd1b33273d8f089",
+        "queues_sw1.csv": "5904a36305821d4ca94934f5e82f0d5ead4a3ff99240aa5bd36f1e8abe657091",
+        "queues_sw2.csv": "5904a36305821d4ca94934f5e82f0d5ead4a3ff99240aa5bd36f1e8abe657091",
+        "recv_fwd.csv": "d3bed7385d68a252387dfaa4feeed5d93a8da13075feb44f60b12a9319d6162d",
+        "recv_rev.csv": "d3bed7385d68a252387dfaa4feeed5d93a8da13075feb44f60b12a9319d6162d",
+        "summary.csv": "fed46bee660636364d5a40c4516a9d957cc89f759bf3f506b3af1c10b0dadde6",
+    },
+    "fig5": {
+        "acr_fwd.csv": "2995b51d1b1fc73dbcc0ac4ff2039ac23a8ba01561561be57fd2091955330784",
+        "acr_rev.csv": "2995b51d1b1fc73dbcc0ac4ff2039ac23a8ba01561561be57fd2091955330784",
+        "queues_sw1.csv": "a80d9aef45d1de60a933e27d165d1ea5d125a7da59b6af4a4e1df8f2535c1912",
+        "queues_sw2.csv": "a80d9aef45d1de60a933e27d165d1ea5d125a7da59b6af4a4e1df8f2535c1912",
+        "recv_fwd.csv": "92bab00591cc1b83b147c572f4a8c42d8a6c9dd8f9fb11cc47ee5411e79ac175",
+        "recv_rev.csv": "92bab00591cc1b83b147c572f4a8c42d8a6c9dd8f9fb11cc47ee5411e79ac175",
+        "summary.csv": "7ecd9cc8bab6727bfa5968bd614124e0a447505e7f53e157dfeb18d1583b2898",
+    },
+    "cdf=1/64": {
+        "acr_fwd.csv": "5240178a5c3a657c0d08a72dec53e569afc4d841797930bad93700f600042d83",
+        "acr_rev.csv": "5240178a5c3a657c0d08a72dec53e569afc4d841797930bad93700f600042d83",
+        "queues_sw1.csv": "902b5c0a663e29dc24c15dfa304534d7fe103f6732b26ec2a1a6ef3e66f2ee89",
+        "queues_sw2.csv": "902b5c0a663e29dc24c15dfa304534d7fe103f6732b26ec2a1a6ef3e66f2ee89",
+        "recv_fwd.csv": "17f00710ba17a2a4c7274cd1d7400ea0638926e9b5400f5258f5308e5465bf35",
+        "recv_rev.csv": "17f00710ba17a2a4c7274cd1d7400ea0638926e9b5400f5258f5308e5465bf35",
+        "summary.csv": "4b98e4567695f49d91eb95c01520b623d1f1c406dfdcabd189466d3a000605e9",
+    },
+    "cdf=1/16": {
+        "acr_fwd.csv": "c2c3143521e4aa9bdbbcbd3344c9db7d45ae4d390fecb93a6cd1b33273d8f089",
+        "acr_rev.csv": "c2c3143521e4aa9bdbbcbd3344c9db7d45ae4d390fecb93a6cd1b33273d8f089",
+        "queues_sw1.csv": "5904a36305821d4ca94934f5e82f0d5ead4a3ff99240aa5bd36f1e8abe657091",
+        "queues_sw2.csv": "5904a36305821d4ca94934f5e82f0d5ead4a3ff99240aa5bd36f1e8abe657091",
+        "recv_fwd.csv": "d3bed7385d68a252387dfaa4feeed5d93a8da13075feb44f60b12a9319d6162d",
+        "recv_rev.csv": "d3bed7385d68a252387dfaa4feeed5d93a8da13075feb44f60b12a9319d6162d",
+        "summary.csv": "fed46bee660636364d5a40c4516a9d957cc89f759bf3f506b3af1c10b0dadde6",
+    },
+    "cdf=1": {
+        "acr_fwd.csv": "d9f47d6195dd6bd7d7fca1864fa6356d8a0a2cb7097093de46cfd2dc5b1350cf",
+        "acr_rev.csv": "d9f47d6195dd6bd7d7fca1864fa6356d8a0a2cb7097093de46cfd2dc5b1350cf",
+        "queues_sw1.csv": "ab9b878b9430c92ba92a3f27238e568a2acd149839d82bf16304147969bbf148",
+        "queues_sw2.csv": "ab9b878b9430c92ba92a3f27238e568a2acd149839d82bf16304147969bbf148",
+        "recv_fwd.csv": "482c2d6661951f4e1f8e2e407b881994be717aed1f754697d5ef1468d503118e",
+        "recv_rev.csv": "482c2d6661951f4e1f8e2e407b881994be717aed1f754697d5ef1468d503118e",
+        "summary.csv": "a165df8950e7f897a0c9fd09ebd8bb847c0ec6a395ba5d3632ce1fa06b7420e0",
+    },
+}
+
+
+def test_golden_csv_digests_are_unchanged(fig4, fig5, cdf_sweep):
+    bundles = {"fig4": fig4, "fig5": fig5}
+    bundles.update({f"cdf={k}": v for k, v in cdf_sweep.items()})
+    actual = {
+        name: {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(b.result.out_dir.glob("*.csv"))
+        }
+        for name, b in bundles.items()
+    }
+    changed = sorted(
+        f"{name}/{csv}"
+        for name in GOLDEN_CSV_SHA256
+        for csv in GOLDEN_CSV_SHA256[name].keys() | actual[name].keys()
+        if GOLDEN_CSV_SHA256[name].get(csv) != actual[name].get(csv)
+    )
+    check(
+        "golden (fixture CSVs match the pinned sha256 digests)",
+        not changed,
+        f"changed or missing: {changed}",
     )
 
 
