@@ -13,6 +13,11 @@ data (that port's measurement is what the source's rate should track) and
 re-emits them on the reverse link immediately.  That priority treatment
 of feedback is a deliberate simplification and is reported in run
 metadata.
+
+A port's FIFO service is closed-form, so a cell entering a switch port is
+scheduled straight to its DELIVER at the next hop; the loop has only three
+event kinds (EMIT, DELIVER, TICK).  A queue sample at ``now`` counts every
+cell whose departure is ``>= now``.
 """
 
 from __future__ import annotations
@@ -117,16 +122,14 @@ class SwitchRuntime:
         self.params = params
         self.ports: dict[str, PortState] = {}  # keyed by next-hop node
 
-    def queued_cells(self) -> int:
-        return sum(len(p.queue) for p in self.ports.values())
+    def queued_cells(self, now: SimTime) -> int:
+        return sum(p.pop(now) for p in self.ports.values())
 
 
 # Event kinds; payloads are never compared because sequence numbers are unique.
 _EMIT = 0
 _DELIVER = 1
-_SERVICE = 2
-_TIMER = 3
-_TICK = 4
+_TICK = 2
 
 _TICK_INTERVAL = PS_PER_MS  # queue sampling cadence
 _AUDIT_EVERY_TICKS = 100  # conservation audit cadence
@@ -147,7 +150,9 @@ class Engine:
         self._validate(topology)
 
         self.links = dict(topology.links)
-        self._link_tx = {key: cell_tx_time(spec.rate) for key, spec in self.links.items()}
+        self._hop_delay = {
+            key: cell_tx_time(spec.rate) + spec.prop_delay for key, spec in self.links.items()
+        }
         self.switches = {
             name: SwitchRuntime(name, params) for name, params in topology.switch_params.items()
         }
@@ -186,9 +191,6 @@ class Engine:
 
         for vc in self.vcs.values():
             self._push(0, _EMIT, vc)
-        for sw in self.switches.values():
-            for port in sw.ports.values():
-                self._push(port.interval_time_limit, _TIMER, (port, port.interval_id))
 
     @staticmethod
     def _validate(topology: Topology) -> None:
@@ -233,28 +235,14 @@ class Engine:
                 self._on_emit(payload)
             elif kind == _DELIVER:
                 self._on_deliver(payload[0], payload[1])
-            elif kind == _SERVICE:
-                self._on_service(payload)
-            elif kind == _TIMER:
-                self._on_timer(payload[0], payload[1])
             else:
                 self._on_tick()
         if t_end > self.now:
             self.now = t_end
 
-    # -- transmission helpers ------------------------------------------
-
-    def _forward(self, vc: VcRuntime, cell: Cell, node: str) -> None:
-        nxt = vc.fwd_hop[node]
-        key = (node, nxt)
-        arrival = self.now + self._link_tx[key] + self.links[key].prop_delay
-        self._push(arrival, _DELIVER, (cell, nxt))
-
-    def _backward(self, vc: VcRuntime, cell: Cell, node: str) -> None:
-        nxt = vc.bwd_hop[node]
-        key = (node, nxt)
-        arrival = self.now + self._link_tx[key] + self.links[key].prop_delay
-        self._push(arrival, _DELIVER, (cell, nxt))
+    def _send(self, cell: Cell, node: str, nxt: str) -> None:
+        """Transmit a cell that bypasses port queues straight onto a link."""
+        self._push(self.now + self._hop_delay[(node, nxt)], _DELIVER, (cell, nxt))
 
     # -- event handlers -------------------------------------------------
 
@@ -272,7 +260,7 @@ class Engine:
                 rec.deviation(
                     f"vc {vc.vc_id}: rate decayed to zero; keep-alive RM probing engaged"
                 )
-        self._forward(vc, cell, vc.source_node)
+        self._send(cell, vc.source_node, vc.path[1])
         self._push(state.next_departure, _EMIT, vc)
 
     def _on_deliver(self, cell: Cell, node: str) -> None:
@@ -291,8 +279,8 @@ class Engine:
                         rec.acr_change(vc.vc_id, self.now, state.acr)
             else:
                 port = self.switches[node].ports[vc.fwd_hop[node]]
-                port.stamp_backward(rm, cell.vc_id)
-                self._backward(vc, cell, node)
+                port.stamp_backward(rm, cell.vc_id, self.now)
+                self._send(cell, node, vc.bwd_hop[node])
         elif node == vc.dest_node:
             vc.delivered += 1
             if self.recorder is not None:
@@ -300,33 +288,16 @@ class Engine:
             if rm is not None:
                 back = protocol.turnaround(rm)
                 vc.turned += 1
-                self._backward(vc, Cell(cell.vc_id, cell.seq, self.now, back), node)
+                self._send(Cell(cell.vc_id, back), node, vc.bwd_hop[node])
         else:
             port = self.switches[node].ports[vc.fwd_hop[node]]
-            if port.enqueue(cell, self.now):
-                self._push(self.now + port.interval_time_limit, _TIMER, (port, port.interval_id))
-            if not port.busy:
-                port.busy = True
-                self._push(self.now + port.tx_time, _SERVICE, port)
-
-    def _on_service(self, port: PortState) -> None:
-        cell = port.pop()
-        self._push(self.now + port.prop_delay, _DELIVER, (cell, port.to_node))
-        if port.queue:
-            self._push(self.now + port.tx_time, _SERVICE, port)
-        else:
-            port.busy = False
-
-    def _on_timer(self, port: PortState, interval_id: int) -> None:
-        if interval_id != port.interval_id:
-            return  # interval already closed by cell count
-        port.end_interval(self.now)
-        self._push(self.now + port.interval_time_limit, _TIMER, (port, port.interval_id))
+            departure = port.enqueue(cell, self.now)
+            self._push(departure + port.prop_delay, _DELIVER, (cell, port.to_node))
 
     def _on_tick(self) -> None:
         rec = self.recorder
         for sw in self.switches.values():
-            rec.queue_sample(sw.name, self.now, sw.queued_cells())
+            rec.queue_sample(sw.name, self.now, sw.queued_cells(self.now))
         self._ticks += 1
         if self._ticks % _AUDIT_EVERY_TICKS == 0:
             self.audit()
@@ -339,39 +310,55 @@ class Engine:
 
         Forward direction: cells emitted == delivered + queued at ports +
         in flight on links.  Backward direction: RM cells turned around ==
-        delivered back to the source + in flight.  In-flight counts come
-        from scanning pending delivery events, independently of the
-        counters kept by the protocol handlers.
+        delivered back to the source + in flight.  Both sides come from
+        scanning pending delivery events, independently of the counters
+        kept by the protocol handlers: a forward cell leaving a switch port
+        is still queued while its departure (delivery time minus the port's
+        propagation delay) is >= now.  Each port's own backlog must match
+        that scan.
         """
+        now = self.now
         inflight_fwd: dict[str, int] = {vc_id: 0 for vc_id in self.vcs}
         inflight_bwd: dict[str, int] = {vc_id: 0 for vc_id in self.vcs}
-        for _time, _seq, kind, payload in self._heap:
+        queued: dict[str, int] = {vc_id: 0 for vc_id in self.vcs}
+        backlog: dict[PortState, int] = {}
+        for time, _seq, kind, payload in self._heap:
             if kind != _DELIVER:
                 continue
-            cell = payload[0]
+            cell, node = payload
+            vc = self.vcs[cell.vc_id]
             rm = cell.rm
             if rm is not None and rm.direction is Direction.BACKWARD:
-                inflight_bwd[cell.vc_id] += 1
+                inflight_bwd[vc.vc_id] += 1
+                continue
+            sw = self.switches.get(vc.bwd_hop[node])
+            port = sw.ports[node] if sw is not None else None
+            if port is not None and time - port.prop_delay >= now:
+                queued[vc.vc_id] += 1
+                backlog[port] = backlog.get(port, 0) + 1
             else:
-                inflight_fwd[cell.vc_id] += 1
-        queued: dict[str, int] = {vc_id: 0 for vc_id in self.vcs}
+                inflight_fwd[vc.vc_id] += 1
         for sw in self.switches.values():
             for port in sw.ports.values():
-                for cell in port.queue:
-                    queued[cell.vc_id] += 1
+                pending = port.pop(now)
+                if pending != backlog.get(port, 0):
+                    raise SimulationError(
+                        f"port {port.name}: backlog {pending} != {backlog.get(port, 0)} "
+                        f"cells awaiting departure at t={now}"
+                    )
         report = {}
         for vc_id, vc in self.vcs.items():
             fwd_rhs = vc.delivered + queued[vc_id] + inflight_fwd[vc_id]
             if vc.emitted != fwd_rhs:
                 raise SimulationError(
-                    f"vc {vc_id}: forward cell conservation violated at t={self.now}: "
+                    f"vc {vc_id}: forward cell conservation violated at t={now}: "
                     f"emitted {vc.emitted} != delivered {vc.delivered} + queued "
                     f"{queued[vc_id]} + in-flight {inflight_fwd[vc_id]}"
                 )
             bwd_rhs = vc.bwd_delivered + inflight_bwd[vc_id]
             if vc.turned != bwd_rhs:
                 raise SimulationError(
-                    f"vc {vc_id}: backward RM conservation violated at t={self.now}: "
+                    f"vc {vc_id}: backward RM conservation violated at t={now}: "
                     f"turned {vc.turned} != delivered {vc.bwd_delivered} + "
                     f"in-flight {inflight_bwd[vc_id]}"
                 )

@@ -33,13 +33,6 @@ class StepTrace:
         i = bisect_right(self.times, t)
         return self.values[i - 1] if i else self.initial
 
-    def min_after(self, t: SimTime) -> float:
-        """Smallest value the trace takes at any instant > t."""
-        i = bisect_right(self.times, t)
-        tail = self.values[i:]
-        current = self.value_at(t)
-        return min(tail, default=current) if tail else current
-
     def __len__(self) -> int:
         return len(self.times)
 

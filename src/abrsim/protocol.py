@@ -50,13 +50,11 @@ class RmFields:
     ccr: CellRate
 
 
-@dataclass
+@dataclass(slots=True)
 class Cell:
     """One simulated cell; ``rm`` is None for data cells."""
 
     vc_id: str
-    seq: int
-    emitted_at: SimTime
     rm: RmFields | None = None
 
     @property
@@ -112,8 +110,6 @@ class SourceState:
     cells_since_rm: int = 0
     next_departure: SimTime = 0
     cells_sent_total: int = 0
-    rm_sent_total: int = 0
-    seq: int = 0
     rule6_count: int = 0
     first_rule6_cells: int | None = None
     quiescent: bool = False
@@ -167,14 +163,12 @@ def next_cell(state: SourceState, params: SourceParams, vc_id: str, now: SimTime
     if state.acr == 0 or state.cells_since_rm == params.nrm - 1:
         apply_rule6(state, params)
         fields = RmFields(Direction.FORWARD, bn=False, er=params.pcr, ccr=state.acr)
-        cell = Cell(vc_id, state.seq, now, fields)
+        cell = Cell(vc_id, fields)
         state.unacked_fwd_rm += 1
-        state.rm_sent_total += 1
         state.cells_since_rm = 0
     else:
-        cell = Cell(vc_id, state.seq, now)
+        cell = Cell(vc_id)
         state.cells_since_rm += 1
-    state.seq += 1
     state.cells_sent_total += 1
     if state.acr > 0:
         state.next_departure = now + cell_tx_time(state.acr)

@@ -10,6 +10,16 @@ running minimum of those offers is stamped into backward RM cells.
 
 An interval in which nothing arrived keeps the previous measurement; with
 no measurement at all the port offers the target rate.
+
+Service is closed-form: a cell enqueued at ``now`` departs at
+``max(now, last_departure) + tx_time``, so the port keeps only pending
+departure times, and a cell counts in the backlog at ``now`` while its
+departure is ``>= now``.  Intervals close lazily: each arrival or stamp
+first closes every interval whose deadline ``interval_start +
+interval_time_limit`` is ``< now``.  A deadline equal to ``now`` is left
+open, so a cell arriving at that picosecond is counted in the interval
+and closes it, and a stamp at that picosecond sees the previous
+measurement.
 """
 
 from __future__ import annotations
@@ -54,12 +64,11 @@ class PortState:
         self.interval_cell_limit = interval_cell_limit
         self.interval_time_limit = interval_time_limit
 
-        self.queue: deque[Cell] = deque()
-        self.busy = False
+        self.last_departure: SimTime = 0
+        self.departures: deque[SimTime] = deque()  # pending, in FIFO order
 
         self.accum_cells = 0
         self.interval_start: SimTime = 0
-        self.interval_id = 0  # bumps on every close; stale timers check it
         self.active_vcs: set[str] = set()
         self.ccr_table: dict[str, CellRate] = {}
         self.measurement: Measurement | None = None
@@ -72,16 +81,17 @@ class PortState:
     def target_rate(self) -> CellRate:
         return self.target_utilization * self.link_rate
 
-    def enqueue(self, cell: Cell, now: SimTime) -> bool:
-        """Append a cell, account for it, and close the interval if due.
-
-        Returns True when this arrival closed the measurement interval
-        (the caller then restarts the interval timer).
-        """
-        self.queue.append(cell)
+    def enqueue(self, cell: Cell, now: SimTime) -> SimTime:
+        """Account for an arriving cell, close the interval if due, and
+        return the time the cell finishes transmission."""
+        self._close_due(now)
+        backlog = self.pop(now) + 1
+        departure = max(now, self.last_departure) + self.tx_time
+        self.last_departure = departure
+        self.departures.append(departure)
         self.enqueued += 1
-        if len(self.queue) > self.max_queue:
-            self.max_queue = len(self.queue)
+        if backlog > self.max_queue:
+            self.max_queue = backlog
         self.accum_cells += 1
         self.active_vcs.add(cell.vc_id)
         rm = cell.rm
@@ -92,8 +102,19 @@ class PortState:
             or now - self.interval_start >= self.interval_time_limit
         ):
             self.end_interval(now)
-            return True
-        return False
+        return departure
+
+    def _close_due(self, now: SimTime) -> None:
+        """Close every interval whose deadline passed before ``now``.
+
+        Only the first can hold arrivals; the rest are empty, keep the
+        measurement, and are skipped arithmetically.
+        """
+        limit = self.interval_time_limit
+        deadline = self.interval_start + limit
+        if deadline < now:
+            self.end_interval(deadline)
+            self.interval_start += (now - 1 - deadline) // limit * limit
 
     def end_interval(self, now: SimTime) -> Measurement | None:
         """Close the measurement interval; returns the measurement now in effect.
@@ -113,7 +134,6 @@ class PortState:
             self.interval_start = now
         self.accum_cells = 0
         self.active_vcs.clear()
-        self.interval_id += 1
         return self.measurement
 
     def compute_er(self, vc_id: str) -> CellRate:
@@ -127,15 +147,19 @@ class PortState:
         vc_share = ccr / m.load_factor if m.load_factor > 0 else 0.0
         return min(max(fair_share, vc_share), target)
 
-    def stamp_backward(self, rm: RmFields, vc_id: str) -> None:
+    def stamp_backward(self, rm: RmFields, vc_id: str, now: SimTime) -> None:
         """Lower (never raise) the explicit rate carried by a backward RM cell."""
         if rm.direction is not Direction.BACKWARD:
             raise ValueError("only backward RM cells are stamped")
+        self._close_due(now)
         er = self.compute_er(vc_id)
         if er < rm.er:
             rm.er = er
 
-    def pop(self) -> Cell:
-        """Dequeue the head cell at service completion."""
-        self.dequeued += 1
-        return self.queue.popleft()
+    def pop(self, now: SimTime) -> int:
+        """Retire every departure before ``now``; return the backlog left."""
+        departures = self.departures
+        while departures and departures[0] < now:
+            departures.popleft()
+            self.dequeued += 1
+        return len(departures)

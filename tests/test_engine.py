@@ -200,6 +200,17 @@ def test_cell_conservation_holds_during_and_after_a_run():
     assert rec.audits_passed > 0
 
 
+def test_tampered_port_backlog_fails_the_audit():
+    topo = to_topology(parse_scenario(bundled_config_text("fig3.cfg")))
+    eng = Engine(topo, Recorder())
+    eng.run_until(ms_to_ps(30))
+    eng.audit()
+    port = eng.switches["sw1"].ports["sw2"]
+    port.departures.append(eng.now + 1)  # a departure no pending delivery carries
+    with pytest.raises(SimulationError, match="sw1->sw2"):
+        eng.audit()
+
+
 def test_identical_runs_produce_identical_traces():
     def run_once():
         topo = to_topology(parse_scenario(bundled_config_text("fig3.cfg")))

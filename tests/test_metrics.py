@@ -79,8 +79,6 @@ def test_step_trace_value_lookup():
     assert trace.value_at(10) == 7.0
     assert trace.value_at(15) == 7.0
     assert trace.value_at(25) == 3.0
-    assert trace.min_after(0) == 3.0
-    assert trace.min_after(20) == 3.0
 
 
 def test_step_trace_rejects_time_reversal():

@@ -305,9 +305,10 @@ def test_feedback_restarts_a_quiescent_source():
     assert state.acr == 0.0
     on_backward_rm(state, params, bwd(140))
     assert state.acr == mbps_to_cps(140)
-    cell = next_cell(state, params, "vc", state.next_departure)
+    now = state.next_departure
+    next_cell(state, params, "vc", now)
     assert not state.quiescent
-    assert state.next_departure == cell.emitted_at + cell_tx_time(state.acr)
+    assert state.next_departure == now + cell_tx_time(state.acr)
 
 
 # -- turnaround ---------------------------------------------------------------

@@ -2,7 +2,7 @@ import pytest
 
 from abrsim.protocol import Cell, Direction, RmFields
 from abrsim.switch import Measurement, PortState
-from abrsim.units import PS_PER_US, mbps_to_cps, us_to_ps
+from abrsim.units import PS_PER_SEC, mbps_to_cps, us_to_ps
 
 OC3 = mbps_to_cps(155.52)
 TARGET = 0.9 * OC3
@@ -22,12 +22,16 @@ def make_port(**kw):
     return PortState(**defaults)
 
 
-def data_cell(vc="vc1", seq=0):
-    return Cell(vc, seq, 0)
+def data_cell(vc="vc1"):
+    return Cell(vc)
 
 
-def fwd_rm(vc="vc1", ccr=mbps_to_cps(140), seq=0):
-    return Cell(vc, seq, 0, RmFields(Direction.FORWARD, False, OC3, ccr))
+def fwd_rm(vc="vc1", ccr=mbps_to_cps(140)):
+    return Cell(vc, RmFields(Direction.FORWARD, False, OC3, ccr))
+
+
+def bwd_rm(er=OC3):
+    return RmFields(Direction.BACKWARD, False, er=er, ccr=0.0)
 
 
 # -- enqueue -----------------------------------------------------------------
@@ -35,8 +39,8 @@ def fwd_rm(vc="vc1", ccr=mbps_to_cps(140), seq=0):
 
 def test_enqueue_appends_and_tracks_vc():
     port = make_port()
-    port.enqueue(data_cell(), now=10)
-    assert len(port.queue) == 1
+    assert port.enqueue(data_cell(), now=10) == 10 + port.tx_time
+    assert port.pop(10) == 1
     assert port.active_vcs == {"vc1"}
     assert port.max_queue == 1
 
@@ -49,26 +53,64 @@ def test_forward_rm_updates_ccr_table():
 
 def test_backward_rm_in_queue_does_not_touch_ccr_table():
     port = make_port()
-    cell = Cell("vc1", 0, 0, RmFields(Direction.BACKWARD, False, OC3, mbps_to_cps(99)))
+    cell = Cell("vc1", RmFields(Direction.BACKWARD, False, OC3, mbps_to_cps(99)))
     port.enqueue(cell, now=10)
     assert "vc1" not in port.ccr_table
 
 
 def test_thirtieth_cell_closes_interval():
     port = make_port()
-    closed = [port.enqueue(data_cell(seq=i), now=i + 1) for i in range(30)]
-    assert closed == [False] * 29 + [True]
+    for i in range(29):
+        port.enqueue(data_cell(), now=i + 1)
+    assert port.accum_cells == 29
+    assert port.measurement is None
+    port.enqueue(data_cell(), now=30)
     assert port.accum_cells == 0  # reset by the close
+    assert port.interval_start == 30
+    assert port.measurement.input_rate == 30 * PS_PER_SEC / 30
 
 
 def test_elapsed_time_closes_interval_on_enqueue():
     port = make_port()
-    assert port.enqueue(data_cell(), now=us_to_ps(20)) is True
+    port.enqueue(data_cell(), now=us_to_ps(20))
+    assert port.accum_cells == 0
+    assert port.interval_start == us_to_ps(20)
+    assert port.measurement.input_rate == pytest.approx(5e4, rel=1e-12)
 
 
 def test_enqueue_before_both_limits_keeps_interval_open():
     port = make_port()
-    assert port.enqueue(data_cell(), now=us_to_ps(19)) is False
+    port.enqueue(data_cell(), now=us_to_ps(19))
+    assert port.accum_cells == 1
+    assert port.interval_start == 0
+    assert port.measurement is None
+
+
+def test_arrival_after_idle_intervals_closes_the_first_at_its_deadline():
+    # five cells in the first 20 us interval, then silence until 107 us:
+    # the late arrival closes [0, 20) with its own measurement, skips the
+    # four empty intervals after it, and opens its count in [100, 120)
+    port = make_port(interval_cell_limit=1000)
+    for i in range(5):
+        port.enqueue(data_cell(), now=i + 1)
+    port.enqueue(data_cell("late"), now=us_to_ps(107))
+    m = port.measurement
+    assert m.input_rate == pytest.approx(5 / 20e-6, rel=1e-12)
+    assert m.num_active == 1
+    assert port.interval_start == us_to_ps(100)
+    assert port.accum_cells == 1
+    assert port.active_vcs == {"late"}
+
+
+def test_arrival_at_the_deadline_is_counted_and_closes_the_interval():
+    port = make_port(interval_cell_limit=1000)
+    port.enqueue(data_cell(), now=1)
+    port.enqueue(data_cell("b"), now=us_to_ps(20))
+    m = port.measurement
+    assert m.input_rate == pytest.approx(2 / 20e-6, rel=1e-12)
+    assert m.num_active == 2
+    assert port.interval_start == us_to_ps(20)
+    assert port.accum_cells == 0
 
 
 # -- end_interval -------------------------------------------------------------
@@ -79,7 +121,7 @@ def test_measurement_numbers_for_a_full_interval():
     # target on OC-3 is 1.5e6 / (0.9 * 366792.45) = 4.544
     port = make_port(interval_cell_limit=1000)
     for i in range(30):
-        port.enqueue(data_cell(seq=i), now=i)
+        port.enqueue(data_cell(), now=i)
     m = port.end_interval(us_to_ps(20))
     assert m.input_rate == pytest.approx(1.5e6, rel=1e-12)
     assert m.num_active == 1
@@ -90,7 +132,7 @@ def test_measurement_numbers_for_a_full_interval():
 def test_idle_interval_retains_previous_measurement():
     port = make_port(interval_cell_limit=1000)
     for i in range(30):
-        port.enqueue(data_cell(seq=i), now=i)
+        port.enqueue(data_cell(), now=i)
     first = port.end_interval(us_to_ps(20))
     second = port.end_interval(us_to_ps(40))  # nothing arrived
     assert second is first
@@ -161,15 +203,15 @@ def test_er_underloaded_vc_gets_boosted_share():
 
 def test_stamp_lowers_er():
     port = make_port()
-    rm = RmFields(Direction.BACKWARD, False, er=OC3, ccr=0.0)
-    port.stamp_backward(rm, "vc1")
+    rm = bwd_rm(er=OC3)
+    port.stamp_backward(rm, "vc1", now=10)
     assert rm.er == TARGET
 
 
 def test_stamp_keeps_smaller_incumbent():
     port = make_port()
-    rm = RmFields(Direction.BACKWARD, False, er=mbps_to_cps(10), ccr=0.0)
-    port.stamp_backward(rm, "vc1")
+    rm = bwd_rm(er=mbps_to_cps(10))
+    port.stamp_backward(rm, "vc1", now=10)
     assert rm.er == mbps_to_cps(10)
 
 
@@ -178,37 +220,78 @@ def test_stamp_through_two_ports_folds_min():
     # delivered er is the smaller offer
     port_a = make_port(target_utilization=0.9)
     port_b = make_port(target_utilization=0.7)
-    rm = RmFields(Direction.BACKWARD, False, er=OC3, ccr=0.0)
-    port_a.stamp_backward(rm, "vc1")
-    port_b.stamp_backward(rm, "vc1")
+    rm = bwd_rm(er=OC3)
+    port_a.stamp_backward(rm, "vc1", now=10)
+    port_b.stamp_backward(rm, "vc1", now=10)
     assert rm.er == pytest.approx(0.7 * OC3, rel=1e-12)
 
 
 def test_stamp_rejects_forward_cells():
     port = make_port()
     with pytest.raises(ValueError):
-        port.stamp_backward(RmFields(Direction.FORWARD, False, OC3, 0.0), "vc1")
+        port.stamp_backward(RmFields(Direction.FORWARD, False, OC3, 0.0), "vc1", now=10)
+
+
+def overloaded_by_two_vcs():
+    # 30 cells from two VCs in the first 20 us: load factor 4.5 with
+    # ccr = target, so each VC is offered the fair share, target / 2
+    port = make_port(interval_cell_limit=1000)
+    for i in range(30):
+        port.enqueue(fwd_rm("ab"[i % 2], ccr=TARGET), now=i + 1)
+    return port
+
+
+def test_stamp_after_an_unvisited_deadline_sees_that_intervals_measurement():
+    port = overloaded_by_two_vcs()
+    before = bwd_rm()
+    port.stamp_backward(before, "a", now=us_to_ps(19))
+    assert before.er == TARGET  # no interval has closed yet
+    after = bwd_rm()
+    port.stamp_backward(after, "a", now=us_to_ps(61))
+    assert after.er == pytest.approx(TARGET / 2, rel=1e-12)
+    assert port.measurement.input_rate == pytest.approx(30 / 20e-6, rel=1e-12)
+    assert port.interval_start == us_to_ps(60)
+
+
+def test_stamp_at_the_deadline_leaves_the_interval_open():
+    port = overloaded_by_two_vcs()
+    rm = bwd_rm()
+    port.stamp_backward(rm, "a", now=us_to_ps(20))
+    assert rm.er == TARGET  # the previous (absent) measurement
+    assert port.interval_start == 0
+    assert port.accum_cells == 30
 
 
 # -- FIFO service ------------------------------------------------------------------
 
 
 def test_pop_is_fifo():
+    # a burst leaves back to back, one transmission time apart, in
+    # arrival order; an arrival to an idle port leaves one tx_time later
     port = make_port()
-    cells = [data_cell(seq=i) for i in range(5)]
-    for i, c in enumerate(cells):
-        port.enqueue(c, now=i)
-    out = [port.pop() for _ in range(5)]
-    assert [c.seq for c in out] == [0, 1, 2, 3, 4]
+    out = [port.enqueue(data_cell(), now=i) for i in range(5)]
+    assert out == [port.tx_time * (k + 1) for k in range(5)]
+    late = 10 * port.tx_time
+    assert port.enqueue(data_cell(), now=late) == late + port.tx_time
+
+
+def test_backlog_counts_cells_until_their_departure():
+    port = make_port()
+    first = port.enqueue(data_cell(), now=0)
+    second = port.enqueue(data_cell(), now=0)
+    assert port.pop(first) == 2  # departing at now still counts
+    assert port.pop(first + 1) == 1
+    assert port.pop(second) == 1
+    assert port.pop(second + 1) == 0
 
 
 def test_port_conserves_cells():
     port = make_port()
     for i in range(100):
-        port.enqueue(data_cell(seq=i), now=i)
-    for _ in range(40):
-        port.pop()
-    assert port.enqueued == port.dequeued + len(port.queue)
+        port.enqueue(data_cell(), now=i)
+    backlog = port.pop(40 * port.tx_time + 50)
+    assert port.enqueued == port.dequeued + backlog
+    assert port.dequeued == 40
     assert port.max_queue == 100
 
 
