@@ -24,12 +24,12 @@ from pathlib import Path
 
 from . import analysis, metrics
 from .engine import ConfigError, Engine, SimulationError
-from .protocol import VALID_CDF
 from .metrics import Recorder
 from .scenario import (
     Scenario,
     ScenarioError,
     bundled_config_text,
+    error_context,
     parse_number,
     parse_scenario,
     render_scenario,
@@ -60,26 +60,21 @@ def load_scenario_text(path_arg: str) -> str:
 
 
 def apply_override(sc: Scenario, param: str, value: float) -> None:
-    """Set one source parameter on every source of the scenario."""
+    """Set one source parameter on every source; ``SourceParams`` is the rule.
+
+    A crm override clears tbe, so that resolving rederives it as crm * nrm.
+    """
     if param not in SWEEPABLE:
         raise ScenarioError(f"cannot override {param!r}; choose one of {SWEEPABLE}")
-    for name, cfg in list(sc.sources.items()):
-        if param == "crm":
-            crm = int(value)
-            if crm < 1:
-                raise ScenarioError(f"crm must be >= 1, got {crm}")
-            cfg = replace(cfg, crm=crm, tbe=crm * cfg.nrm)
-        elif param == "cdf":
-            if value not in VALID_CDF:
-                raise ScenarioError(
-                    f"cdf must be 0 or a power of two in [1/64, 1], got {value}"
-                )
-            cfg = replace(cfg, cdf=value)
-        elif param == "icr":
-            cfg = replace(cfg, icr_mbps=value)
-        else:
-            cfg = replace(cfg, rif=value)
-        sc.sources[name] = cfg.resolved()
+    if param == "crm":
+        if value != int(value):
+            raise ScenarioError(f"crm must be an integer, got {value}")
+        changes = {"crm": int(value), "tbe": None}
+    else:
+        changes = {"icr_mbps" if param == "icr" else param: value}
+    for name, cfg in sc.sources.items():
+        with error_context(f"source {name}"):
+            sc.sources[name] = replace(cfg, **changes).resolved()
 
 
 # -- output writing ------------------------------------------------------
@@ -228,26 +223,18 @@ def _out_root(arg_out: str | None) -> Path:
     return Path(os.environ.get("ABRSIM_OUT", "out"))
 
 
-def _collect_overrides(args) -> dict[str, str]:
+def _apply_args(sc: Scenario, args) -> dict[str, str]:
+    """Apply the run flags to ``sc``; returns them as text for ``meta.txt``."""
     overrides = {}
     if args.crm is not None:
         overrides["crm"] = str(args.crm)
-    if args.cdf is not None:
-        overrides["cdf"] = args.cdf
-    if args.until_ms is not None:
-        overrides["until_ms"] = repr(args.until_ms)
-    return overrides
-
-
-def _apply_args(sc: Scenario, args) -> dict[str, str]:
-    overrides = _collect_overrides(args)
-    if args.crm is not None:
         apply_override(sc, "crm", args.crm)
     if args.cdf is not None:
-        apply_override(sc, "cdf", parse_number(args.cdf))
+        overrides["cdf"] = args.cdf
+        with error_context("--cdf"):
+            apply_override(sc, "cdf", parse_number(args.cdf))
     if args.until_ms is not None:
-        if args.until_ms < 0:
-            raise ScenarioError("until-ms must be >= 0")
+        overrides["until_ms"] = repr(args.until_ms)
         sc.run.until_ms = args.until_ms
     return overrides
 
@@ -280,10 +267,10 @@ def cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ScenarioError("sweep needs at least one value")
-    # Validate every value up front, before any run starts.
+    # Check every value with the runs' own rules before any run starts.
     for value_text in values:
-        sc = parse_scenario(cfg_text)
-        apply_override(sc, args.param, parse_number(value_text))
+        with error_context("--values"):
+            apply_override(parse_scenario(cfg_text), args.param, parse_number(value_text))
     out_root = _out_root(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
     jobs = [
@@ -331,7 +318,8 @@ def cmd_analyze(args) -> int:
     elif args.tool == "decay":
         icr = mbps_to_cps(args.icr_mbps)
         mcr = mbps_to_cps(args.mcr_mbps)
-        cdf = parse_number(args.cdf)
+        with error_context("--cdf"):
+            cdf = parse_number(args.cdf)
         rate = analysis.decay_after(icr, cdf, mcr, args.k)
         print(f"icr = {args.icr_mbps} Mbps, cdf = {args.cdf}, mcr = {args.mcr_mbps} Mbps")
         print(f"rate after {args.k + 1} consecutive cuts: "
@@ -350,6 +338,14 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def horizon_ms(text: str) -> float:
+    """Type of ``--until-ms``: a finite number of milliseconds, at least 0."""
+    value = float(text)
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abrsim",
@@ -361,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="scenario file (bundled name or path)")
     run_p.add_argument("--crm", type=int, help="override crm on every source")
     run_p.add_argument("--cdf", help="override cdf on every source (e.g. 1/16)")
-    run_p.add_argument("--until-ms", type=float, dest="until_ms", help="simulation horizon")
+    run_p.add_argument("--until-ms", type=horizon_ms, dest="until_ms", help="simulation horizon")
     run_p.add_argument("--out", help="output directory (default $ABRSIM_OUT or ./out)")
     run_p.set_defaults(func=cmd_run)
 
@@ -369,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("config")
     sweep_p.add_argument("--param", required=True, choices=SWEEPABLE)
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
-    sweep_p.add_argument("--until-ms", type=float, dest="until_ms")
+    sweep_p.add_argument("--until-ms", type=horizon_ms, dest="until_ms")
     sweep_p.add_argument("--out")
     sweep_p.set_defaults(func=cmd_sweep)
 

@@ -55,9 +55,23 @@ class LinkSpec:
 
 @dataclass(frozen=True)
 class SwitchParams:
+    """Per-switch port parameters; errors use the scenario key names."""
+
     target_utilization: float = 0.9
     interval_cell_limit: int = 30
     interval_time_limit: SimTime = 20 * PS_PER_US
+
+    def __post_init__(self):
+        if not 0.0 < self.target_utilization <= 1.0:
+            raise ValueError(
+                f"target_utilization must be in (0, 1], got {self.target_utilization}"
+            )
+        if self.interval_cell_limit < 1:
+            raise ValueError(f"interval_cells must be >= 1, got {self.interval_cell_limit}")
+        if self.interval_time_limit < 1:
+            raise ValueError(
+                f"interval_us must be > 0, got {self.interval_time_limit / PS_PER_US}"
+            )
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .units import CellRate, SimTime, PS_PER_MS, cell_tx_time
+from .analysis import crm_from_tbe
+from .units import CELL_BITS, CellRate, SimTime, PS_PER_MS, cell_tx_time
 
 # Keep-alive spacing once ACR has decayed all the way to zero (possible
 # only when cdf == 1 and mcr == 0).  A truly silent source could never be
@@ -66,8 +67,9 @@ class Cell:
 class SourceParams:
     """Per-VC rate parameters, in cells/second.
 
-    ``crm`` and ``tbe`` must agree: crm == ceil(tbe / nrm).  There is no
-    size cap on either; crm values far beyond 8 bits are the point.
+    The one rule for a valid source.  ``crm`` and ``tbe`` must agree:
+    crm == crm_from_tbe(tbe, nrm).  There is no size cap on either; crm
+    values far beyond 8 bits are the point.
     """
 
     pcr: CellRate
@@ -81,8 +83,9 @@ class SourceParams:
 
     def __post_init__(self):
         if not 0 <= self.mcr <= self.icr <= self.pcr:
+            mcr, icr, pcr = (f"{r * CELL_BITS / 1e6:g}" for r in (self.mcr, self.icr, self.pcr))
             raise ValueError(
-                f"need 0 <= mcr <= icr <= pcr, got mcr={self.mcr} icr={self.icr} pcr={self.pcr}"
+                f"need 0 <= mcr <= icr <= pcr, got mcr={mcr} icr={icr} pcr={pcr} Mbps"
             )
         if self.pcr <= 0:
             raise ValueError("pcr must be > 0")
@@ -93,11 +96,12 @@ class SourceParams:
         if self.cdf not in VALID_CDF:
             raise ValueError(f"cdf must be 0 or a power of two in [1/64, 1], got {self.cdf}")
         if self.crm < 1 or self.tbe < 1:
-            raise ValueError(f"crm and tbe must be >= 1, got {self.crm}, {self.tbe}")
-        if self.crm != -(-self.tbe // self.nrm):
+            raise ValueError(f"crm and tbe must be >= 1, got crm={self.crm} tbe={self.tbe}")
+        implied = crm_from_tbe(self.tbe, self.nrm)
+        if self.crm != implied:
             raise ValueError(
                 f"crm ({self.crm}) inconsistent with ceil(tbe/nrm) = "
-                f"{-(-self.tbe // self.nrm)} (tbe={self.tbe}, nrm={self.nrm})"
+                f"{implied} (tbe={self.tbe}, nrm={self.nrm})"
             )
 
 

@@ -15,27 +15,27 @@ destination on 5 us LAN links.
 from __future__ import annotations
 
 import importlib.resources
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
+from .analysis import crm_from_tbe
 from .engine import LinkSpec, SwitchParams, Topology, VcSpec
-from .protocol import VALID_CDF, SourceParams
-from .units import mbps_to_cps, ms_to_ps, us_to_ps
+from .protocol import SourceParams
+from .units import mbps_to_cps, us_to_ps
 
 
 class ScenarioError(Exception):
     """Malformed or inconsistent scenario text."""
 
 
-_CDF_NAMES = {
-    0.0: "0",
-    1 / 64: "1/64",
-    1 / 32: "1/32",
-    1 / 16: "1/16",
-    1 / 8: "1/8",
-    1 / 4: "1/4",
-    1 / 2: "1/2",
-    1.0: "1",
-}
+@contextmanager
+def error_context(label: str):
+    """Report a ValueError raised in the block as ``ScenarioError("<label>: ...")``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ScenarioError(f"{label}: {exc}") from None
 
 
 @dataclass
@@ -50,33 +50,32 @@ class SourceCfg:
     tbe: int | None = None
 
     def resolved(self) -> "SourceCfg":
-        """Fill derived fields: icr from pcr, crm/tbe from each other."""
+        """Fill defaults, then validate by building ``SourceParams`` (the rule).
+
+        icr = 0.9 * pcr; tbe = crm * nrm when only crm is given (crm defaults
+        to 32); crm = crm_from_tbe(tbe, nrm) when only tbe is given.
+        """
         icr = 0.9 * self.pcr_mbps if self.icr_mbps is None else self.icr_mbps
         crm, tbe = self.crm, self.tbe
-        if crm is None and tbe is None:
-            crm = 32
-        if crm is not None and tbe is None:
+        if tbe is None:
+            crm = 32 if crm is None else crm
             tbe = crm * self.nrm
-        elif tbe is not None and crm is None:
-            crm = -(-tbe // self.nrm)
-        elif crm != -(-tbe // self.nrm):
-            raise ScenarioError(
-                f"crm ({crm}) and tbe ({tbe}) are inconsistent: "
-                f"crm must equal ceil(tbe/nrm) = {-(-tbe // self.nrm)}"
-            )
-        return replace(self, icr_mbps=icr, crm=crm, tbe=tbe)
+        elif crm is None:
+            crm = crm_from_tbe(tbe, self.nrm)
+        cfg = replace(self, icr_mbps=icr, crm=crm, tbe=tbe)
+        cfg.to_params()
+        return cfg
 
     def to_params(self) -> SourceParams:
-        cfg = self.resolved()
+        """Engine-unit parameters of a resolved configuration."""
+        rates = {}
+        for key in ("pcr", "mcr", "icr"):
+            try:
+                rates[key] = mbps_to_cps(getattr(self, f"{key}_mbps"))
+            except ValueError as exc:
+                raise ValueError(f"{key}_mbps: {exc}") from None
         return SourceParams(
-            pcr=mbps_to_cps(cfg.pcr_mbps),
-            mcr=mbps_to_cps(cfg.mcr_mbps),
-            icr=mbps_to_cps(cfg.icr_mbps),
-            nrm=cfg.nrm,
-            rif=cfg.rif,
-            cdf=cfg.cdf,
-            crm=cfg.crm,
-            tbe=cfg.tbe,
+            nrm=self.nrm, rif=self.rif, cdf=self.cdf, crm=self.crm, tbe=self.tbe, **rates
         )
 
 
@@ -144,27 +143,27 @@ def default_scenario() -> Scenario:
 
 
 def parse_number(text: str) -> float:
-    """Parse a decimal number or a fraction like ``1/16``."""
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return float(num) / float(den)
-    return float(text)
+    """Parse a finite number or a fraction like ``1/16``; ValueError otherwise."""
+    num, slash, den = text.partition("/")
+    divisor = float(den) if slash else 1.0
+    value = float(num) / divisor if divisor else math.inf
+    if not (math.isfinite(value) and math.isfinite(divisor)):
+        raise ValueError(f"expected a finite number, got {text.strip()!r}")
+    return value
 
 
 def _parse_int(text: str, line_no: int) -> int:
     try:
-        value = int(text, 10)
+        return int(text, 10)
     except ValueError:
         raise ScenarioError(f"line {line_no}: expected an integer, got {text!r}") from None
-    return value
 
 
 def _parse_float(text: str, line_no: int) -> float:
     try:
         return parse_number(text)
-    except (ValueError, ZeroDivisionError):
-        raise ScenarioError(f"line {line_no}: expected a number, got {text!r}") from None
+    except ValueError:
+        raise ScenarioError(f"line {line_no}: expected a finite number, got {text!r}") from None
 
 
 def _parse_windows(text: str, line_no: int) -> tuple[tuple[float, float], ...]:
@@ -290,30 +289,13 @@ def parse_scenario(text: str) -> Scenario:
         return default_scenario()
 
     _validate(scenario)
-    scenario.sources = {name: cfg.resolved() for name, cfg in scenario.sources.items()}
+    for name, cfg in scenario.sources.items():
+        with error_context(f"source {name}"):
+            scenario.sources[name] = cfg.resolved()
     return scenario
 
 
 def _validate(scenario: Scenario) -> None:
-    for name, cfg in scenario.sources.items():
-        if cfg.cdf not in VALID_CDF:
-            raise ScenarioError(
-                f"source {name}: cdf must be 0 or a power of two in [1/64, 1], got {cfg.cdf}"
-            )
-        if not 0.0 < cfg.rif <= 1.0:
-            raise ScenarioError(f"source {name}: rif must be in (0, 1], got {cfg.rif}")
-        if cfg.nrm < 1:
-            raise ScenarioError(f"source {name}: nrm must be >= 1")
-        icr = 0.9 * cfg.pcr_mbps if cfg.icr_mbps is None else cfg.icr_mbps
-        if not 0 <= cfg.mcr_mbps <= icr <= cfg.pcr_mbps:
-            raise ScenarioError(
-                f"source {name}: need 0 <= mcr <= icr <= pcr, got "
-                f"mcr={cfg.mcr_mbps} icr={icr} pcr={cfg.pcr_mbps}"
-            )
-        try:
-            cfg.resolved()
-        except ScenarioError as exc:
-            raise ScenarioError(f"source {name}: {exc}") from None
     for name, cfg in scenario.links.items():
         if not cfg.from_node or not cfg.to_node:
             raise ScenarioError(f"link {name}: both 'from' and 'to' are required")
@@ -332,21 +314,21 @@ def _validate(scenario: Scenario) -> None:
 
 
 def render_scenario(scenario: Scenario) -> str:
-    """Canonical text for a scenario; parse(render(s)) == s."""
+    """Canonical text for a parsed scenario; parse(render(s)) == s."""
     out = []
 
     def emit(key, value):
         out.append(f"{key} = {value}")
 
     for name, cfg in scenario.sources.items():
-        cfg = cfg.resolved()
         out.append(f"[source.{name}]")
         emit("pcr_mbps", repr(cfg.pcr_mbps))
         emit("mcr_mbps", repr(cfg.mcr_mbps))
         emit("icr_mbps", repr(cfg.icr_mbps))
         emit("nrm", cfg.nrm)
         emit("rif", repr(cfg.rif))
-        emit("cdf", _CDF_NAMES.get(cfg.cdf, repr(cfg.cdf)))
+        num, den = cfg.cdf.as_integer_ratio()  # 1/64, not 0.015625
+        emit("cdf", num if den == 1 else f"{num}/{den}")
         emit("crm", cfg.crm)
         emit("tbe", cfg.tbe)
         out.append("")
@@ -384,12 +366,10 @@ def to_topology(scenario: Scenario) -> Topology:
     """Convert a scenario to engine units; raises ScenarioError if invalid."""
     topo = Topology()
     for name, cfg in scenario.sources.items():
-        try:
-            topo.source_params[name] = cfg.to_params()
-        except ValueError as exc:
-            raise ScenarioError(f"source {name}: {exc}") from None
+        topo.source_params[name] = cfg.to_params()
     for name, cfg in scenario.switches.items():
-        topo.switch_params[name] = cfg.to_params()
+        with error_context(f"switch {name}"):
+            topo.switch_params[name] = cfg.to_params()
     for name, cfg in scenario.links.items():
         spec = LinkSpec(name=name, rate=mbps_to_cps(cfg.rate_mbps), prop_delay=us_to_ps(cfg.delay_us))
         topo.add_duplex_link(cfg.from_node, cfg.to_node, spec)
@@ -398,7 +378,7 @@ def to_topology(scenario: Scenario) -> Topology:
     # endpoints without a [source.] section get the defaults.
     for spec in topo.vcs:
         if spec.path[0] not in topo.source_params and spec.path[0] not in scenario.switches:
-            topo.source_params[spec.path[0]] = SourceCfg().to_params()
+            topo.source_params[spec.path[0]] = SourceCfg().resolved().to_params()
     return topo
 
 

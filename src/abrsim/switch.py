@@ -39,7 +39,10 @@ class Measurement:
 
 
 class PortState:
-    """One output port of a switch, including its attached link."""
+    """One output port of a switch, including its attached link.
+
+    The parameters are checked once, by ``engine.SwitchParams``.
+    """
 
     def __init__(
         self,
@@ -51,10 +54,6 @@ class PortState:
         interval_cell_limit: int = 30,
         interval_time_limit: SimTime = 20 * PS_PER_US,
     ):
-        if not 0.0 < target_utilization <= 1.0:
-            raise ValueError(f"target utilization must be in (0, 1], got {target_utilization}")
-        if interval_cell_limit < 1 or interval_time_limit < 1:
-            raise ValueError("interval limits must be positive")
         self.name = name
         self.to_node = to_node
         self.link_rate = link_rate

@@ -198,3 +198,56 @@ def test_analyze_trigger(capsys):
 def test_analyze_flight(capsys):
     main(["analyze", "flight", "--rtt-ms", "550", "--mbps", "155.52"])
     assert "201736" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("param, values", [("rif", "0.5,2"), ("icr", "100,200")])
+def test_sweep_checks_every_value_before_any_run(tiny_cfg, tmp_path, capsys, param, values):
+    out = tmp_path / "sweep_bad"
+    code = main(["sweep", str(tiny_cfg), "--param", param, "--values", values, "--out", str(out)])
+    assert code == 2
+    assert "source s1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_integer_crm_is_rejected(tiny_cfg, tmp_path, capsys):
+    with pytest.raises(ScenarioError, match="crm must be an integer, got 2.7"):
+        apply_override(parse_scenario(TINY), "crm", 2.7)
+    out = tmp_path / "sweep_crm"
+    argv = ["sweep", str(tiny_cfg), "--param", "crm", "--values", "2.7", "--out", str(out)]
+    assert main(argv) == 2
+    assert "crm must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_crm_override_rederives_an_explicit_tbe():
+    sc = parse_scenario(TINY.replace("crm = 32", "tbe = 1025\nnrm = 16"))
+    assert (sc.sources["s1"].crm, sc.sources["s1"].tbe) == (65, 1025)
+    apply_override(sc, "crm", 7)
+    assert (sc.sources["s1"].crm, sc.sources["s1"].tbe) == (7, 7 * 16)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "{cfg}", "--cdf", "1/0", "--out", "{out}"], "--cdf"),
+        (["sweep", "{cfg}", "--param", "cdf", "--values", "1,1/0", "--out", "{out}"], "--values"),
+        (["analyze", "decay", "--icr-mbps", "140", "--cdf", "1/0"], "--cdf"),
+    ],
+)
+def test_zero_denominator_names_the_flag(tiny_cfg, tmp_path, capsys, argv, flag):
+    out = tmp_path / "o"
+    assert main([a.format(cfg=tiny_cfg, out=out) for a in argv]) == 2
+    assert f"error: {flag}: expected a finite number, got '1/0'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("horizon", ["inf", "nan", "-1"])
+def test_until_ms_must_be_finite_and_non_negative(tiny_cfg, capsys, command, horizon):
+    argv = [command, str(tiny_cfg), "--until-ms", horizon]
+    if command == "sweep":
+        argv += ["--param", "crm", "--values", "32"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --until-ms: must be finite and >= 0" in capsys.readouterr().err

@@ -162,3 +162,57 @@ def test_render_parse_round_trip_with_unusual_values():
     sc = parse_scenario(text)
     assert sc.sources["src"].crm == -(-100000 // 64)
     assert parse_scenario(render_scenario(sc)) == sc
+
+
+@pytest.mark.parametrize(
+    "body, pattern",
+    [
+        ("mcr_mbps = 200", r"source s1: .*mcr=200 icr=139\.968 pcr=155\.52 Mbps"),
+        ("pcr_mbps = -5", r"source s1: pcr_mbps: .*>= 0 Mbps, got -5"),
+        ("tbe = 0", r"source s1: tbe must be >= 1, got 0"),
+        ("nrm = 0\ntbe = 5", r"source s1: nrm must be >= 1, got 0"),
+        ("crm = 32\ntbe = 1025", r"source s1: crm \(32\) inconsistent .* = 33 \(tbe=1025,"),
+    ],
+)
+def test_source_errors_name_the_source_and_the_key(body, pattern):
+    with pytest.raises(ScenarioError, match=pattern):
+        parse_scenario(f"[source.s1]\n{body}\n")
+
+
+@pytest.mark.parametrize(
+    "body, pattern",
+    [
+        ("target_utilization = 2", r"switch sw1: target_utilization must be in \(0, 1\], got 2"),
+        ("interval_cells = 0", r"switch sw1: interval_cells must be >= 1, got 0"),
+        ("interval_us = -1", r"switch sw1: interval_us must be > 0, got -1"),
+    ],
+)
+def test_switch_errors_name_the_switch_and_the_key(body, pattern):
+    sc = parse_scenario(f"[switch.sw1]\n{body}\n[vc.v]\npath = s1, sw1, d1\n")
+    with pytest.raises(ScenarioError, match=pattern):
+        to_topology(sc)
+
+
+def test_switch_that_no_vc_crosses_is_still_checked():
+    sc = parse_scenario("[switch.idle]\ntarget_utilization = 0\n[vc.v]\npath = s1, d1\n")
+    with pytest.raises(ScenarioError, match="switch idle: target_utilization"):
+        to_topology(sc)
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1/0", "0/0", "1/inf", "1e308/1e-308"])
+def test_parse_number_rejects_non_finite_values(text):
+    with pytest.raises(ValueError, match="finite"):
+        parse_number(text)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "1/0"])
+def test_non_finite_scenario_values_name_the_line(value):
+    with pytest.raises(ScenarioError, match=f"line 2: expected a finite number, got '{value}'"):
+        parse_scenario(f"[run]\nuntil_ms = {value}\n")
+
+
+def test_render_writes_cdf_as_a_fraction():
+    for cdf, text in ((0.0, "0"), (1 / 64, "1/64"), (1 / 2, "1/2"), (1.0, "1")):
+        sc = parse_scenario(f"[source.s1]\ncdf = {text}\n")
+        assert sc.sources["s1"].cdf == cdf
+        assert f"cdf = {text}\n" in render_scenario(sc)

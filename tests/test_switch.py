@@ -1,5 +1,6 @@
 import pytest
 
+from abrsim.engine import SwitchParams
 from abrsim.protocol import Cell, Direction, RmFields
 from abrsim.switch import Measurement, PortState
 from abrsim.units import PS_PER_SEC, mbps_to_cps, us_to_ps
@@ -296,7 +297,13 @@ def test_port_conserves_cells():
 
 
 def test_port_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        make_port(target_utilization=0.0)
-    with pytest.raises(ValueError):
-        make_port(interval_cell_limit=0)
+    # Ports are built from SwitchParams, which holds the one check.
+    with pytest.raises(ValueError, match="target_utilization"):
+        SwitchParams(target_utilization=0.0)
+    with pytest.raises(ValueError, match="target_utilization"):
+        SwitchParams(target_utilization=1.5)
+    with pytest.raises(ValueError, match="interval_cells"):
+        SwitchParams(interval_cell_limit=0)
+    with pytest.raises(ValueError, match="interval_us"):
+        SwitchParams(interval_time_limit=0)
+    SwitchParams(target_utilization=1.0, interval_cell_limit=1, interval_time_limit=1)
