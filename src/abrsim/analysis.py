@@ -57,6 +57,16 @@ def crm_from_tbe(tbe: int, nrm: int) -> int:
     return -(-tbe // nrm)
 
 
+# cdf is either 0 or a power of two between 1/64 and 1.
+VALID_CDF = (0.0, 1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0)
+
+
+def check_cdf(cdf: float) -> None:
+    """The one cdf rule, shared by sources and the decay calculators."""
+    if cdf not in VALID_CDF:
+        raise ValueError(f"cdf must be 0 or a power of two in [1/64, 1], got {cdf}")
+
+
 def flight_capacity(path: PathSpec) -> int:
     """Cells needed to fill the path both ways: RTT times the link rate."""
     return math.ceil(ps_to_s(path.rtt) * path.link_rate)
@@ -81,8 +91,7 @@ def decay_after(icr: CellRate, cdf: float, mcr: CellRate, k: int) -> CellRate:
     the RM cells that follow with still no feedback.  This is bit-for-bit
     what the simulated source computes.
     """
-    if not 0.0 <= cdf <= 1.0:
-        raise ValueError(f"cdf must be in [0, 1], got {cdf}")
+    check_cdf(cdf)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     acr = icr
@@ -93,8 +102,7 @@ def decay_after(icr: CellRate, cdf: float, mcr: CellRate, k: int) -> CellRate:
 
 def decay_closed_form(icr: CellRate, cdf: float, mcr: CellRate, k: int) -> CellRate:
     """Power-law form of ``decay_after``; cross-check only."""
-    if not 0.0 <= cdf <= 1.0:
-        raise ValueError(f"cdf must be in [0, 1], got {cdf}")
+    check_cdf(cdf)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     return max(mcr, icr * (1.0 - cdf) ** (k + 1))
@@ -109,4 +117,6 @@ def trigger_predicate(fwd_rate: CellRate, bwd_rate: CellRate, crm: int) -> bool:
     """
     if fwd_rate <= 0:
         raise ValueError(f"forward rate must be > 0, got {fwd_rate}")
+    if crm < 1:
+        raise ValueError(f"crm must be >= 1, got {crm}")
     return fwd_rate >= crm * bwd_rate

@@ -120,7 +120,7 @@ def _write_outputs(result: RunResult, overrides: dict[str, str]) -> None:
     lines.append(f"final_time_ms = {ps_to_ms(result.engine.now):.6f}")
     lines.append(f"conservation_audits_passed = {rec.audits_passed}")
     for vc_id, vc in result.engine.vcs.items():
-        lines.append(f"vc.{vc_id}.cells_emitted = {vc.emitted}")
+        lines.append(f"vc.{vc_id}.cells_emitted = {vc.state.cells_sent_total}")
         lines.append(f"vc.{vc_id}.cells_delivered = {vc.delivered}")
         lines.append(f"vc.{vc_id}.rm_turned_around = {vc.turned}")
         lines.append(f"vc.{vc_id}.initial_acr_mbps = {cps_to_mbps(vc.params.icr):.6f}")
@@ -269,8 +269,10 @@ def cmd_sweep(args) -> int:
         raise ScenarioError("sweep needs at least one value")
     # Check every value with the runs' own rules before any run starts.
     for value_text in values:
+        sc = parse_scenario(cfg_text)
         with error_context("--values"):
-            apply_override(parse_scenario(cfg_text), args.param, parse_number(value_text))
+            apply_override(sc, args.param, parse_number(value_text))
+        to_topology(sc)
     out_root = _out_root(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
     jobs = [
@@ -338,8 +340,8 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def horizon_ms(text: str) -> float:
-    """Type of ``--until-ms``: a finite number of milliseconds, at least 0."""
+def non_negative(text: str) -> float:
+    """Type of every float flag: a finite number, at least 0."""
     value = float(text)
     if not 0 <= value < float("inf"):
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
@@ -357,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="scenario file (bundled name or path)")
     run_p.add_argument("--crm", type=int, help="override crm on every source")
     run_p.add_argument("--cdf", help="override cdf on every source (e.g. 1/16)")
-    run_p.add_argument("--until-ms", type=horizon_ms, dest="until_ms", help="simulation horizon")
+    run_p.add_argument("--until-ms", type=non_negative, dest="until_ms", help="simulation horizon")
     run_p.add_argument("--out", help="output directory (default $ABRSIM_OUT or ./out)")
     run_p.set_defaults(func=cmd_run)
 
@@ -365,29 +367,29 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("config")
     sweep_p.add_argument("--param", required=True, choices=SWEEPABLE)
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
-    sweep_p.add_argument("--until-ms", type=horizon_ms, dest="until_ms")
+    sweep_p.add_argument("--until-ms", type=non_negative, dest="until_ms")
     sweep_p.add_argument("--out")
     sweep_p.set_defaults(func=cmd_sweep)
 
     analyze_p = sub.add_parser("analyze", help="closed-form calculators")
     tool = analyze_p.add_subparsers(dest="tool", required=True)
     mc = tool.add_parser("min-crm", help="smallest safe cutoff threshold for a path")
-    mc.add_argument("--rtt-ms", type=float, required=True, dest="rtt_ms")
-    mc.add_argument("--mbps", type=float, required=True)
+    mc.add_argument("--rtt-ms", type=non_negative, required=True, dest="rtt_ms")
+    mc.add_argument("--mbps", type=non_negative, required=True)
     mc.add_argument("--nrm", type=int, default=32)
     mc.add_argument("--hops", type=int, default=1)
     dec = tool.add_parser("decay", help="rate left after consecutive cutoff cuts")
-    dec.add_argument("--icr-mbps", type=float, required=True, dest="icr_mbps")
+    dec.add_argument("--icr-mbps", type=non_negative, required=True, dest="icr_mbps")
     dec.add_argument("--cdf", required=True)
-    dec.add_argument("--mcr-mbps", type=float, default=0.0, dest="mcr_mbps")
+    dec.add_argument("--mcr-mbps", type=non_negative, default=0.0, dest="mcr_mbps")
     dec.add_argument("--k", type=int, default=0)
     trig = tool.add_parser("trigger", help="does the cutoff trigger at these RM rates")
-    trig.add_argument("--fwd-mbps", type=float, required=True, dest="fwd_mbps")
-    trig.add_argument("--bwd-mbps", type=float, required=True, dest="bwd_mbps")
+    trig.add_argument("--fwd-mbps", type=non_negative, required=True, dest="fwd_mbps")
+    trig.add_argument("--bwd-mbps", type=non_negative, required=True, dest="bwd_mbps")
     trig.add_argument("--crm", type=int, required=True)
     fl = tool.add_parser("flight", help="cells in flight over a round trip")
-    fl.add_argument("--rtt-ms", type=float, required=True, dest="rtt_ms")
-    fl.add_argument("--mbps", type=float, required=True)
+    fl.add_argument("--rtt-ms", type=non_negative, required=True, dest="rtt_ms")
+    fl.add_argument("--mbps", type=non_negative, required=True)
     analyze_p.set_defaults(func=cmd_analyze)
 
     return parser

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from . import protocol
 from .metrics import Recorder
 from .protocol import Cell, Direction, SourceParams
-from .switch import PortState
-from .units import CellRate, SimTime, PS_PER_MS, PS_PER_US, cell_tx_time
+from .switch import PortState, SwitchParams
+from .units import CELL_BITS, CellRate, SimTime, PS_PER_MS, PS_PER_US, cell_tx_time
 
 
 class ConfigError(Exception):
@@ -42,36 +42,17 @@ class SimulationError(Exception):
 
 @dataclass(frozen=True)
 class LinkSpec:
+    """One link's parameters; errors use the scenario key names."""
+
     name: str
     rate: CellRate  # cells/s
     prop_delay: SimTime  # one-way propagation, ps
 
     def __post_init__(self):
         if self.rate <= 0:
-            raise ConfigError(f"link {self.name}: rate must be > 0")
+            raise ValueError(f"rate_mbps must be > 0, got {self.rate * CELL_BITS / 1e6:g}")
         if self.prop_delay < 0:
-            raise ConfigError(f"link {self.name}: propagation delay must be >= 0")
-
-
-@dataclass(frozen=True)
-class SwitchParams:
-    """Per-switch port parameters; errors use the scenario key names."""
-
-    target_utilization: float = 0.9
-    interval_cell_limit: int = 30
-    interval_time_limit: SimTime = 20 * PS_PER_US
-
-    def __post_init__(self):
-        if not 0.0 < self.target_utilization <= 1.0:
-            raise ValueError(
-                f"target_utilization must be in (0, 1], got {self.target_utilization}"
-            )
-        if self.interval_cell_limit < 1:
-            raise ValueError(f"interval_cells must be >= 1, got {self.interval_cell_limit}")
-        if self.interval_time_limit < 1:
-            raise ValueError(
-                f"interval_us must be > 0, got {self.interval_time_limit / PS_PER_US}"
-            )
+            raise ValueError(f"delay_us must be >= 0, got {self.prop_delay / PS_PER_US:g}")
 
 
 @dataclass(frozen=True)
@@ -96,6 +77,28 @@ class Topology:
         self.links[(a, b)] = spec
         self.links[(b, a)] = spec
 
+    def validate(self) -> None:
+        """Check that every VC path runs source -> switches -> end system."""
+        if not self.vcs:
+            raise ConfigError("topology has no VCs")
+        for spec in self.vcs:
+            path = spec.path
+            if len(path) < 2:
+                raise ConfigError(f"vc {spec.vc_id}: path needs at least two nodes")
+            if len(set(path)) != len(path):
+                raise ConfigError(f"vc {spec.vc_id}: path must be acyclic")
+            if path[0] not in self.source_params:
+                raise ConfigError(f"vc {spec.vc_id}: no source parameters for {path[0]}")
+            for end in (path[0], path[-1]):
+                if end in self.switch_params:
+                    raise ConfigError(f"vc {spec.vc_id}: endpoint {end} is a switch")
+            for node in path[1:-1]:
+                if node not in self.switch_params:
+                    raise ConfigError(f"vc {spec.vc_id}: intermediate node {node} is not a switch")
+            for a, b in zip(path, path[1:]):
+                if (a, b) not in self.links or (b, a) not in self.links:
+                    raise ConfigError(f"vc {spec.vc_id}: no link between {a} and {b}")
+
 
 class VcRuntime:
     __slots__ = (
@@ -107,7 +110,6 @@ class VcRuntime:
         "fwd_hop",
         "bwd_hop",
         "state",
-        "emitted",
         "delivered",
         "turned",
         "bwd_delivered",
@@ -122,7 +124,6 @@ class VcRuntime:
         self.fwd_hop = {spec.path[i]: spec.path[i + 1] for i in range(len(spec.path) - 1)}
         self.bwd_hop = {spec.path[i]: spec.path[i - 1] for i in range(1, len(spec.path))}
         self.state = protocol.new_state(params)
-        self.emitted = 0
         self.delivered = 0
         self.turned = 0
         self.bwd_delivered = 0
@@ -161,7 +162,7 @@ class Engine:
         self._ticks = 0
         self.events_processed = 0
 
-        self._validate(topology)
+        topology.validate()  # hand-built topologies skip ``to_topology``
 
         self.links = dict(topology.links)
         self._hop_delay = {
@@ -187,9 +188,7 @@ class Engine:
                         to_node=nxt,
                         link_rate=link.rate,
                         prop_delay=link.prop_delay,
-                        target_utilization=sw.params.target_utilization,
-                        interval_cell_limit=sw.params.interval_cell_limit,
-                        interval_time_limit=sw.params.interval_time_limit,
+                        params=sw.params,
                     )
 
         if recorder is not None:
@@ -205,28 +204,6 @@ class Engine:
 
         for vc in self.vcs.values():
             self._push(0, _EMIT, vc)
-
-    @staticmethod
-    def _validate(topology: Topology) -> None:
-        if not topology.vcs:
-            raise ConfigError("topology has no VCs")
-        for spec in topology.vcs:
-            path = spec.path
-            if len(path) < 2:
-                raise ConfigError(f"vc {spec.vc_id}: path needs at least two nodes")
-            if len(set(path)) != len(path):
-                raise ConfigError(f"vc {spec.vc_id}: path must be acyclic")
-            if path[0] not in topology.source_params:
-                raise ConfigError(f"vc {spec.vc_id}: no source parameters for {path[0]}")
-            for end in (path[0], path[-1]):
-                if end in topology.switch_params:
-                    raise ConfigError(f"vc {spec.vc_id}: endpoint {end} is a switch")
-            for node in path[1:-1]:
-                if node not in topology.switch_params:
-                    raise ConfigError(f"vc {spec.vc_id}: intermediate node {node} is not a switch")
-            for a, b in zip(path, path[1:]):
-                if (a, b) not in topology.links or (b, a) not in topology.links:
-                    raise ConfigError(f"vc {spec.vc_id}: no link between {a} and {b}")
 
     # -- scheduling ---------------------------------------------------
 
@@ -265,7 +242,6 @@ class Engine:
         prev_acr = state.acr
         was_quiescent = state.quiescent
         cell = protocol.next_cell(state, vc.params, vc.vc_id, self.now)
-        vc.emitted += 1
         rec = self.recorder
         if rec is not None:
             if state.acr != prev_acr:
@@ -362,11 +338,12 @@ class Engine:
                     )
         report = {}
         for vc_id, vc in self.vcs.items():
+            emitted = vc.state.cells_sent_total
             fwd_rhs = vc.delivered + queued[vc_id] + inflight_fwd[vc_id]
-            if vc.emitted != fwd_rhs:
+            if emitted != fwd_rhs:
                 raise SimulationError(
                     f"vc {vc_id}: forward cell conservation violated at t={now}: "
-                    f"emitted {vc.emitted} != delivered {vc.delivered} + queued "
+                    f"emitted {emitted} != delivered {vc.delivered} + queued "
                     f"{queued[vc_id]} + in-flight {inflight_fwd[vc_id]}"
                 )
             bwd_rhs = vc.bwd_delivered + inflight_bwd[vc_id]
@@ -377,7 +354,7 @@ class Engine:
                     f"in-flight {inflight_bwd[vc_id]}"
                 )
             report[vc_id] = {
-                "emitted": vc.emitted,
+                "emitted": emitted,
                 "delivered": vc.delivered,
                 "queued": queued[vc_id],
                 "in_flight": inflight_fwd[vc_id],

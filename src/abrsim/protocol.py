@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .analysis import crm_from_tbe
+from .analysis import check_cdf, crm_from_tbe
 from .units import CELL_BITS, CellRate, SimTime, PS_PER_MS, cell_tx_time
 
 # Keep-alive spacing once ACR has decayed all the way to zero (possible
@@ -26,9 +26,6 @@ from .units import CELL_BITS, CellRate, SimTime, PS_PER_MS, cell_tx_time
 # restarted by feedback, so it keeps probing with one forward RM cell per
 # 100 ms; runs report the engagement as a modeling deviation.
 QUIESCENT_PROBE_GAP: SimTime = 100 * PS_PER_MS
-
-# cdf is either 0 or a power of two between 1/64 and 1.
-VALID_CDF = (0.0, 1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0)
 
 
 class Direction(Enum):
@@ -93,8 +90,7 @@ class SourceParams:
             raise ValueError(f"nrm must be >= 1, got {self.nrm}")
         if not 0.0 < self.rif <= 1.0:
             raise ValueError(f"rif must be in (0, 1], got {self.rif}")
-        if self.cdf not in VALID_CDF:
-            raise ValueError(f"cdf must be 0 or a power of two in [1/64, 1], got {self.cdf}")
+        check_cdf(self.cdf)
         if self.crm < 1 or self.tbe < 1:
             raise ValueError(f"crm and tbe must be >= 1, got crm={self.crm} tbe={self.tbe}")
         implied = crm_from_tbe(self.tbe, self.nrm)

@@ -1,9 +1,11 @@
 """Scenario files: a line-oriented ``key = value`` format with sections.
 
 Sections are ``[source.<name>]``, ``[switch.<name>]``, ``[link.<name>]``,
-``[vc.<name>]`` and ``[run]``; ``#`` starts a comment.  Rates are given in
-Mbps and delays in microseconds or milliseconds; everything is converted
-once, at topology-build time.  Unknown sections or keys are errors;
+``[vc.<name>]`` and ``[run]``; ``#`` starts a comment.  A section's keys,
+their value types and their rendering order are the fields of its ``*Cfg``
+dataclass.  Rates are given in Mbps and delays in microseconds or
+milliseconds; everything is converted once, at topology-build time, where
+the engine types check the values.  Unknown sections or keys are errors;
 missing keys fall back to the standard parameter block (OC-3 peak rate,
 zero minimum rate, initial rate at 90% of peak, one RM cell per 32 cells,
 rate increase factor 1, cutoff decrease factor 1/16, cutoff threshold 32).
@@ -17,12 +19,12 @@ from __future__ import annotations
 import importlib.resources
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import Field, dataclass, field, fields, replace
 
 from .analysis import crm_from_tbe
 from .engine import LinkSpec, SwitchParams, Topology, VcSpec
 from .protocol import SourceParams
-from .units import mbps_to_cps, us_to_ps
+from .units import CellRate, mbps_to_cps, us_to_ps
 
 
 class ScenarioError(Exception):
@@ -36,6 +38,14 @@ def error_context(label: str):
         yield
     except ValueError as exc:
         raise ScenarioError(f"{label}: {exc}") from None
+
+
+def _cps(cfg, key: str) -> CellRate:
+    """The rate ``cfg.<key>`` (Mbps) in cells/s; a negative rate names the key."""
+    try:
+        return mbps_to_cps(getattr(cfg, key))
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 @dataclass
@@ -68,14 +78,11 @@ class SourceCfg:
 
     def to_params(self) -> SourceParams:
         """Engine-unit parameters of a resolved configuration."""
-        rates = {}
-        for key in ("pcr", "mcr", "icr"):
-            try:
-                rates[key] = mbps_to_cps(getattr(self, f"{key}_mbps"))
-            except ValueError as exc:
-                raise ValueError(f"{key}_mbps: {exc}") from None
         return SourceParams(
-            nrm=self.nrm, rif=self.rif, cdf=self.cdf, crm=self.crm, tbe=self.tbe, **rates
+            pcr=_cps(self, "pcr_mbps"),
+            mcr=_cps(self, "mcr_mbps"),
+            icr=_cps(self, "icr_mbps"),
+            nrm=self.nrm, rif=self.rif, cdf=self.cdf, crm=self.crm, tbe=self.tbe,
         )
 
 
@@ -95,10 +102,11 @@ class SwitchCfg:
 
 @dataclass
 class LinkCfg:
-    from_node: str = ""
-    to_node: str = ""
+    # ``from`` and ``to`` are Python keywords, so the scenario key is metadata.
+    from_node: str = field(default="", metadata={"key": "from"})
+    to_node: str = field(default="", metadata={"key": "to"})
     rate_mbps: float = 155.52
-    delay_us: float = 5.0
+    delay_us: float = 5.0  # also settable as ``delay_ms``
 
 
 @dataclass
@@ -126,6 +134,15 @@ class Scenario:
     links: dict[str, LinkCfg] = field(default_factory=dict)
     vcs: dict[str, VcCfg] = field(default_factory=dict)
     run: RunCfg = field(default_factory=RunCfg)
+
+
+# Named sections: kind -> (Scenario attribute, configuration dataclass).
+_SECTIONS = {
+    "source": ("sources", SourceCfg),
+    "switch": ("switches", SwitchCfg),
+    "link": ("links", LinkCfg),
+    "vc": ("vcs", VcCfg),
+}
 
 
 def default_scenario() -> Scenario:
@@ -179,23 +196,40 @@ def _parse_windows(text: str, line_no: int) -> tuple[tuple[float, float], ...]:
     return tuple(windows)
 
 
-_SOURCE_KEYS = {"pcr_mbps", "mcr_mbps", "icr_mbps", "nrm", "rif", "cdf", "crm", "tbe"}
-_SWITCH_KEYS = {"target_utilization", "interval_cells", "interval_us"}
-_LINK_KEYS = {"from", "to", "rate_mbps", "delay_us", "delay_ms"}
-_VC_KEYS = {"path"}
-_RUN_KEYS = {"until_ms", "windows_ms", "osc_low_mbps", "osc_high_mbps", "steady_from_ms"}
+def _key(f: Field) -> str:
+    """The scenario key of a configuration field."""
+    return f.metadata.get("key", f.name)
+
+
+def _section_keys(cfg_type) -> dict[str, Field]:
+    """Scenario key -> field of a section's configuration dataclass."""
+    keys = {_key(f): f for f in fields(cfg_type)}
+    if cfg_type is LinkCfg:
+        keys["delay_ms"] = keys["delay_us"]  # scaled by 1000 when parsed
+    return keys
+
+
+def _parse_value(f: Field, text: str, line_no: int):
+    """Parse ``text`` as a value of field ``f``."""
+    if f.name == "path":
+        return tuple(n.strip() for n in text.split(",") if n.strip())
+    if f.name == "windows_ms":
+        return _parse_windows(text, line_no)
+    if f.type == "str":
+        return text
+    if f.type.startswith("int"):
+        return _parse_int(text, line_no)
+    return _parse_float(text, line_no)
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text into a fully resolved, validated Scenario."""
     scenario = Scenario()
-    section_kind: str | None = None
-    section_name = ""
+    kind = section = ""
     current: object = None
+    keys: dict[str, Field] = {}
     seen_sections: set[str] = set()
-    seen_keys: set[str] = set()
-    link_delay_keys: dict[str, str] = {}
-    any_section = False
+    seen_keys: dict[tuple[str, str], str] = {}  # (section, field name) -> key
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -204,88 +238,40 @@ def parse_scenario(text: str) -> Scenario:
         if line.startswith("["):
             if not line.endswith("]"):
                 raise ScenarioError(f"line {line_no}: malformed section header {line!r}")
-            header = line[1:-1].strip()
-            if header == "run":
-                section_kind, section_name = "run", ""
-            else:
-                section_kind, _, section_name = header.partition(".")
-                if section_kind not in ("source", "switch", "link", "vc") or not section_name:
-                    raise ScenarioError(f"line {line_no}: unknown section {header!r}")
-            if header in seen_sections:
-                raise ScenarioError(f"line {line_no}: duplicate section [{header}]")
-            seen_sections.add(header)
-            any_section = True
-            if section_kind == "source":
-                current = scenario.sources.setdefault(section_name, SourceCfg())
-            elif section_kind == "switch":
-                current = scenario.switches.setdefault(section_name, SwitchCfg())
-            elif section_kind == "link":
-                current = scenario.links.setdefault(section_name, LinkCfg())
-            elif section_kind == "vc":
-                current = scenario.vcs.setdefault(section_name, VcCfg())
-            else:
+            section = line[1:-1].strip()
+            kind, _, name = section.partition(".")
+            if section == "run":
                 current = scenario.run
+            elif kind in _SECTIONS and name:
+                attr, cfg_type = _SECTIONS[kind]
+                current = getattr(scenario, attr).setdefault(name, cfg_type())
+            else:
+                raise ScenarioError(f"line {line_no}: unknown section {section!r}")
+            if section in seen_sections:
+                raise ScenarioError(f"line {line_no}: duplicate section [{section}]")
+            seen_sections.add(section)
+            keys = _section_keys(type(current))
             continue
 
         key, sep, value = line.partition("=")
         if not sep:
             raise ScenarioError(f"line {line_no}: expected 'key = value', got {line!r}")
         key = key.strip()
-        value = value.strip()
         if current is None:
             raise ScenarioError(f"line {line_no}: key outside of any section")
-        dedup = f"{section_kind}.{section_name}.{key}"
-        if dedup in seen_keys:
-            raise ScenarioError(f"line {line_no}: duplicate key {key!r}")
-        seen_keys.add(dedup)
+        f = keys.get(key)
+        if f is None:
+            raise ScenarioError(f"line {line_no}: unknown {kind} key {key!r}")
+        slot = (section, f.name)
+        if slot in seen_keys:
+            if seen_keys[slot] == key:
+                raise ScenarioError(f"line {line_no}: duplicate key {key!r}")
+            raise ScenarioError(f"line {line_no}: give {seen_keys[slot]} or {key}, not both")
+        seen_keys[slot] = key
+        parsed = _parse_value(f, value.strip(), line_no)
+        setattr(current, f.name, parsed * 1000.0 if key == "delay_ms" else parsed)
 
-        if section_kind == "source":
-            if key not in _SOURCE_KEYS:
-                raise ScenarioError(f"line {line_no}: unknown source key {key!r}")
-            if key in ("nrm", "crm", "tbe"):
-                setattr(current, key, _parse_int(value, line_no))
-            else:
-                setattr(current, key, _parse_float(value, line_no))
-        elif section_kind == "switch":
-            if key not in _SWITCH_KEYS:
-                raise ScenarioError(f"line {line_no}: unknown switch key {key!r}")
-            if key == "interval_cells":
-                current.interval_cells = _parse_int(value, line_no)
-            else:
-                setattr(current, key, _parse_float(value, line_no))
-        elif section_kind == "link":
-            if key not in _LINK_KEYS:
-                raise ScenarioError(f"line {line_no}: unknown link key {key!r}")
-            if key == "from":
-                current.from_node = value
-            elif key == "to":
-                current.to_node = value
-            elif key == "rate_mbps":
-                current.rate_mbps = _parse_float(value, line_no)
-            else:
-                if section_name in link_delay_keys and link_delay_keys[section_name] != key:
-                    raise ScenarioError(
-                        f"line {line_no}: give delay_us or delay_ms, not both"
-                    )
-                link_delay_keys[section_name] = key
-                delay = _parse_float(value, line_no)
-                current.delay_us = delay * 1000.0 if key == "delay_ms" else delay
-        elif section_kind == "vc":
-            if key not in _VC_KEYS:
-                raise ScenarioError(f"line {line_no}: unknown vc key {key!r}")
-            nodes = tuple(n.strip() for n in value.split(",") if n.strip())
-            if len(nodes) < 2:
-                raise ScenarioError(f"line {line_no}: vc path needs at least two nodes")
-            current.path = nodes
-        else:  # run
-            if key not in _RUN_KEYS:
-                raise ScenarioError(f"line {line_no}: unknown run key {key!r}")
-            if key == "windows_ms":
-                current.windows_ms = _parse_windows(value, line_no)
-            else:
-                setattr(current, key, _parse_float(value, line_no))
-
-    if not any_section:
+    if not seen_sections:
         return default_scenario()
 
     _validate(scenario)
@@ -296,74 +282,57 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def _validate(scenario: Scenario) -> None:
+    """The format's own rules; the engine types check the values."""
     for name, cfg in scenario.links.items():
         if not cfg.from_node or not cfg.to_node:
             raise ScenarioError(f"link {name}: both 'from' and 'to' are required")
-        if cfg.rate_mbps <= 0:
-            raise ScenarioError(f"link {name}: rate must be > 0")
-        if cfg.delay_us < 0:
-            raise ScenarioError(f"link {name}: delay must be >= 0")
-    for name, cfg in scenario.vcs.items():
-        if not cfg.path:
-            raise ScenarioError(f"vc {name}: path is required")
-    if scenario.run.until_ms < 0:
+    run = scenario.run
+    if run.until_ms < 0:
         raise ScenarioError("run: until_ms must be >= 0")
-    for lo, hi in scenario.run.windows_ms:
+    for lo, hi in run.windows_ms:
         if not lo < hi:
             raise ScenarioError(f"run: bad window {lo}:{hi}")
+    low, high = run.osc_low_mbps, run.osc_high_mbps
+    if not 0 <= low < high:
+        raise ScenarioError(
+            f"run: osc_low_mbps must be >= 0 and below osc_high_mbps, got {low} and {high}"
+        )
+
+
+def _render_keys(cfg) -> list[str]:
+    """``key = value`` lines of one section in field order; unset values are left out."""
+    lines = []
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if value is None or value == ():
+            continue
+        if f.name == "cdf":
+            num, den = value.as_integer_ratio()  # 1/64, not 0.015625
+            value = num if den == 1 else f"{num}/{den}"
+        elif f.name == "windows_ms":
+            value = ", ".join(f"{lo}:{hi}" for lo, hi in value)
+        elif f.name == "path":
+            value = ", ".join(value)
+        lines.append(f"{_key(f)} = {value}")  # str(float) == repr(float)
+    return lines
 
 
 def render_scenario(scenario: Scenario) -> str:
     """Canonical text for a parsed scenario; parse(render(s)) == s."""
     out = []
-
-    def emit(key, value):
-        out.append(f"{key} = {value}")
-
-    for name, cfg in scenario.sources.items():
-        out.append(f"[source.{name}]")
-        emit("pcr_mbps", repr(cfg.pcr_mbps))
-        emit("mcr_mbps", repr(cfg.mcr_mbps))
-        emit("icr_mbps", repr(cfg.icr_mbps))
-        emit("nrm", cfg.nrm)
-        emit("rif", repr(cfg.rif))
-        num, den = cfg.cdf.as_integer_ratio()  # 1/64, not 0.015625
-        emit("cdf", num if den == 1 else f"{num}/{den}")
-        emit("crm", cfg.crm)
-        emit("tbe", cfg.tbe)
-        out.append("")
-    for name, cfg in scenario.switches.items():
-        out.append(f"[switch.{name}]")
-        emit("target_utilization", repr(cfg.target_utilization))
-        emit("interval_cells", cfg.interval_cells)
-        emit("interval_us", repr(cfg.interval_us))
-        out.append("")
-    for name, cfg in scenario.links.items():
-        out.append(f"[link.{name}]")
-        emit("from", cfg.from_node)
-        emit("to", cfg.to_node)
-        emit("rate_mbps", repr(cfg.rate_mbps))
-        emit("delay_us", repr(cfg.delay_us))
-        out.append("")
-    for name, cfg in scenario.vcs.items():
-        out.append(f"[vc.{name}]")
-        emit("path", ", ".join(cfg.path))
-        out.append("")
-    run = scenario.run
-    out.append("[run]")
-    emit("until_ms", repr(run.until_ms))
-    if run.windows_ms:
-        emit("windows_ms", ", ".join(f"{repr(lo)}:{repr(hi)}" for lo, hi in run.windows_ms))
-    emit("osc_low_mbps", repr(run.osc_low_mbps))
-    emit("osc_high_mbps", repr(run.osc_high_mbps))
-    if run.steady_from_ms is not None:
-        emit("steady_from_ms", repr(run.steady_from_ms))
-    out.append("")
+    for kind, (attr, _cfg_type) in _SECTIONS.items():
+        for name, cfg in getattr(scenario, attr).items():
+            out += [f"[{kind}.{name}]", *_render_keys(cfg), ""]
+    out += ["[run]", *_render_keys(scenario.run), ""]
     return "\n".join(out)
 
 
 def to_topology(scenario: Scenario) -> Topology:
-    """Convert a scenario to engine units; raises ScenarioError if invalid."""
+    """Convert a scenario to engine units and run the engine's checks on it.
+
+    Raises ScenarioError (``switch <name>: ...``, ``link <name>: ...``) or
+    ConfigError (``vc <name>: ...``) if invalid.
+    """
     topo = Topology()
     for name, cfg in scenario.sources.items():
         topo.source_params[name] = cfg.to_params()
@@ -371,14 +340,17 @@ def to_topology(scenario: Scenario) -> Topology:
         with error_context(f"switch {name}"):
             topo.switch_params[name] = cfg.to_params()
     for name, cfg in scenario.links.items():
-        spec = LinkSpec(name=name, rate=mbps_to_cps(cfg.rate_mbps), prop_delay=us_to_ps(cfg.delay_us))
+        with error_context(f"link {name}"):
+            spec = LinkSpec(name, rate=_cps(cfg, "rate_mbps"), prop_delay=us_to_ps(cfg.delay_us))
         topo.add_duplex_link(cfg.from_node, cfg.to_node, spec)
     topo.vcs = tuple(VcSpec(vc_id=name, path=cfg.path) for name, cfg in scenario.vcs.items())
     # VC endpoints that never send still need no parameters; sending
     # endpoints without a [source.] section get the defaults.
     for spec in topo.vcs:
-        if spec.path[0] not in topo.source_params and spec.path[0] not in scenario.switches:
-            topo.source_params[spec.path[0]] = SourceCfg().resolved().to_params()
+        sender = spec.path[0] if spec.path else None
+        if sender and sender not in topo.source_params and sender not in scenario.switches:
+            topo.source_params[sender] = SourceCfg().resolved().to_params()
+    topo.validate()
     return topo
 
 

@@ -32,6 +32,27 @@ from .units import CellRate, SimTime, PS_PER_SEC, PS_PER_US, cell_tx_time
 
 
 @dataclass(frozen=True)
+class SwitchParams:
+    """Per-switch port parameters; errors use the scenario key names."""
+
+    target_utilization: float = 0.9
+    interval_cell_limit: int = 30
+    interval_time_limit: SimTime = 20 * PS_PER_US
+
+    def __post_init__(self):
+        if not 0.0 < self.target_utilization <= 1.0:
+            raise ValueError(
+                f"target_utilization must be in (0, 1], got {self.target_utilization}"
+            )
+        if self.interval_cell_limit < 1:
+            raise ValueError(f"interval_cells must be >= 1, got {self.interval_cell_limit}")
+        if self.interval_time_limit < 1:
+            raise ValueError(
+                f"interval_us must be > 0, got {self.interval_time_limit / PS_PER_US}"
+            )
+
+
+@dataclass(frozen=True)
 class Measurement:
     input_rate: CellRate  # cells/s arrived over the interval
     num_active: int  # distinct VCs seen in the interval
@@ -41,7 +62,8 @@ class Measurement:
 class PortState:
     """One output port of a switch, including its attached link.
 
-    The parameters are checked once, by ``engine.SwitchParams``.
+    The parameters are copied into plain attributes, which the per-cell
+    path reads without going through ``params``.
     """
 
     def __init__(
@@ -50,18 +72,16 @@ class PortState:
         to_node: str,
         link_rate: CellRate,
         prop_delay: SimTime,
-        target_utilization: float = 0.9,
-        interval_cell_limit: int = 30,
-        interval_time_limit: SimTime = 20 * PS_PER_US,
+        params: SwitchParams,
     ):
         self.name = name
         self.to_node = to_node
         self.link_rate = link_rate
         self.prop_delay = prop_delay
         self.tx_time = cell_tx_time(link_rate)
-        self.target_utilization = target_utilization
-        self.interval_cell_limit = interval_cell_limit
-        self.interval_time_limit = interval_time_limit
+        self.target_utilization = params.target_utilization
+        self.interval_cell_limit = params.interval_cell_limit
+        self.interval_time_limit = params.interval_time_limit
 
         self.last_departure: SimTime = 0
         self.departures: deque[SimTime] = deque()  # pending, in FIFO order

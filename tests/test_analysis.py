@@ -145,6 +145,10 @@ def test_decay_rejects_bad_inputs():
         decay_after(1.0, 1.5, 0.0, 0)
     with pytest.raises(ValueError):
         decay_after(1.0, 0.5, 0.0, -1)
+    with pytest.raises(ValueError, match="cdf must be 0 or a power of two"):
+        decay_after(1.0, 0.05, 0.0, 0)
+    with pytest.raises(ValueError, match="cdf must be 0 or a power of two"):
+        decay_closed_form(1.0, 0.05, 0.0, 0)
 
 
 def test_decay_iterated_matches_closed_form():

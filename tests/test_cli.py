@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from abrsim.cli import apply_override, main
+from abrsim.engine import Engine
 from abrsim.scenario import ScenarioError, parse_scenario, bundled_config_text
 
 TINY = """
@@ -251,3 +252,60 @@ def test_until_ms_must_be_finite_and_non_negative(tiny_cfg, capsys, command, hor
         main(argv)
     assert exc.value.code == 2
     assert "argument --until-ms: must be finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("to = sw1\n", "to = sw1\nrate_mbps = 0\n", "link a: rate_mbps must be > 0, got 0"),
+        ("to = sw1\n", "to = sw1\nrate_mbps = -5\n", "link a: rate_mbps: rate must be >= 0"),
+        ("delay_us = 5", "delay_us = -1", "link a: delay_us must be >= 0, got -1"),
+        ("path = s1, sw1, d1", "path = s1", "vc main: path needs at least two nodes"),
+        ("[switch.sw1]\n", "[switch.sw1]\ntarget_utilization = 2\n", "switch sw1: target_utilization"),
+    ],
+    ids=["zero-rate", "negative-rate", "negative-delay", "one-node-path", "bad-switch"],
+)
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_topology_errors_name_the_link_vc_or_switch(tmp_path, capsys, command, old, new, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY.replace(old, new, 1), encoding="utf-8")
+    out = tmp_path / "o"
+    argv = [command, str(cfg), "--out", str(out)]
+    if command == "sweep":
+        argv += ["--param", "crm", "--values", "32,64"]
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("low, high", [("200", "130"), ("-1", "130"), ("10", "10")])
+def test_bad_oscillation_band_fails_before_any_event(tmp_path, capsys, monkeypatch, low, high):
+    def no_events(self, t_end):
+        raise AssertionError("the simulation ran")
+
+    monkeypatch.setattr(Engine, "run_until", no_events)
+    cfg = tmp_path / "osc.cfg"
+    cfg.write_text(TINY + f"osc_low_mbps = {low}\nosc_high_mbps = {high}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: run: osc_low_mbps must be >= 0 and below osc_high_mbps, got {float(low)}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["flight", "--rtt-ms", "inf", "--mbps", "155.52"], "argument --rtt-ms: must be finite"),
+        (["decay", "--icr-mbps", "140", "--cdf", "0.05"], "error: cdf must be 0 or a power of two"),
+        (["trigger", "--fwd-mbps", "100", "--bwd-mbps", "1", "--crm", "0"], "error: crm must be >= 1"),
+    ],
+    ids=["flight-rtt-inf", "decay-cdf", "trigger-crm"],
+)
+def test_analyze_rejects_what_a_run_rejects(capsys, argv, message):
+    try:
+        code = main(["analyze", *argv])
+    except SystemExit as exc:  # argparse rejects the flag
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err

@@ -111,7 +111,7 @@ def test_sources_start_at_icr_with_first_emission_at_time_zero():
     eng = Engine(topo, rec)
     assert eng.vcs["fwd"].state.acr == topo.source_params["s1"].icr
     eng.run_until(0)
-    assert eng.vcs["fwd"].emitted == 1
+    assert eng.audit()["fwd"]["emitted"] == 1
 
 
 def test_first_delivery_time_is_propagation_plus_three_serializations():

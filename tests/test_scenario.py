@@ -1,8 +1,15 @@
+from dataclasses import fields
+
 import pytest
 
 from abrsim.scenario import (
+    LinkCfg,
+    RunCfg,
     Scenario,
     ScenarioError,
+    SourceCfg,
+    SwitchCfg,
+    VcCfg,
     bundled_config_text,
     default_scenario,
     parse_number,
@@ -216,3 +223,35 @@ def test_render_writes_cdf_as_a_fraction():
         sc = parse_scenario(f"[source.s1]\ncdf = {text}\n")
         assert sc.sources["s1"].cdf == cdf
         assert f"cdf = {text}\n" in render_scenario(sc)
+
+
+# One value, different from the default, for every field of every section.
+NON_DEFAULT = {
+    SourceCfg: dict(
+        pcr_mbps=622.08, mcr_mbps=1.5, icr_mbps=100.0, nrm=64, rif=0.25, cdf=0.5, crm=2, tbe=100
+    ),
+    SwitchCfg: dict(target_utilization=0.85, interval_cells=100, interval_us=50.5),
+    LinkCfg: dict(from_node="src", to_node="dst", rate_mbps=622.08, delay_us=7.5),
+    VcCfg: dict(path=("src", "sw", "dst")),
+    RunCfg: dict(
+        until_ms=500.0,
+        windows_ms=((10.0, 20.0), (20.0, 500.0)),
+        osc_low_mbps=5.0,
+        osc_high_mbps=100.0,
+        steady_from_ms=250.0,
+    ),
+}
+
+
+def test_every_key_of_every_section_round_trips():
+    for cfg_type, values in NON_DEFAULT.items():
+        for f in fields(cfg_type):
+            assert values[f.name] != getattr(cfg_type(), f.name), f"{cfg_type.__name__}.{f.name}"
+    sc = Scenario(
+        sources={"src": SourceCfg(**NON_DEFAULT[SourceCfg])},
+        switches={"sw": SwitchCfg(**NON_DEFAULT[SwitchCfg])},
+        links={"l": LinkCfg(**NON_DEFAULT[LinkCfg])},
+        vcs={"v": VcCfg(**NON_DEFAULT[VcCfg])},
+        run=RunCfg(**NON_DEFAULT[RunCfg]),
+    )
+    assert parse_scenario(render_scenario(sc)) == sc

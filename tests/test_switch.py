@@ -1,26 +1,22 @@
 import pytest
 
-from abrsim.engine import SwitchParams
 from abrsim.protocol import Cell, Direction, RmFields
-from abrsim.switch import Measurement, PortState
+from abrsim.switch import Measurement, PortState, SwitchParams
 from abrsim.units import PS_PER_SEC, mbps_to_cps, us_to_ps
 
 OC3 = mbps_to_cps(155.52)
 TARGET = 0.9 * OC3
 
 
-def make_port(**kw):
-    defaults = dict(
+def make_port(**params):
+    """A port on an OC-3 link; ``params`` override the ``SwitchParams`` defaults."""
+    return PortState(
         name="sw->next",
         to_node="next",
         link_rate=OC3,
         prop_delay=us_to_ps(5),
-        target_utilization=0.9,
-        interval_cell_limit=30,
-        interval_time_limit=us_to_ps(20),
+        params=SwitchParams(**params),
     )
-    defaults.update(kw)
-    return PortState(**defaults)
 
 
 def data_cell(vc="vc1"):
