@@ -45,8 +45,11 @@ class RunResult:
     out_dir: Path
     scenario: Scenario
     engine: Engine
-    recorder: Recorder
     summary: list[tuple[str, str, float, float, float]]  # vc, metric, t0, t1, value
+
+    @property
+    def recorder(self) -> Recorder:
+        return self.engine.recorder
 
 
 def load_scenario_text(path_arg: str) -> str:
@@ -98,7 +101,7 @@ def _write_outputs(result: RunResult, overrides: dict[str, str]) -> None:
     for vc_id, trace in rec.recv.items():
         _write_csv(
             out / f"recv_{vc_id}.csv",
-            ((ps_to_ms(t), float(c)) for t, c in zip(trace.times, trace.counts)),
+            ((ps_to_ms(t), float(n)) for n, t in enumerate(trace.times, start=1)),
         )
     for sw, samples in rec.queues.items():
         _write_csv(out / f"queues_{sw}.csv", ((ps_to_ms(t), float(n)) for t, n in samples))
@@ -145,43 +148,24 @@ def _write_outputs(result: RunResult, overrides: dict[str, str]) -> None:
 
 
 def _summarize(sc: Scenario, recorder: Recorder) -> list[tuple[str, str, float, float, float]]:
+    """Per-VC throughput, then oscillation, rows over the whole run, the
+    windows that end by the horizon and the steady-state window."""
     run = sc.run
-    horizon = run.until_ms
     windows = []
-    if horizon > 0:
-        windows.append((0.0, horizon))
-        windows.extend(w for w in run.windows_ms if w[1] <= horizon)
-        steady = run.steady_window()
-        if steady[0] < steady[1]:
-            windows.append(steady)
+    if run.until_ms > 0:
+        windows = [(0.0, run.until_ms), *(w for w in run.windows_ms if w[1] <= run.until_ms)]
+        windows.append(run.steady_window())  # non-empty: ``RunCfg.check``
+    edges = [(t0, t1, ms_to_ps(t0), ms_to_ps(t1)) for t0, t1 in windows]
     low = mbps_to_cps(run.osc_low_mbps)
     high = mbps_to_cps(run.osc_high_mbps)
     rows = []
-    for vc_id in recorder.recv:
-        for t0, t1 in windows:
-            rows.append(
-                (
-                    vc_id,
-                    "throughput_mbps",
-                    t0,
-                    t1,
-                    metrics.throughput(recorder.recv[vc_id], ms_to_ps(t0), ms_to_ps(t1)),
-                )
-            )
-        for t0, t1 in windows:
-            rows.append(
-                (
-                    vc_id,
-                    "oscillations",
-                    t0,
-                    t1,
-                    float(
-                        metrics.oscillation_count(
-                            recorder.acr[vc_id], low, high, ms_to_ps(t0), ms_to_ps(t1)
-                        )
-                    ),
-                )
-            )
+    for vc_id, recv in recorder.recv.items():
+        for t0, t1, p0, p1 in edges:
+            rows.append((vc_id, "throughput_mbps", t0, t1, metrics.throughput(recv, p0, p1)))
+        acr = recorder.acr[vc_id]
+        for t0, t1, p0, p1 in edges:
+            count = metrics.oscillation_count(acr, low, high, p0, p1)
+            rows.append((vc_id, "oscillations", t0, t1, float(count)))
     return rows
 
 
@@ -189,28 +173,26 @@ def execute_run(
     sc: Scenario, out_dir: Path, overrides: dict[str, str] | None = None
 ) -> RunResult:
     """Build, run and persist one scenario; raises on invariant failures."""
-    recorder = Recorder()
-    engine = Engine(to_topology(sc), recorder)
+    engine = Engine(to_topology(sc))
     engine.run_until(ms_to_ps(sc.run.until_ms))
     engine.audit()
     result = RunResult(
-        out_dir=out_dir,
-        scenario=sc,
-        engine=engine,
-        recorder=recorder,
-        summary=_summarize(sc, recorder),
+        out_dir=out_dir, scenario=sc, engine=engine, summary=_summarize(sc, engine.recorder)
     )
     _write_outputs(result, overrides or {})
     return result
 
 
 def steady_state_mbps(result: RunResult) -> dict[str, float]:
-    t0, t1 = result.scenario.run.steady_window()
-    if not t0 < t1:
-        return {vc: 0.0 for vc in result.recorder.recv}
+    """Each VC's steady-state throughput row of the summary; 0.0 for a zero horizon."""
+    run = result.scenario.run
+    if run.until_ms == 0:
+        return dict.fromkeys(result.recorder.recv, 0.0)
+    steady = run.steady_window()
     return {
-        vc: metrics.throughput(trace, ms_to_ps(t0), ms_to_ps(t1))
-        for vc, trace in result.recorder.recv.items()
+        vc: value
+        for vc, metric, t0, t1, value in result.summary
+        if metric == "throughput_mbps" and (t0, t1) == steady
     }
 
 
@@ -236,6 +218,7 @@ def _apply_args(sc: Scenario, args) -> dict[str, str]:
     if args.until_ms is not None:
         overrides["until_ms"] = repr(args.until_ms)
         sc.run.until_ms = args.until_ms
+        sc.run.check()
     return overrides
 
 
@@ -251,15 +234,9 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _sweep_worker(cfg_text: str, param: str, value_text: str, until_ms, out_dir: str):
-    sc = parse_scenario(cfg_text)
-    apply_override(sc, param, parse_number(value_text))
-    if until_ms is not None:
-        sc.run.until_ms = until_ms
-    result = execute_run(sc, Path(out_dir), {param: value_text})
-    steady = steady_state_mbps(result)
-    t0, t1 = sc.run.steady_window()
-    return value_text, steady, (t0, t1)
+def _sweep_worker(sc: Scenario, overrides: dict[str, str], out_dir: str) -> dict[str, float]:
+    """Run one checked sweep member; returns its steady-state Mbps per VC."""
+    return steady_state_mbps(execute_run(sc, Path(out_dir), overrides))
 
 
 def cmd_sweep(args) -> int:
@@ -267,37 +244,45 @@ def cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ScenarioError("sweep needs at least one value")
-    # Check every value with the runs' own rules before any run starts.
+    # Build and check every member's scenario with the runs' own rules
+    # before any run starts; the members run exactly these scenarios.
+    members = []
     for value_text in values:
         sc = parse_scenario(cfg_text)
         with error_context("--values"):
             apply_override(sc, args.param, parse_number(value_text))
+        if args.until_ms is not None:
+            sc.run.until_ms = args.until_ms
+            sc.run.check()
         to_topology(sc)
+        members.append((value_text, sc))
     out_root = _out_root(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
-    jobs = [
-        (value_text, str(out_root / f"{args.param}={value_text.replace('/', '_')}"))
-        for value_text in values
-    ]
-    results = []
     with concurrent.futures.ProcessPoolExecutor(
-        max_workers=min(len(jobs), os.cpu_count() or 1)
+        max_workers=min(len(members), os.cpu_count() or 1)
     ) as pool:
         futures = [
-            pool.submit(_sweep_worker, cfg_text, args.param, value_text, args.until_ms, job_dir)
-            for value_text, job_dir in jobs
+            pool.submit(
+                _sweep_worker,
+                sc,
+                {args.param: value_text},
+                str(out_root / f"{args.param}={value_text.replace('/', '_')}"),
+            )
+            for value_text, sc in members
         ]
-        for future in futures:
-            results.append(future.result())
+        results = [
+            (value_text, sc.run.steady_window(), future.result())
+            for (value_text, sc), future in zip(members, futures)
+        ]
 
     summary_path = out_root / "sweep_summary.csv"
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("param,value,vc,steady_t0_ms,steady_t1_ms,steady_throughput_mbps\n")
-        for value_text, steady, (t0, t1) in results:
+        for value_text, (t0, t1), steady in results:
             for vc, mbps in steady.items():
                 fh.write(f"{args.param},{value_text},{vc},{t0:.6f},{t1:.6f},{mbps:.6f}\n")
     print(f"sweep complete: {len(results)} runs, summary in {summary_path}")
-    for value_text, steady, _window in results:
+    for value_text, _window, steady in results:
         pretty = ", ".join(f"{vc}={mbps:.2f} Mbps" for vc, mbps in steady.items())
         print(f"  {args.param}={value_text}: {pretty}")
     return 0
@@ -348,6 +333,14 @@ def non_negative(text: str) -> float:
     return value
 
 
+def positive(text: str) -> float:
+    """Type of a link-rate flag: ``non_negative`` and not 0."""
+    value = non_negative(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abrsim",
@@ -375,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     tool = analyze_p.add_subparsers(dest="tool", required=True)
     mc = tool.add_parser("min-crm", help="smallest safe cutoff threshold for a path")
     mc.add_argument("--rtt-ms", type=non_negative, required=True, dest="rtt_ms")
-    mc.add_argument("--mbps", type=non_negative, required=True)
+    mc.add_argument("--mbps", type=positive, required=True)
     mc.add_argument("--nrm", type=int, default=32)
     mc.add_argument("--hops", type=int, default=1)
     dec = tool.add_parser("decay", help="rate left after consecutive cutoff cuts")
@@ -389,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     trig.add_argument("--crm", type=int, required=True)
     fl = tool.add_parser("flight", help="cells in flight over a round trip")
     fl.add_argument("--rtt-ms", type=non_negative, required=True, dest="rtt_ms")
-    fl.add_argument("--mbps", type=non_negative, required=True)
+    fl.add_argument("--mbps", type=positive, required=True)
     analyze_p.set_defaults(func=cmd_analyze)
 
     return parser

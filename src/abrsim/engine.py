@@ -151,11 +151,11 @@ _AUDIT_EVERY_TICKS = 100  # conservation audit cadence
 
 
 class Engine:
-    """Single-threaded event loop over one topology."""
+    """Single-threaded event loop over one topology, recording into ``recorder``."""
 
-    def __init__(self, topology: Topology, recorder: Recorder | None = None):
+    def __init__(self, topology: Topology):
         self.topology = topology
-        self.recorder = recorder
+        self.recorder = recorder = Recorder()
         self.now: SimTime = 0
         self._heap: list = []
         self._seq = 0
@@ -191,16 +191,15 @@ class Engine:
                         params=sw.params,
                     )
 
-        if recorder is not None:
-            for vc in self.vcs.values():
-                recorder.start_vc(vc.vc_id, vc.params.icr)
-            for name in self.switches:
-                recorder.start_switch(name)
-            recorder.deviation(
-                "backward RM cells bypass port queues (stamped and re-emitted "
-                "immediately, ahead of reverse-direction data)"
-            )
-            self._push(_TICK_INTERVAL, _TICK, None)
+        for vc in self.vcs.values():
+            recorder.start_vc(vc.vc_id, vc.params.icr)
+        for name in self.switches:
+            recorder.start_switch(name)
+        recorder.deviation(
+            "backward RM cells bypass port queues (stamped and re-emitted "
+            "immediately, ahead of reverse-direction data)"
+        )
+        self._push(_TICK_INTERVAL, _TICK, None)
 
         for vc in self.vcs.values():
             self._push(0, _EMIT, vc)
@@ -242,14 +241,12 @@ class Engine:
         prev_acr = state.acr
         was_quiescent = state.quiescent
         cell = protocol.next_cell(state, vc.params, vc.vc_id, self.now)
-        rec = self.recorder
-        if rec is not None:
-            if state.acr != prev_acr:
-                rec.acr_change(vc.vc_id, self.now, state.acr)
-            if state.quiescent and not was_quiescent:
-                rec.deviation(
-                    f"vc {vc.vc_id}: rate decayed to zero; keep-alive RM probing engaged"
-                )
+        if state.acr != prev_acr:
+            self.recorder.acr_change(vc.vc_id, self.now, state.acr)
+        if state.quiescent and not was_quiescent:
+            self.recorder.deviation(
+                f"vc {vc.vc_id}: rate decayed to zero; keep-alive RM probing engaged"
+            )
         self._send(cell, vc.source_node, vc.path[1])
         self._push(state.next_departure, _EMIT, vc)
 
@@ -262,19 +259,16 @@ class Engine:
                 state = vc.state
                 prev_acr = state.acr
                 protocol.on_backward_rm(state, vc.params, rm)
-                rec = self.recorder
-                if rec is not None:
-                    rec.backward_rm(vc.vc_id, self.now)
-                    if state.acr != prev_acr:
-                        rec.acr_change(vc.vc_id, self.now, state.acr)
+                self.recorder.backward_rm(vc.vc_id, self.now)
+                if state.acr != prev_acr:
+                    self.recorder.acr_change(vc.vc_id, self.now, state.acr)
             else:
                 port = self.switches[node].ports[vc.fwd_hop[node]]
                 port.stamp_backward(rm, cell.vc_id, self.now)
                 self._send(cell, node, vc.bwd_hop[node])
         elif node == vc.dest_node:
             vc.delivered += 1
-            if self.recorder is not None:
-                self.recorder.delivery(vc.vc_id, self.now, vc.delivered)
+            self.recorder.delivery(vc.vc_id, self.now)
             if rm is not None:
                 back = protocol.turnaround(rm)
                 vc.turned += 1
@@ -359,6 +353,5 @@ class Engine:
                 "queued": queued[vc_id],
                 "in_flight": inflight_fwd[vc_id],
             }
-        if self.recorder is not None:
-            self.recorder.audits_passed += 1
+        self.recorder.audits_passed += 1
         return report

@@ -1,10 +1,10 @@
 """Run recording and derived measurements.
 
 The recorder keeps, per VC, the allowed-cell-rate trajectory (sampled on
-change) and the cumulative count of cells delivered to the destination
-(sampled on every delivery).  Throughput over a window is the delivered
-cell count difference times the cell size over the window length, with
-counts step-interpolated at the window edges.
+change) and the time of every cell delivered to the destination; the
+cumulative count at ``t`` is the number of deliveries at or before ``t``.
+Throughput over a window is the delivered cell count difference times the
+cell size over the window length.
 """
 
 from __future__ import annotations
@@ -38,19 +38,16 @@ class StepTrace:
 
 
 class RecvTrace:
-    """Cumulative cells delivered, one sample per delivery."""
+    """Delivery times in order; the n-th delivery brings the count to n."""
 
     def __init__(self):
         self.times = array("q")
-        self.counts = array("q")
 
-    def add(self, t: SimTime, cumulative: int) -> None:
+    def add(self, t: SimTime) -> None:
         self.times.append(t)
-        self.counts.append(cumulative)
 
     def count_at(self, t: SimTime) -> int:
-        i = bisect_right(self.times, t)
-        return self.counts[i - 1] if i else 0
+        return bisect_right(self.times, t)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -110,8 +107,8 @@ class Recorder:
     def acr_change(self, vc_id: str, t: SimTime, acr: CellRate) -> None:
         self.acr[vc_id].add(t, acr)
 
-    def delivery(self, vc_id: str, t: SimTime, cumulative: int) -> None:
-        self.recv[vc_id].add(t, cumulative)
+    def delivery(self, vc_id: str, t: SimTime) -> None:
+        self.recv[vc_id].add(t)
 
     def queue_sample(self, switch: str, t: SimTime, total: int) -> None:
         self.queues[switch].append((t, total))

@@ -126,6 +126,25 @@ class RunCfg:
         start = self.until_ms / 4 if self.steady_from_ms is None else self.steady_from_ms
         return (start, self.until_ms)
 
+    def check(self) -> None:
+        """The ``[run]`` rule; checked again after ``--until-ms`` sets the horizon."""
+        if self.until_ms < 0:
+            raise ScenarioError(f"run: until_ms must be >= 0, got {self.until_ms}")
+        for lo, hi in self.windows_ms:
+            if not 0 <= lo < hi:
+                raise ScenarioError(f"run: windows_ms needs 0 <= start < end, got {lo}:{hi}")
+        start = self.steady_from_ms
+        if start is not None and not 0 <= start < self.until_ms:
+            raise ScenarioError(
+                f"run: steady_from_ms must be >= 0 and below until_ms, "
+                f"got {start} and {self.until_ms}"
+            )
+        low, high = self.osc_low_mbps, self.osc_high_mbps
+        if not 0 <= low < high:
+            raise ScenarioError(
+                f"run: osc_low_mbps must be >= 0 and below osc_high_mbps, got {low} and {high}"
+            )
+
 
 @dataclass
 class Scenario:
@@ -286,17 +305,7 @@ def _validate(scenario: Scenario) -> None:
     for name, cfg in scenario.links.items():
         if not cfg.from_node or not cfg.to_node:
             raise ScenarioError(f"link {name}: both 'from' and 'to' are required")
-    run = scenario.run
-    if run.until_ms < 0:
-        raise ScenarioError("run: until_ms must be >= 0")
-    for lo, hi in run.windows_ms:
-        if not lo < hi:
-            raise ScenarioError(f"run: bad window {lo}:{hi}")
-    low, high = run.osc_low_mbps, run.osc_high_mbps
-    if not 0 <= low < high:
-        raise ScenarioError(
-            f"run: osc_low_mbps must be >= 0 and below osc_high_mbps, got {low} and {high}"
-        )
+    scenario.run.check()
 
 
 def _render_keys(cfg) -> list[str]:

@@ -92,8 +92,6 @@ class PortState:
         self.ccr_table: dict[str, CellRate] = {}
         self.measurement: Measurement | None = None
 
-        self.enqueued = 0
-        self.dequeued = 0
         self.max_queue = 0
 
     @property
@@ -108,7 +106,6 @@ class PortState:
         departure = max(now, self.last_departure) + self.tx_time
         self.last_departure = departure
         self.departures.append(departure)
-        self.enqueued += 1
         if backlog > self.max_queue:
             self.max_queue = backlog
         self.accum_cells += 1
@@ -180,5 +177,4 @@ class PortState:
         departures = self.departures
         while departures and departures[0] < now:
             departures.popleft()
-            self.dequeued += 1
         return len(departures)

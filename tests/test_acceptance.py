@@ -3,14 +3,16 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion.
 
-Two checks are known to fail and are kept failing on purpose.  The
+Two checks are known to fail and are kept failing on purpose: the
 small-threshold regime's reference window throughputs (32 and 45 Mbps,
-checks 1c and 3) are only reachable by a cutoff variant that clears its
-own counter each time it fires; the per-RM-cell decay law that checks 5
-and 1d pin down (and that this package implements) sends roughly a tenth
-as many cells before feedback arrives and oscillates harder afterwards.
-The two behaviors cannot hold at once; the README carries the full
-numbers.
+check 1c) and its cdf-insensitive steady state below 60 Mbps (check 3).
+The per-RM-cell decay law that checks 5 and 1d pin down (and that this
+package implements) sends roughly a tenth as many cells before feedback
+arrives and oscillates harder afterwards (3.03 and 81.68 Mbps in the 1c
+windows).  A cutoff that clears its counter each time it fires does not
+reach them either: at cdf=1/16 it gives 31.20 Mbps early but 139.95 Mbps
+late, and steady states of 95.64, 74.17 and 1.99 Mbps at cdf 1/64, 1/16
+and 1.  The README carries the full numbers.
 """
 
 import hashlib

@@ -137,6 +137,19 @@ def test_sweep_single_value_matches_plain_run(tiny_cfg, tmp_path):
     assert (sweep_out / "sweep_summary.csv").is_file()
 
 
+def test_sweep_summary_holds_each_members_steady_row(tmp_path):
+    cfg = tmp_path / "slow_start.cfg"  # rif = 1/64 keeps the steady rate near icr
+    cfg.write_text(TINY.replace("crm = 32\n", "crm = 32\nicr_mbps = 10\n"), encoding="utf-8")
+    out = tmp_path / "sweep_rif"
+    argv = ["sweep", str(cfg), "--param", "rif", "--values", "1/64,1", "--out", str(out)]
+    assert main(argv) == 0
+    rows = [row.split(",") for row in read(out / "sweep_summary.csv").splitlines()[1:]]
+    assert len({mbps for *_, mbps in rows}) == 2
+    for param, value, vc, t0, t1, mbps in rows:
+        member = read(out / f"{param}={value.replace('/', '_')}" / "summary.csv")
+        assert f"{vc},throughput_mbps,{t0},{t1},{mbps}" in member.splitlines()
+
+
 def test_sweep_rejects_empty_value_list(tiny_cfg, capsys):
     assert main(
         ["sweep", str(tiny_cfg), "--param", "crm", "--values", " , ", "--out", "x"]
@@ -278,6 +291,36 @@ def test_topology_errors_name_the_link_vc_or_switch(tmp_path, capsys, command, o
     assert not out.exists()
 
 
+STEADY = "steady_from_ms must be >= 0 and below until_ms, got "
+
+
+@pytest.mark.parametrize(
+    "run_keys, flags, message",
+    [
+        ("windows_ms = -10:3", [], "windows_ms needs 0 <= start < end, got -10.0:3.0"),
+        ("steady_from_ms = -5", [], STEADY + "-5.0 and 5.0"),
+        ("steady_from_ms = 5", [], STEADY + "5.0 and 5.0"),
+        ("steady_from_ms = 3", ["--until-ms", "3"], STEADY + "3.0 and 3.0"),
+        ("steady_from_ms = 3", ["--until-ms", "2"], STEADY + "3.0 and 2.0"),
+    ],
+    ids=["window-before-zero", "steady-before-zero", "steady-at-horizon", "flag-at-steady",
+         "flag-before-steady"],
+)
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_run_rule_holds_for_the_file_and_the_until_ms_flag(
+    tmp_path, capsys, command, run_keys, flags, message
+):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY.replace("windows_ms = 1:5", run_keys), encoding="utf-8")
+    out = tmp_path / "o"
+    argv = [command, str(cfg), "--out", str(out), *flags]
+    if command == "sweep":
+        argv += ["--param", "crm", "--values", "32,64"]
+    assert main(argv) == 2
+    assert f"error: run: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("low, high", [("200", "130"), ("-1", "130"), ("10", "10")])
 def test_bad_oscillation_band_fails_before_any_event(tmp_path, capsys, monkeypatch, low, high):
     def no_events(self, t_end):
@@ -299,8 +342,10 @@ def test_bad_oscillation_band_fails_before_any_event(tmp_path, capsys, monkeypat
         (["flight", "--rtt-ms", "inf", "--mbps", "155.52"], "argument --rtt-ms: must be finite"),
         (["decay", "--icr-mbps", "140", "--cdf", "0.05"], "error: cdf must be 0 or a power of two"),
         (["trigger", "--fwd-mbps", "100", "--bwd-mbps", "1", "--crm", "0"], "error: crm must be >= 1"),
+        (["min-crm", "--rtt-ms", "550", "--mbps", "0"], "argument --mbps: must be > 0, got 0\n"),
+        (["flight", "--rtt-ms", "550", "--mbps", "0.0"], "argument --mbps: must be > 0, got 0.0\n"),
     ],
-    ids=["flight-rtt-inf", "decay-cdf", "trigger-crm"],
+    ids=["flight-rtt-inf", "decay-cdf", "trigger-crm", "min-crm-mbps-0", "flight-mbps-0"],
 )
 def test_analyze_rejects_what_a_run_rejects(capsys, argv, message):
     try:

@@ -9,7 +9,6 @@ from abrsim.engine import (
     Topology,
     VcSpec,
 )
-from abrsim.metrics import Recorder
 from abrsim.protocol import SourceParams
 from abrsim.scenario import bundled_config_text, parse_scenario, to_topology
 from abrsim.units import PS_PER_MS, cell_tx_time, mbps_to_cps, ms_to_ps, ps_to_ms, us_to_ps
@@ -107,8 +106,7 @@ def test_duplicate_link_is_rejected():
 
 def test_sources_start_at_icr_with_first_emission_at_time_zero():
     topo = one_source_topology()
-    rec = Recorder()
-    eng = Engine(topo, rec)
+    eng = Engine(topo)
     assert eng.vcs["fwd"].state.acr == topo.source_params["s1"].icr
     eng.run_until(0)
     assert eng.audit()["fwd"]["emitted"] == 1
@@ -116,8 +114,8 @@ def test_sources_start_at_icr_with_first_emission_at_time_zero():
 
 def test_first_delivery_time_is_propagation_plus_three_serializations():
     topo = one_source_topology()
-    rec = Recorder()
-    eng = Engine(topo, rec)
+    eng = Engine(topo)
+    rec = eng.recorder
     eng.run_until(ms_to_ps(276))
     tx = cell_tx_time(OC3)
     expected = 3 * tx + us_to_ps(5) + ms_to_ps(275) + us_to_ps(5)
@@ -126,8 +124,8 @@ def test_first_delivery_time_is_propagation_plus_three_serializations():
 
 def test_first_feedback_arrives_after_one_round_trip():
     topo = one_source_topology()
-    rec = Recorder()
-    eng = Engine(topo, rec)
+    eng = Engine(topo)
+    rec = eng.recorder
     eng.run_until(ms_to_ps(560))
     first = ps_to_ms(rec.first_backward["fwd"])
     assert 549.0 <= first <= 551.0
@@ -145,8 +143,8 @@ def test_two_satellite_hops_double_the_delay():
     topo.add_duplex_link("sw2", "sw3", satellite("sat2"))
     topo.add_duplex_link("sw3", "d1", lan("lan_b"))
     topo.vcs = (VcSpec("fwd", ("s1", "sw1", "sw2", "sw3", "d1")),)
-    rec = Recorder()
-    eng = Engine(topo, rec)
+    eng = Engine(topo)
+    rec = eng.recorder
     eng.run_until(ms_to_ps(551))
     tx = cell_tx_time(OC3)
     expected = 4 * tx + 2 * us_to_ps(5) + 2 * ms_to_ps(275)
@@ -154,7 +152,7 @@ def test_two_satellite_hops_double_the_delay():
 
 
 def test_run_until_rejects_going_backwards():
-    eng = Engine(one_source_topology(), Recorder())
+    eng = Engine(one_source_topology())
     eng.run_until(ms_to_ps(1))
     with pytest.raises(SimulationError):
         eng.run_until(0)
@@ -168,8 +166,7 @@ def test_er_feedback_is_min_of_port_offers_along_the_path():
     # up at the smaller offer
     topo = one_source_topology(crm=100_000, tbe=3_200_000)
     topo.switch_params["sw2"] = SwitchParams(target_utilization=0.7)
-    rec = Recorder()
-    eng = Engine(topo, rec)
+    eng = Engine(topo)
     eng.run_until(ms_to_ps(600))
     acr = eng.vcs["fwd"].state.acr
     assert acr == pytest.approx(0.7 * OC3, rel=1e-9)
@@ -178,8 +175,7 @@ def test_er_feedback_is_min_of_port_offers_along_the_path():
 
 def test_single_vc_feedback_sits_at_the_target_rate():
     topo = one_source_topology(crm=100_000, tbe=3_200_000)
-    rec = Recorder()
-    eng = Engine(topo, rec)
+    eng = Engine(topo)
     eng.run_until(ms_to_ps(700))
     assert eng.vcs["fwd"].state.acr == pytest.approx(0.9 * OC3, rel=1e-9)
 
@@ -189,20 +185,28 @@ def test_single_vc_feedback_sits_at_the_target_rate():
 
 def test_cell_conservation_holds_during_and_after_a_run():
     topo = to_topology(parse_scenario(bundled_config_text("fig3.cfg")))
-    rec = Recorder()
-    eng = Engine(topo, rec)
+    eng = Engine(topo)
     eng.run_until(ms_to_ps(30))
     report = eng.audit()
     for vc_id, counts in report.items():
         assert counts["emitted"] == (
             counts["delivered"] + counts["queued"] + counts["in_flight"]
         )
-    assert rec.audits_passed > 0
+    assert eng.recorder.audits_passed > 0
+
+
+def test_a_hand_built_engine_samples_queues_and_audits():
+    eng = Engine(one_source_topology())
+    eng.run_until(ms_to_ps(100))
+    assert [t for t, _n in eng.recorder.queues["sw1"]] == [
+        k * PS_PER_MS for k in range(1, 101)
+    ]
+    assert eng.recorder.audits_passed >= 1
 
 
 def test_tampered_port_backlog_fails_the_audit():
     topo = to_topology(parse_scenario(bundled_config_text("fig3.cfg")))
-    eng = Engine(topo, Recorder())
+    eng = Engine(topo)
     eng.run_until(ms_to_ps(30))
     eng.audit()
     port = eng.switches["sw1"].ports["sw2"]
@@ -214,10 +218,9 @@ def test_tampered_port_backlog_fails_the_audit():
 def test_identical_runs_produce_identical_traces():
     def run_once():
         topo = to_topology(parse_scenario(bundled_config_text("fig3.cfg")))
-        rec = Recorder()
-        eng = Engine(topo, rec)
+        eng = Engine(topo)
         eng.run_until(ms_to_ps(40))
-        return rec, eng
+        return eng.recorder, eng
 
     rec_a, eng_a = run_once()
     rec_b, eng_b = run_once()
@@ -232,7 +235,7 @@ def test_identical_runs_produce_identical_traces():
 def test_work_conserving_service_keeps_up_with_a_single_source():
     # arrival rate is 90% of service rate, so queues stay tiny
     topo = one_source_topology(crm=100_000, tbe=3_200_000)
-    eng = Engine(topo, Recorder())
+    eng = Engine(topo)
     eng.run_until(ms_to_ps(100))
     for sw in eng.switches.values():
         for port in sw.ports.values():

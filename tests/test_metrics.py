@@ -7,9 +7,13 @@ from abrsim.units import CELL_BITS, PS_PER_MS, mbps_to_cps
 
 
 def make_recv(samples):
+    """A trace from (time, cumulative count) samples: one delivery per count step."""
     trace = RecvTrace()
-    for t, c in samples:
-        trace.add(t, c)
+    count = 0
+    for t, cumulative in samples:
+        for _ in range(cumulative - count):
+            trace.add(t)
+        count = cumulative
     return trace
 
 
@@ -54,11 +58,10 @@ def test_time_weighted_window_throughputs_compose():
     # lengths equals the whole-window number
     rng = random.Random(11)
     trace = RecvTrace()
-    t, c = 0, 0
+    t = 0
     for _ in range(5000):
         t += rng.randint(1, 10**9)
-        c += 1
-        trace.add(t, c)
+        trace.add(t)
     edges = sorted(rng.sample(range(1, t), 7))
     cuts = [0] + edges + [t]
     whole = throughput(trace, 0, t)

@@ -1,0 +1,45 @@
+"""The benchmark child still drives the package in trace mode.
+
+``perfbench/child.py`` patches functions by name (``Engine.__init__``,
+``Recorder.delivery``, ``cli._sweep_worker`` and others); a renamed
+function or a changed signature makes its run fail or count no engines.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "argv, runs",
+    [
+        (["run", "fig3.cfg", "--until-ms", "2"], 1),
+        (["sweep", "fig3.cfg", "--param", "cdf", "--values", "1/64,1", "--until-ms", "2"], 2),
+    ],
+    ids=["run", "sweep"],
+)
+def test_trace_mode_runs_clean_and_counts_every_engine(tmp_path, argv, runs):
+    records = tmp_path / "records"
+    records.mkdir()
+    spec = {
+        "src": str(ROOT / "src"),
+        "argv": argv + ["--out", str(tmp_path / "out")],
+        "mode": "trace",
+        "records": str(records),
+    }
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), json.dumps(spec)],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    loaded = [json.loads(p.read_text(encoding="utf-8")) for p in records.glob("*.json")]
+    assert sum(len(r["engines"]) for r in loaded) == runs
+    assert all(e["events"] > 0 for r in loaded for e in r["engines"])

@@ -144,6 +144,28 @@ def test_bad_window_rejected():
         parse_scenario("[run]\nwindows_ms = 100:50\n")
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("windows_ms = -10:3", "windows_ms needs 0 <= start < end, got -10.0:3.0"),
+        ("steady_from_ms = -5", "steady_from_ms must be >= 0 and below until_ms, got -5.0 and 5.0"),
+        ("steady_from_ms = 5", "steady_from_ms must be >= 0 and below until_ms, got 5.0 and 5.0"),
+        ("steady_from_ms = 6", "steady_from_ms must be >= 0 and below until_ms, got 6.0 and 5.0"),
+    ],
+    ids=["window-before-zero", "steady-before-zero", "steady-at-horizon", "steady-past-horizon"],
+)
+def test_run_windows_lie_in_the_run(body, message):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(f"[run]\nuntil_ms = 5\n{body}\n")
+    assert str(exc.value) == f"run: {message}"
+
+
+def test_run_windows_may_start_at_zero_and_end_past_the_horizon():
+    run = parse_scenario("[run]\nuntil_ms = 5\nwindows_ms = 0:9\nsteady_from_ms = 0\n").run
+    assert run.windows_ms == ((0.0, 9.0),)
+    assert run.steady_window() == (0.0, 5.0)
+
+
 def test_render_parse_round_trip_for_bundled_scenario():
     sc = parse_scenario(bundled_config_text("fig3.cfg"))
     assert parse_scenario(render_scenario(sc)) == sc
