@@ -83,6 +83,15 @@ def min_crm(path: PathSpec) -> int:
     return per_hop * path.hops
 
 
+def _check_decay(icr: CellRate, cdf: float, mcr: CellRate, k: int) -> None:
+    """Inputs a source could have: a valid cdf, mcr <= icr; and k >= 0."""
+    check_cdf(cdf)
+    if mcr > icr:
+        raise ValueError(f"mcr must be <= icr, got mcr={mcr:g} icr={icr:g} cells/s")
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+
+
 def decay_after(icr: CellRate, cdf: float, mcr: CellRate, k: int) -> CellRate:
     """Rate left after the cutoff has fired on ``k + 1`` consecutive RM cells.
 
@@ -91,9 +100,7 @@ def decay_after(icr: CellRate, cdf: float, mcr: CellRate, k: int) -> CellRate:
     the RM cells that follow with still no feedback.  This is bit-for-bit
     what the simulated source computes.
     """
-    check_cdf(cdf)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    _check_decay(icr, cdf, mcr, k)
     acr = icr
     for _ in range(k + 1):
         acr = max(mcr, acr - acr * cdf)
@@ -102,9 +109,7 @@ def decay_after(icr: CellRate, cdf: float, mcr: CellRate, k: int) -> CellRate:
 
 def decay_closed_form(icr: CellRate, cdf: float, mcr: CellRate, k: int) -> CellRate:
     """Power-law form of ``decay_after``; cross-check only."""
-    check_cdf(cdf)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    _check_decay(icr, cdf, mcr, k)
     return max(mcr, icr * (1.0 - cdf) ** (k + 1))
 
 

@@ -246,8 +246,11 @@ def cmd_sweep(args) -> int:
         raise ScenarioError("sweep needs at least one value")
     # Build and check every member's scenario with the runs' own rules
     # before any run starts; the members run exactly these scenarios.
-    members = []
+    members: dict[str, tuple[str, Scenario]] = {}  # by output directory name
     for value_text in values:
+        name = f"{args.param}={value_text.replace('/', '_')}"
+        if name in members:
+            raise ScenarioError(f"--values: {value_text} is given twice (both would write {name})")
         sc = parse_scenario(cfg_text)
         with error_context("--values"):
             apply_override(sc, args.param, parse_number(value_text))
@@ -255,24 +258,19 @@ def cmd_sweep(args) -> int:
             sc.run.until_ms = args.until_ms
             sc.run.check()
         to_topology(sc)
-        members.append((value_text, sc))
+        members[name] = (value_text, sc)
     out_root = _out_root(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=min(len(members), os.cpu_count() or 1)
     ) as pool:
         futures = [
-            pool.submit(
-                _sweep_worker,
-                sc,
-                {args.param: value_text},
-                str(out_root / f"{args.param}={value_text.replace('/', '_')}"),
-            )
-            for value_text, sc in members
+            pool.submit(_sweep_worker, sc, {args.param: value_text}, str(out_root / name))
+            for name, (value_text, sc) in members.items()
         ]
         results = [
             (value_text, sc.run.steady_window(), future.result())
-            for (value_text, sc), future in zip(members, futures)
+            for (value_text, sc), future in zip(members.values(), futures)
         ]
 
     summary_path = out_root / "sweep_summary.csv"
@@ -303,6 +301,8 @@ def cmd_analyze(args) -> int:
         print(f"cells in flight over the round trip: {flight}")
         print(f"minimum crm: {crm} RM cells  (tbe >= {crm * args.nrm} cells)")
     elif args.tool == "decay":
+        if args.mcr_mbps > args.icr_mbps:  # ``decay_after`` says it in cells/s
+            raise ScenarioError(f"--mcr-mbps: must be <= --icr-mbps, got {args.mcr_mbps}")
         icr = mbps_to_cps(args.icr_mbps)
         mcr = mbps_to_cps(args.mcr_mbps)
         with error_context("--cdf"):
@@ -334,7 +334,7 @@ def non_negative(text: str) -> float:
 
 
 def positive(text: str) -> float:
-    """Type of a link-rate flag: ``non_negative`` and not 0."""
+    """Type of a link-rate or forward-rate flag: ``non_negative`` and not 0."""
     value = non_negative(text)
     if value == 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--mcr-mbps", type=non_negative, default=0.0, dest="mcr_mbps")
     dec.add_argument("--k", type=int, default=0)
     trig = tool.add_parser("trigger", help="does the cutoff trigger at these RM rates")
-    trig.add_argument("--fwd-mbps", type=non_negative, required=True, dest="fwd_mbps")
+    trig.add_argument("--fwd-mbps", type=positive, required=True, dest="fwd_mbps")
     trig.add_argument("--bwd-mbps", type=non_negative, required=True, dest="bwd_mbps")
     trig.add_argument("--crm", type=int, required=True)
     fl = tool.add_parser("flight", help="cells in flight over a round trip")

@@ -14,6 +14,14 @@ re-emits them on the reverse link immediately.  That priority treatment
 of feedback is a deliberate simplification and is reported in run
 metadata.
 
+Each VC's route is resolved once, when the engine is built, and indexed
+by path position: 0 is the source, ``last`` the destination, and
+``VcRuntime.ports[i]`` the switch port serving position ``i`` (None at
+both ends).  A DELIVER event carries ``(cell, i)``, the position the cell
+reaches; forward cells move on to ``i + 1``, backward RM cells to ``i - 1``.
+A cell that bypasses port queues reaches the next position after the hop
+delay ``vc.emit_delay`` from the source, ``vc.bwd_delays[i]`` from ``i``.
+
 A port's FIFO service is closed-form, so a cell entering a switch port is
 scheduled straight to its DELIVER at the next hop; the loop has only three
 event kinds (EMIT, DELIVER, TICK).  A queue sample at ``now`` counts every
@@ -104,25 +112,25 @@ class VcRuntime:
     __slots__ = (
         "vc_id",
         "params",
-        "path",
-        "source_node",
-        "dest_node",
-        "fwd_hop",
-        "bwd_hop",
+        "ports",
+        "last",
+        "emit_delay",
+        "bwd_delays",
         "state",
         "delivered",
         "turned",
         "bwd_delivered",
     )
 
-    def __init__(self, spec: VcSpec, params: SourceParams):
-        self.vc_id = spec.vc_id
+    def __init__(
+        self, vc_id: str, params: SourceParams, ports: tuple, emit_delay: SimTime, bwd_delays: tuple
+    ):
+        self.vc_id = vc_id
         self.params = params
-        self.path = spec.path
-        self.source_node = spec.path[0]
-        self.dest_node = spec.path[-1]
-        self.fwd_hop = {spec.path[i]: spec.path[i + 1] for i in range(len(spec.path) - 1)}
-        self.bwd_hop = {spec.path[i]: spec.path[i - 1] for i in range(1, len(spec.path))}
+        self.ports = ports
+        self.last = len(ports) - 1
+        self.emit_delay = emit_delay
+        self.bwd_delays = bwd_delays
         self.state = protocol.new_state(params)
         self.delivered = 0
         self.turned = 0
@@ -130,15 +138,11 @@ class VcRuntime:
 
 
 class SwitchRuntime:
-    __slots__ = ("name", "params", "ports")
+    __slots__ = ("name", "ports")
 
-    def __init__(self, name: str, params: SwitchParams):
+    def __init__(self, name: str):
         self.name = name
-        self.params = params
         self.ports: dict[str, PortState] = {}  # keyed by next-hop node
-
-    def queued_cells(self, now: SimTime) -> int:
-        return sum(p.pop(now) for p in self.ports.values())
 
 
 # Event kinds; payloads are never compared because sequence numbers are unique.
@@ -154,7 +158,6 @@ class Engine:
     """Single-threaded event loop over one topology, recording into ``recorder``."""
 
     def __init__(self, topology: Topology):
-        self.topology = topology
         self.recorder = recorder = Recorder()
         self.now: SimTime = 0
         self._heap: list = []
@@ -164,34 +167,34 @@ class Engine:
 
         topology.validate()  # hand-built topologies skip ``to_topology``
 
-        self.links = dict(topology.links)
-        self._hop_delay = {
-            key: cell_tx_time(spec.rate) + spec.prop_delay for key, spec in self.links.items()
-        }
-        self.switches = {
-            name: SwitchRuntime(name, params) for name, params in topology.switch_params.items()
-        }
+        def hop_delay(a: str, b: str) -> SimTime:
+            link = topology.links[(a, b)]
+            return cell_tx_time(link.rate) + link.prop_delay
+
+        self.switches = {name: SwitchRuntime(name) for name in topology.switch_params}
         self.vcs: dict[str, VcRuntime] = {}
         for spec in topology.vcs:
-            params = topology.source_params[spec.path[0]]
-            self.vcs[spec.vc_id] = VcRuntime(spec, params)
-
-        # Create the output ports each VC's forward direction needs.
-        for vc in self.vcs.values():
-            for i in range(1, len(vc.path) - 1):
-                node, nxt = vc.path[i], vc.path[i + 1]
-                sw = self.switches[node]
-                if nxt not in sw.ports:
-                    link = self.links[(node, nxt)]
-                    sw.ports[nxt] = PortState(
+            path = spec.path
+            ports: list[PortState | None] = [None]
+            for node, nxt in zip(path[1:-1], path[2:]):
+                sw_ports = self.switches[node].ports
+                if nxt not in sw_ports:
+                    link = topology.links[(node, nxt)]
+                    sw_ports[nxt] = PortState(
                         name=f"{node}->{nxt}",
-                        to_node=nxt,
                         link_rate=link.rate,
                         prop_delay=link.prop_delay,
-                        params=sw.params,
+                        params=topology.switch_params[node],
                     )
-
-        for vc in self.vcs.values():
+                ports.append(sw_ports[nxt])
+            ports.append(None)
+            vc = self.vcs[spec.vc_id] = VcRuntime(
+                spec.vc_id,
+                topology.source_params[path[0]],
+                tuple(ports),
+                hop_delay(path[0], path[1]),
+                (None, *(hop_delay(b, a) for a, b in zip(path, path[1:]))),
+            )
             recorder.start_vc(vc.vc_id, vc.params.icr)
         for name in self.switches:
             recorder.start_switch(name)
@@ -230,31 +233,26 @@ class Engine:
         if t_end > self.now:
             self.now = t_end
 
-    def _send(self, cell: Cell, node: str, nxt: str) -> None:
-        """Transmit a cell that bypasses port queues straight onto a link."""
-        self._push(self.now + self._hop_delay[(node, nxt)], _DELIVER, (cell, nxt))
-
     # -- event handlers -------------------------------------------------
 
     def _on_emit(self, vc: VcRuntime) -> None:
         state = vc.state
         prev_acr = state.acr
-        was_quiescent = state.quiescent
         cell = protocol.next_cell(state, vc.params, vc.vc_id, self.now)
         if state.acr != prev_acr:
             self.recorder.acr_change(vc.vc_id, self.now, state.acr)
-        if state.quiescent and not was_quiescent:
+        if state.acr == 0:  # recorded once: ``Recorder.deviation`` dedupes
             self.recorder.deviation(
                 f"vc {vc.vc_id}: rate decayed to zero; keep-alive RM probing engaged"
             )
-        self._send(cell, vc.source_node, vc.path[1])
+        self._push(self.now + vc.emit_delay, _DELIVER, (cell, 1))
         self._push(state.next_departure, _EMIT, vc)
 
-    def _on_deliver(self, cell: Cell, node: str) -> None:
+    def _on_deliver(self, cell: Cell, i: int) -> None:
         vc = self.vcs[cell.vc_id]
         rm = cell.rm
         if rm is not None and rm.direction is Direction.BACKWARD:
-            if node == vc.source_node:
+            if i == 0:
                 vc.bwd_delivered += 1
                 state = vc.state
                 prev_acr = state.acr
@@ -263,25 +261,24 @@ class Engine:
                 if state.acr != prev_acr:
                     self.recorder.acr_change(vc.vc_id, self.now, state.acr)
             else:
-                port = self.switches[node].ports[vc.fwd_hop[node]]
-                port.stamp_backward(rm, cell.vc_id, self.now)
-                self._send(cell, node, vc.bwd_hop[node])
-        elif node == vc.dest_node:
+                vc.ports[i].stamp_backward(rm, cell.vc_id, self.now)
+                self._push(self.now + vc.bwd_delays[i], _DELIVER, (cell, i - 1))
+        elif i == vc.last:
             vc.delivered += 1
             self.recorder.delivery(vc.vc_id, self.now)
             if rm is not None:
                 back = protocol.turnaround(rm)
                 vc.turned += 1
-                self._send(Cell(cell.vc_id, back), node, vc.bwd_hop[node])
+                self._push(self.now + vc.bwd_delays[i], _DELIVER, (Cell(cell.vc_id, back), i - 1))
         else:
-            port = self.switches[node].ports[vc.fwd_hop[node]]
+            port = vc.ports[i]
             departure = port.enqueue(cell, self.now)
-            self._push(departure + port.prop_delay, _DELIVER, (cell, port.to_node))
+            self._push(departure + port.prop_delay, _DELIVER, (cell, i + 1))
 
     def _on_tick(self) -> None:
-        rec = self.recorder
+        now = self.now
         for sw in self.switches.values():
-            rec.queue_sample(sw.name, self.now, sw.queued_cells(self.now))
+            self.recorder.queue_sample(sw.name, now, sum(p.pop(now) for p in sw.ports.values()))
         self._ticks += 1
         if self._ticks % _AUDIT_EVERY_TICKS == 0:
             self.audit()
@@ -295,11 +292,12 @@ class Engine:
         Forward direction: cells emitted == delivered + queued at ports +
         in flight on links.  Backward direction: RM cells turned around ==
         delivered back to the source + in flight.  Both sides come from
-        scanning pending delivery events, independently of the counters
-        kept by the protocol handlers: a forward cell leaving a switch port
-        is still queued while its departure (delivery time minus the port's
-        propagation delay) is >= now.  Each port's own backlog must match
-        that scan.
+        scanning pending ``(cell, i)`` delivery events, independently of
+        the counters kept by the protocol handlers.  A forward cell bound
+        for position ``i`` was sent by ``vc.ports[i - 1]`` (None for the
+        source's link) and is still queued there while its departure
+        (delivery time minus the port's propagation delay) is >= now.  Each
+        port's own backlog must match that scan.
         """
         now = self.now
         inflight_fwd: dict[str, int] = {vc_id: 0 for vc_id in self.vcs}
@@ -309,14 +307,13 @@ class Engine:
         for time, _seq, kind, payload in self._heap:
             if kind != _DELIVER:
                 continue
-            cell, node = payload
+            cell, i = payload
             vc = self.vcs[cell.vc_id]
             rm = cell.rm
             if rm is not None and rm.direction is Direction.BACKWARD:
                 inflight_bwd[vc.vc_id] += 1
                 continue
-            sw = self.switches.get(vc.bwd_hop[node])
-            port = sw.ports[node] if sw is not None else None
+            port = vc.ports[i - 1]
             if port is not None and time - port.prop_delay >= now:
                 queued[vc.vc_id] += 1
                 backlog[port] = backlog.get(port, 0) + 1

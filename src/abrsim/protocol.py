@@ -112,7 +112,6 @@ class SourceState:
     cells_sent_total: int = 0
     rule6_count: int = 0
     first_rule6_cells: int | None = None
-    quiescent: bool = False
 
 
 def new_state(params: SourceParams) -> SourceState:
@@ -172,10 +171,8 @@ def next_cell(state: SourceState, params: SourceParams, vc_id: str, now: SimTime
     state.cells_sent_total += 1
     if state.acr > 0:
         state.next_departure = now + cell_tx_time(state.acr)
-        state.quiescent = False
     else:
         state.next_departure = now + QUIESCENT_PROBE_GAP
-        state.quiescent = True
     return cell
 
 

@@ -69,13 +69,11 @@ class PortState:
     def __init__(
         self,
         name: str,
-        to_node: str,
         link_rate: CellRate,
         prop_delay: SimTime,
         params: SwitchParams,
     ):
         self.name = name
-        self.to_node = to_node
         self.link_rate = link_rate
         self.prop_delay = prop_delay
         self.tx_time = cell_tx_time(link_rate)

@@ -149,6 +149,9 @@ def test_decay_rejects_bad_inputs():
         decay_after(1.0, 0.05, 0.0, 0)
     with pytest.raises(ValueError, match="cdf must be 0 or a power of two"):
         decay_closed_form(1.0, 0.05, 0.0, 0)
+    for decay in (decay_after, decay_closed_form):
+        with pytest.raises(ValueError, match="mcr must be <= icr"):
+            decay(1.0, 1 / 16, 2.0, 0)
 
 
 def test_decay_iterated_matches_closed_form():

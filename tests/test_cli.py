@@ -177,6 +177,24 @@ def test_sweep_writes_one_directory_per_value(tiny_cfg, tmp_path):
     assert len(summary.splitlines()) == 3  # header + one row per value per vc
 
 
+def test_sweep_rejects_a_value_given_twice(tiny_cfg, tmp_path, capsys):
+    out = tmp_path / "sweep_twice"
+    argv = ["sweep", str(tiny_cfg), "--param", "cdf", "--values", "1/64,1/16,1/64"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "error: --values: 1/64 is given twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cdf, listed", [("1", True), ("1/16", False)])
+def test_keep_alive_deviation_is_listed_once_per_vc(tmp_path, cdf, listed):
+    out = tmp_path / "o"
+    assert main(["run", "fig3.cfg", "--cdf", cdf, "--until-ms", "20", "--out", str(out)]) == 0
+    meta = read(out / "meta.txt").splitlines()
+    for vc in ("fwd", "rev"):
+        line = f"- vc {vc}: rate decayed to zero; keep-alive RM probing engaged"
+        assert meta.count(line) == (1 if listed else 0)
+
+
 def test_analyze_min_crm_prints_cells_and_units(capsys):
     assert main(
         ["analyze", "min-crm", "--rtt-ms", "550", "--mbps", "155.52", "--nrm", "32"]
@@ -344,8 +362,24 @@ def test_bad_oscillation_band_fails_before_any_event(tmp_path, capsys, monkeypat
         (["trigger", "--fwd-mbps", "100", "--bwd-mbps", "1", "--crm", "0"], "error: crm must be >= 1"),
         (["min-crm", "--rtt-ms", "550", "--mbps", "0"], "argument --mbps: must be > 0, got 0\n"),
         (["flight", "--rtt-ms", "550", "--mbps", "0.0"], "argument --mbps: must be > 0, got 0.0\n"),
+        (
+            ["decay", "--icr-mbps", "100", "--mcr-mbps", "200", "--cdf", "1/16"],
+            "error: --mcr-mbps: must be <= --icr-mbps, got 200.0\n",
+        ),
+        (
+            ["trigger", "--fwd-mbps", "0", "--bwd-mbps", "1", "--crm", "32"],
+            "argument --fwd-mbps: must be > 0, got 0\n",
+        ),
     ],
-    ids=["flight-rtt-inf", "decay-cdf", "trigger-crm", "min-crm-mbps-0", "flight-mbps-0"],
+    ids=[
+        "flight-rtt-inf",
+        "decay-cdf",
+        "trigger-crm",
+        "min-crm-mbps-0",
+        "flight-mbps-0",
+        "decay-mcr-above-icr",
+        "trigger-fwd-mbps-0",
+    ],
 )
 def test_analyze_rejects_what_a_run_rejects(capsys, argv, message):
     try:

@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from abrsim.cli import execute_run
 from abrsim.engine import (
     ConfigError,
     Engine,
@@ -240,3 +243,47 @@ def test_work_conserving_service_keeps_up_with_a_single_source():
     for sw in eng.switches.values():
         for port in sw.ports.values():
             assert port.max_queue <= 2
+
+
+# -- interval-deadline tie rule, end to end ------------------------------------
+
+
+def tie_scenario() -> str:
+    """Two sources into sw1 -> sw2 -> d1, every link and source at 84.8 Mbps.
+
+    A cell takes 5 us on every link and each delay is a multiple of 5 us,
+    so arrivals and stamps land exactly on the 20 us interval deadlines.
+    """
+    lines = []
+    for src in ("s1", "s2"):
+        lines += [f"[source.{src}]", "pcr_mbps = 84.8", "icr_mbps = 84.8"]
+    for sw in ("sw1", "sw2"):
+        lines += [f"[switch.{sw}]", "interval_us = 20"]
+    for name, a, b, delay_us in (
+        ("a1", "s1", "sw1", 5),
+        ("a2", "s2", "sw1", 5),
+        ("core", "sw1", "sw2", 20),
+        ("egress", "sw2", "d1", 5),
+    ):
+        lines += [f"[link.{name}]", f"from = {a}", f"to = {b}", "rate_mbps = 84.8"]
+        lines += [f"delay_us = {delay_us}"]
+    for vc in ("1", "2"):
+        lines += [f"[vc.v{vc}]", f"path = s{vc}, sw1, sw2, d1"]
+    lines += ["[run]", "until_ms = 3"]
+    return "\n".join(lines) + "\n"
+
+
+def test_interval_deadline_tie_rule_holds_end_to_end(tmp_path):
+    # A deadline equal to ``now`` stays open (``PortState._close_due``);
+    # closing it instead changes every one of these files but queues_sw2.
+    execute_run(parse_scenario(tie_scenario()), tmp_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
+    assert digests == {
+        "acr_v1.csv": "1c02fa7d9984f1b3f8948276968a89a044558c926902fd945010648dc83b74ed",
+        "acr_v2.csv": "b0546726ab6e85a7974446b59f746140ed7a19a55fcfda54e20b88a860508cfd",
+        "queues_sw1.csv": "3d45028fb0f07fc0fbb37840c0daddffd1d1ef7f016010133daaba5e40412ba8",
+        "queues_sw2.csv": "634410cad5b60ffe81d186106ebfcf4324f0c81e365e33e318bb23165ec7b353",
+        "recv_v1.csv": "ae4d4ef8195c84fc88e251d5e9941c33218e08e7f16424fa6a6d135d1f76a90d",
+        "recv_v2.csv": "8352766d2e734b831bc8d2f65d0e94ab742891b36061ad673bad0368ceaf5c02",
+        "summary.csv": "076e26f0007f01cce97bac51a8ff73f31bdf49d7f53b466280d0f5c8986038ad",
+    }

@@ -292,7 +292,6 @@ def test_cdf_one_decays_to_quiescent_probing():
     probe = next_cell(state, params, "vc", t0)  # cut to zero fires here
     assert probe.is_rm
     assert state.acr == 0.0
-    assert state.quiescent
     assert state.next_departure == t0 + QUIESCENT_PROBE_GAP
     probe2 = next_cell(state, params, "vc", state.next_departure)
     assert probe2.is_rm and probe2.rm.ccr == 0.0
@@ -307,7 +306,7 @@ def test_feedback_restarts_a_quiescent_source():
     assert state.acr == mbps_to_cps(140)
     now = state.next_departure
     next_cell(state, params, "vc", now)
-    assert not state.quiescent
+    assert state.acr > 0
     assert state.next_departure == now + cell_tx_time(state.acr)
 
 

@@ -12,7 +12,6 @@ def make_port(**params):
     """A port on an OC-3 link; ``params`` override the ``SwitchParams`` defaults."""
     return PortState(
         name="sw->next",
-        to_node="next",
         link_rate=OC3,
         prop_delay=us_to_ps(5),
         params=SwitchParams(**params),
