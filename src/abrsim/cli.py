@@ -261,6 +261,11 @@ def cmd_sweep(args) -> int:
         members[name] = (value_text, sc)
     out_root = _out_root(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
+    # A member that fails as a run would (the errors ``main`` reports) loses
+    # only its own row: every future is collected, the others are
+    # summarized, and the failures are reported.
+    results = []
+    failures = []
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=min(len(members), os.cpu_count() or 1)
     ) as pool:
@@ -268,10 +273,11 @@ def cmd_sweep(args) -> int:
             pool.submit(_sweep_worker, sc, {args.param: value_text}, str(out_root / name))
             for name, (value_text, sc) in members.items()
         ]
-        results = [
-            (value_text, sc.run.steady_window(), future.result())
-            for (value_text, sc), future in zip(members.values(), futures)
-        ]
+        for (value_text, sc), future in zip(members.values(), futures):
+            try:
+                results.append((value_text, sc.run.steady_window(), future.result()))
+            except (ScenarioError, ConfigError, ValueError, SimulationError) as exc:
+                failures.append((value_text, exc))
 
     summary_path = out_root / "sweep_summary.csv"
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -279,11 +285,14 @@ def cmd_sweep(args) -> int:
         for value_text, (t0, t1), steady in results:
             for vc, mbps in steady.items():
                 fh.write(f"{args.param},{value_text},{vc},{t0:.6f},{t1:.6f},{mbps:.6f}\n")
-    print(f"sweep complete: {len(results)} runs, summary in {summary_path}")
+    runs = f"{len(results)} of {len(members)}" if failures else f"{len(results)}"
+    print(f"sweep complete: {runs} runs, summary in {summary_path}")
     for value_text, _window, steady in results:
         pretty = ", ".join(f"{vc}={mbps:.2f} Mbps" for vc, mbps in steady.items())
         print(f"  {args.param}={value_text}: {pretty}")
-    return 0
+    for value_text, exc in failures:
+        print(f"error: {args.param}={value_text}: {exc}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_analyze(args) -> int:
@@ -341,6 +350,23 @@ def positive(text: str) -> float:
     return value
 
 
+def _int_at_least(text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    """Type of a count flag that may be 0."""
+    return _int_at_least(text, 0)
+
+
+def positive_int(text: str) -> int:
+    """Type of a count flag that must be at least 1."""
+    return _int_at_least(text, 1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abrsim",
@@ -369,17 +395,17 @@ def build_parser() -> argparse.ArgumentParser:
     mc = tool.add_parser("min-crm", help="smallest safe cutoff threshold for a path")
     mc.add_argument("--rtt-ms", type=non_negative, required=True, dest="rtt_ms")
     mc.add_argument("--mbps", type=positive, required=True)
-    mc.add_argument("--nrm", type=int, default=32)
-    mc.add_argument("--hops", type=int, default=1)
+    mc.add_argument("--nrm", type=positive_int, default=32)
+    mc.add_argument("--hops", type=positive_int, default=1)
     dec = tool.add_parser("decay", help="rate left after consecutive cutoff cuts")
     dec.add_argument("--icr-mbps", type=non_negative, required=True, dest="icr_mbps")
     dec.add_argument("--cdf", required=True)
     dec.add_argument("--mcr-mbps", type=non_negative, default=0.0, dest="mcr_mbps")
-    dec.add_argument("--k", type=int, default=0)
+    dec.add_argument("--k", type=non_negative_int, default=0)
     trig = tool.add_parser("trigger", help="does the cutoff trigger at these RM rates")
     trig.add_argument("--fwd-mbps", type=positive, required=True, dest="fwd_mbps")
     trig.add_argument("--bwd-mbps", type=non_negative, required=True, dest="bwd_mbps")
-    trig.add_argument("--crm", type=int, required=True)
+    trig.add_argument("--crm", type=positive_int, required=True)
     fl = tool.add_parser("flight", help="cells in flight over a round trip")
     fl.add_argument("--rtt-ms", type=non_negative, required=True, dest="rtt_ms")
     fl.add_argument("--mbps", type=positive, required=True)

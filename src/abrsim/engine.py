@@ -17,20 +17,37 @@ metadata.
 Each VC's route is resolved once, when the engine is built, and indexed
 by path position: 0 is the source, ``last`` the destination, and
 ``VcRuntime.ports[i]`` the switch port serving position ``i`` (None at
-both ends).  A DELIVER event carries ``(cell, i)``, the position the cell
-reaches; forward cells move on to ``i + 1``, backward RM cells to ``i - 1``.
-A cell that bypasses port queues reaches the next position after the hop
-delay ``vc.emit_delay`` from the source, ``vc.bwd_delays[i]`` from ``i``.
+both ends).  A cell in flight is an entry ``(time, seq, cell, i)``: it
+reaches position ``i`` at ``time``; forward cells move on to ``i + 1``,
+backward RM cells to ``i - 1``.
 
 A port's FIFO service is closed-form, so a cell entering a switch port is
-scheduled straight to its DELIVER at the next hop; the loop has only three
-event kinds (EMIT, DELIVER, TICK).  A queue sample at ``now`` counts every
-cell whose departure is ``>= now``.
+scheduled straight to its delivery at the next hop.  Cells in flight wait
+in FIFO delay lines, of two kinds:
+
+* a *served line* per ``PortState`` (``PortState.line``) holds the cells
+  the port has served, due at ``departure + prop_delay``;
+* a *straight line* per directed link holds the cells sent onto the link
+  without queueing (source emissions, stamped and turned-around backward
+  RM cells), due at ``now + tx + prop``, the link's fixed hop delay.
+
+Departures of one port rise and a straight line's delay is fixed, so the
+times in a line never decrease and, taken from one counter, its sequence
+numbers rise: each line is sorted by ``(time, seq)``.  The event heap
+holds only the head of each non-empty line as a DELIVER event, beside one
+EMIT per VC and the TICK.  A line enters the heap when it goes from empty
+to non-empty, and re-enters with its next head when its head is delivered.
+Merging sorted lines by their heads yields exactly the ``(time, seq)``
+order that one heap entry per cell would, so traces and event counts do
+not depend on how cells are stored.  The loop has three event kinds
+(EMIT, DELIVER, TICK).  A queue sample at ``now`` counts every cell whose
+departure is ``>= now``.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import protocol
@@ -114,8 +131,8 @@ class VcRuntime:
         "params",
         "ports",
         "last",
-        "emit_delay",
-        "bwd_delays",
+        "emit_hop",
+        "bwd_hops",
         "state",
         "delivered",
         "turned",
@@ -123,14 +140,14 @@ class VcRuntime:
     )
 
     def __init__(
-        self, vc_id: str, params: SourceParams, ports: tuple, emit_delay: SimTime, bwd_delays: tuple
+        self, vc_id: str, params: SourceParams, ports: tuple, emit_hop: tuple, bwd_hops: tuple
     ):
         self.vc_id = vc_id
         self.params = params
         self.ports = ports
         self.last = len(ports) - 1
-        self.emit_delay = emit_delay
-        self.bwd_delays = bwd_delays
+        self.emit_hop = emit_hop  # (hop delay, straight line) from the source
+        self.bwd_hops = bwd_hops  # the same from position i back to i - 1; None at 0
         self.state = protocol.new_state(params)
         self.delivered = 0
         self.turned = 0
@@ -146,6 +163,7 @@ class SwitchRuntime:
 
 
 # Event kinds; payloads are never compared because sequence numbers are unique.
+# A DELIVER payload is the delay line whose head is due.
 _EMIT = 0
 _DELIVER = 1
 _TICK = 2
@@ -167,9 +185,14 @@ class Engine:
 
         topology.validate()  # hand-built topologies skip ``to_topology``
 
-        def hop_delay(a: str, b: str) -> SimTime:
-            link = topology.links[(a, b)]
-            return cell_tx_time(link.rate) + link.prop_delay
+        straight: dict[tuple[str, str], tuple[SimTime, deque]] = {}
+
+        def hop(a: str, b: str) -> tuple[SimTime, deque]:
+            """The hop delay and straight line of the directed link a -> b."""
+            if (a, b) not in straight:
+                link = topology.links[(a, b)]
+                straight[(a, b)] = (cell_tx_time(link.rate) + link.prop_delay, deque())
+            return straight[(a, b)]
 
         self.switches = {name: SwitchRuntime(name) for name in topology.switch_params}
         self.vcs: dict[str, VcRuntime] = {}
@@ -192,12 +215,14 @@ class Engine:
                 spec.vc_id,
                 topology.source_params[path[0]],
                 tuple(ports),
-                hop_delay(path[0], path[1]),
-                (None, *(hop_delay(b, a) for a, b in zip(path, path[1:]))),
+                hop(path[0], path[1]),
+                (None, *(hop(b, a) for a, b in zip(path, path[1:]))),
             )
             recorder.start_vc(vc.vc_id, vc.params.icr)
         for name in self.switches:
             recorder.start_switch(name)
+        served = [p.line for sw in self.switches.values() for p in sw.ports.values()]
+        self.lines: tuple[deque, ...] = (*served, *(line for _delay, line in straight.values()))
         recorder.deviation(
             "backward RM cells bypass port queues (stamped and re-emitted "
             "immediately, ahead of reverse-direction data)"
@@ -213,23 +238,38 @@ class Engine:
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, kind, payload))
 
+    def _send(self, line: deque, time: SimTime, cell: Cell, i: int) -> None:
+        """Put ``cell`` on ``line``, due at position ``i`` at ``time``."""
+        self._seq += 1
+        if not line:
+            heapq.heappush(self._heap, (time, self._seq, _DELIVER, line))
+        line.append((time, self._seq, cell, i))
+
     def run_until(self, t_end: SimTime) -> None:
         """Process every event with timestamp <= t_end, in order."""
         if t_end < self.now:
             raise SimulationError(f"cannot run backwards: now={self.now}, t_end={t_end}")
         heap = self._heap
         while heap and heap[0][0] <= t_end:
-            time, _seq, kind, payload = heapq.heappop(heap)
+            time, _seq, kind, payload = heap[0]
             if time < self.now:
                 raise SimulationError(f"event scheduled in the past: {time} < {self.now}")
             self.now = time
             self.events_processed += 1
-            if kind == _EMIT:
-                self._on_emit(payload)
-            elif kind == _DELIVER:
-                self._on_deliver(payload[0], payload[1])
+            if kind == _DELIVER:
+                _time, _seq, cell, i = payload.popleft()
+                if payload:  # the line's next head takes its place
+                    head = payload[0]
+                    heapq.heapreplace(heap, (head[0], head[1], _DELIVER, payload))
+                else:
+                    heapq.heappop(heap)
+                self._on_deliver(cell, i)
             else:
-                self._on_tick()
+                heapq.heappop(heap)
+                if kind == _EMIT:
+                    self._on_emit(payload)
+                else:
+                    self._on_tick()
         if t_end > self.now:
             self.now = t_end
 
@@ -245,7 +285,8 @@ class Engine:
             self.recorder.deviation(
                 f"vc {vc.vc_id}: rate decayed to zero; keep-alive RM probing engaged"
             )
-        self._push(self.now + vc.emit_delay, _DELIVER, (cell, 1))
+        delay, line = vc.emit_hop
+        self._send(line, self.now + delay, cell, 1)
         self._push(state.next_departure, _EMIT, vc)
 
     def _on_deliver(self, cell: Cell, i: int) -> None:
@@ -262,18 +303,20 @@ class Engine:
                     self.recorder.acr_change(vc.vc_id, self.now, state.acr)
             else:
                 vc.ports[i].stamp_backward(rm, cell.vc_id, self.now)
-                self._push(self.now + vc.bwd_delays[i], _DELIVER, (cell, i - 1))
+                delay, line = vc.bwd_hops[i]
+                self._send(line, self.now + delay, cell, i - 1)
         elif i == vc.last:
             vc.delivered += 1
             self.recorder.delivery(vc.vc_id, self.now)
             if rm is not None:
                 back = protocol.turnaround(rm)
                 vc.turned += 1
-                self._push(self.now + vc.bwd_delays[i], _DELIVER, (Cell(cell.vc_id, back), i - 1))
+                delay, line = vc.bwd_hops[i]
+                self._send(line, self.now + delay, Cell(cell.vc_id, back), i - 1)
         else:
             port = vc.ports[i]
             departure = port.enqueue(cell, self.now)
-            self._push(departure + port.prop_delay, _DELIVER, (cell, i + 1))
+            self._send(port.line, departure + port.prop_delay, cell, i + 1)
 
     def _on_tick(self) -> None:
         now = self.now
@@ -292,33 +335,44 @@ class Engine:
         Forward direction: cells emitted == delivered + queued at ports +
         in flight on links.  Backward direction: RM cells turned around ==
         delivered back to the source + in flight.  Both sides come from
-        scanning pending ``(cell, i)`` delivery events, independently of
-        the counters kept by the protocol handlers.  A forward cell bound
-        for position ``i`` was sent by ``vc.ports[i - 1]`` (None for the
-        source's link) and is still queued there while its departure
-        (delivery time minus the port's propagation delay) is >= now.  Each
-        port's own backlog must match that scan.
+        scanning the ``(time, seq, cell, i)`` entries of every delay line,
+        served and straight, independently of the counters kept by the
+        protocol handlers.  A forward cell bound for position ``i`` was
+        sent by ``vc.ports[i - 1]`` (None for the source's link) and is
+        still queued there while its departure (delivery time minus the
+        port's propagation delay) is >= now.  Each port's own backlog
+        (``PortState.departures``) must match that scan, and each
+        non-empty line must have its head, and only its head, in the
+        event heap.
         """
         now = self.now
         inflight_fwd: dict[str, int] = {vc_id: 0 for vc_id in self.vcs}
         inflight_bwd: dict[str, int] = {vc_id: 0 for vc_id in self.vcs}
         queued: dict[str, int] = {vc_id: 0 for vc_id in self.vcs}
         backlog: dict[PortState, int] = {}
-        for time, _seq, kind, payload in self._heap:
-            if kind != _DELIVER:
-                continue
-            cell, i = payload
-            vc = self.vcs[cell.vc_id]
-            rm = cell.rm
-            if rm is not None and rm.direction is Direction.BACKWARD:
-                inflight_bwd[vc.vc_id] += 1
-                continue
-            port = vc.ports[i - 1]
-            if port is not None and time - port.prop_delay >= now:
-                queued[vc.vc_id] += 1
-                backlog[port] = backlog.get(port, 0) + 1
-            else:
-                inflight_fwd[vc.vc_id] += 1
+        heads = [entry for entry in self._heap if entry[2] == _DELIVER]
+        in_heap = {id(entry[3]): entry[:2] for entry in heads}
+        nonempty = [line for line in self.lines if line]
+        if len(heads) != len(nonempty) or any(
+            in_heap.get(id(line)) != line[0][:2] for line in nonempty
+        ):
+            raise SimulationError(
+                f"event heap holds {len(heads)} delay-line heads for "
+                f"{len(nonempty)} non-empty lines, or a stale head, at t={now}"
+            )
+        for line in nonempty:
+            for time, _seq, cell, i in line:
+                vc = self.vcs[cell.vc_id]
+                rm = cell.rm
+                if rm is not None and rm.direction is Direction.BACKWARD:
+                    inflight_bwd[vc.vc_id] += 1
+                    continue
+                port = vc.ports[i - 1]
+                if port is not None and time - port.prop_delay >= now:
+                    queued[vc.vc_id] += 1
+                    backlog[port] = backlog.get(port, 0) + 1
+                else:
+                    inflight_fwd[vc.vc_id] += 1
         for sw in self.switches.values():
             for port in sw.ports.values():
                 pending = port.pop(now)

@@ -83,6 +83,9 @@ class PortState:
 
         self.last_departure: SimTime = 0
         self.departures: deque[SimTime] = deque()  # pending, in FIFO order
+        # Served cells awaiting delivery at the next hop, as the engine's
+        # ``(time, seq, cell, i)`` delay-line entries; the engine fills it.
+        self.line: deque = deque()
 
         self.accum_cells = 0
         self.interval_start: SimTime = 0

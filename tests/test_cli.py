@@ -1,10 +1,12 @@
+import functools
 import os
 from pathlib import Path
 
 import pytest
 
+from abrsim import cli
 from abrsim.cli import apply_override, main
-from abrsim.engine import Engine
+from abrsim.engine import Engine, SimulationError
 from abrsim.scenario import ScenarioError, parse_scenario, bundled_config_text
 
 TINY = """
@@ -104,8 +106,6 @@ def test_apply_override_validates_parameter_name():
 
 
 def test_invariant_failure_exits_nonzero(tiny_cfg, monkeypatch, tmp_path, capsys):
-    from abrsim.engine import Engine, SimulationError
-
     def broken_audit(self):
         raise SimulationError("injected conservation failure")
 
@@ -175,6 +175,27 @@ def test_sweep_writes_one_directory_per_value(tiny_cfg, tmp_path):
     summary = read(out / "sweep_summary.csv")
     assert summary.splitlines()[0] == "param,value,vc,steady_t0_ms,steady_t1_ms,steady_throughput_mbps"
     assert len(summary.splitlines()) == 3  # header + one row per value per vc
+
+
+def test_a_failed_sweep_member_keeps_the_others_results(tiny_cfg, tmp_path, capsys, monkeypatch):
+    worker = cli._sweep_worker
+
+    @functools.wraps(worker)  # the pool pickles the worker by this name; forked workers see it
+    def fail_at_64(sc, overrides, out_dir):
+        if overrides == {"crm": "64"}:
+            raise SimulationError("injected member failure")
+        return worker(sc, overrides, out_dir)
+
+    monkeypatch.setattr(cli, "_sweep_worker", fail_at_64)
+    out = tmp_path / "sweep_crm"
+    argv = ["sweep", str(tiny_cfg), "--param", "crm", "--values", "32,64,128"]
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: crm=64: injected member failure\n"
+    assert "sweep complete: 2 of 3 runs" in captured.out
+    rows = read(out / "sweep_summary.csv").splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["32", "128"]
+    assert (out / "crm=128" / "summary.csv").is_file()
 
 
 def test_sweep_rejects_a_value_given_twice(tiny_cfg, tmp_path, capsys):
@@ -359,7 +380,10 @@ def test_bad_oscillation_band_fails_before_any_event(tmp_path, capsys, monkeypat
     [
         (["flight", "--rtt-ms", "inf", "--mbps", "155.52"], "argument --rtt-ms: must be finite"),
         (["decay", "--icr-mbps", "140", "--cdf", "0.05"], "error: cdf must be 0 or a power of two"),
-        (["trigger", "--fwd-mbps", "100", "--bwd-mbps", "1", "--crm", "0"], "error: crm must be >= 1"),
+        (
+            ["trigger", "--fwd-mbps", "100", "--bwd-mbps", "1", "--crm", "0"],
+            "argument --crm: must be >= 1, got 0\n",
+        ),
         (["min-crm", "--rtt-ms", "550", "--mbps", "0"], "argument --mbps: must be > 0, got 0\n"),
         (["flight", "--rtt-ms", "550", "--mbps", "0.0"], "argument --mbps: must be > 0, got 0.0\n"),
         (
@@ -370,6 +394,18 @@ def test_bad_oscillation_band_fails_before_any_event(tmp_path, capsys, monkeypat
             ["trigger", "--fwd-mbps", "0", "--bwd-mbps", "1", "--crm", "32"],
             "argument --fwd-mbps: must be > 0, got 0\n",
         ),
+        (
+            ["decay", "--icr-mbps", "140", "--cdf", "1/16", "--k", "-1"],
+            "argument --k: must be >= 0, got -1\n",
+        ),
+        (
+            ["min-crm", "--rtt-ms", "550", "--mbps", "155.52", "--nrm", "0"],
+            "argument --nrm: must be >= 1, got 0\n",
+        ),
+        (
+            ["min-crm", "--rtt-ms", "550", "--mbps", "155.52", "--hops", "0"],
+            "argument --hops: must be >= 1, got 0\n",
+        ),
     ],
     ids=[
         "flight-rtt-inf",
@@ -379,6 +415,9 @@ def test_bad_oscillation_band_fails_before_any_event(tmp_path, capsys, monkeypat
         "flight-mbps-0",
         "decay-mcr-above-icr",
         "trigger-fwd-mbps-0",
+        "decay-k-negative",
+        "min-crm-nrm-0",
+        "min-crm-hops-0",
     ],
 )
 def test_analyze_rejects_what_a_run_rejects(capsys, argv, message):

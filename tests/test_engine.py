@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from abrsim.cli import execute_run
+from abrsim.cli import apply_override, execute_run
 from abrsim.engine import (
     ConfigError,
     Engine,
@@ -216,6 +216,43 @@ def test_tampered_port_backlog_fails_the_audit():
     port.departures.append(eng.now + 1)  # a departure no pending delivery carries
     with pytest.raises(SimulationError, match="sw1->sw2"):
         eng.audit()
+
+
+def test_cell_missing_from_a_delay_line_fails_the_audit():
+    topo = to_topology(parse_scenario(bundled_config_text("fig3.cfg")))
+    eng = Engine(topo)
+    eng.run_until(ms_to_ps(30))
+    eng.audit()
+    line = eng.switches["sw1"].ports["sw2"].line
+    del line[1]  # a cell of vc fwd already out on the satellite hop
+    with pytest.raises(SimulationError, match="vc fwd"):
+        eng.audit()
+
+
+def test_line_head_out_of_step_with_the_heap_fails_the_audit():
+    topo = to_topology(parse_scenario(bundled_config_text("fig3.cfg")))
+    eng = Engine(topo)
+    eng.run_until(ms_to_ps(30))
+    eng.switches["sw1"].ports["sw2"].line.popleft()  # the heap still holds this head
+    with pytest.raises(SimulationError, match="stale head"):
+        eng.audit()
+
+
+def test_heap_holds_line_heads_not_every_cell_in_flight():
+    sc = parse_scenario(bundled_config_text("fig3.cfg"))
+    apply_override(sc, "crm", 6144)
+    eng = Engine(to_topology(sc))
+    bound = len(eng.lines) + len(eng.vcs) + 1  # one head per line, one EMIT per VC, the TICK
+    busy = 0
+    for step in range(1, 301):
+        eng.run_until(step * PS_PER_MS // 10)
+        if sum(map(len, eng.lines)) > 1000:
+            busy += 1
+            assert len(eng._heap) <= bound
+    assert busy > 200
+    # the count with one heap entry per cell in flight: merging the lines
+    # by their heads runs the same events
+    assert eng.events_processed == 39640
 
 
 def test_identical_runs_produce_identical_traces():

@@ -15,21 +15,14 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize(
-    "argv, runs",
-    [
-        (["run", "fig3.cfg", "--until-ms", "2"], 1),
-        (["sweep", "fig3.cfg", "--param", "cdf", "--values", "1/64,1", "--until-ms", "2"], 2),
-    ],
-    ids=["run", "sweep"],
-)
-def test_trace_mode_runs_clean_and_counts_every_engine(tmp_path, argv, runs):
+def run_child(tmp_path, argv, mode):
+    """Run ``perfbench/child.py`` on ``argv``; returns the process and its records."""
     records = tmp_path / "records"
     records.mkdir()
     spec = {
         "src": str(ROOT / "src"),
         "argv": argv + ["--out", str(tmp_path / "out")],
-        "mode": "trace",
+        "mode": mode,
         "records": str(records),
     }
     proc = subprocess.run(
@@ -39,7 +32,28 @@ def test_trace_mode_runs_clean_and_counts_every_engine(tmp_path, argv, runs):
         text=True,
         timeout=120,
     )
+    return proc, [json.loads(p.read_text(encoding="utf-8")) for p in records.glob("*.json")]
+
+
+@pytest.mark.parametrize(
+    "argv, runs",
+    [
+        (["run", "fig3.cfg", "--until-ms", "2"], 1),
+        (["sweep", "fig3.cfg", "--param", "cdf", "--values", "1/64,1", "--until-ms", "2"], 2),
+    ],
+    ids=["run", "sweep"],
+)
+def test_trace_mode_runs_clean_and_counts_every_engine(tmp_path, argv, runs):
+    proc, loaded = run_child(tmp_path, argv, "trace")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    loaded = [json.loads(p.read_text(encoding="utf-8")) for p in records.glob("*.json")]
     assert sum(len(r["engines"]) for r in loaded) == runs
     assert all(e["events"] > 0 for r in loaded for e in r["engines"])
+
+
+def test_probe_mode_stops_a_sweep_without_failing_a_member(tmp_path):
+    # The probe ends each member by raising right after ``Engine(...)``; a
+    # sweep reports only run errors as failed members and lets it through.
+    argv = ["sweep", "fig3.cfg", "--param", "cdf", "--values", "1/64,1", "--until-ms", "2"]
+    proc, loaded = run_child(tmp_path, argv, "probe")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert loaded and all(r["kind"] == "probe" for r in loaded)
