@@ -98,12 +98,17 @@ def decay_after(icr: CellRate, cdf: float, mcr: CellRate, k: int) -> CellRate:
     Iterates the per-RM decrement ``acr <- max(mcr, acr - acr*cdf)`` from
     ``icr``: one decrement for the triggering RM cell plus ``k`` more for
     the RM cells that follow with still no feedback.  This is bit-for-bit
-    what the simulated source computes.
+    what the simulated source computes.  The iteration stops early at a
+    fixed point (MCR, zero, or a rate whose decrement rounds to zero),
+    where every further decrement returns the same value.
     """
     _check_decay(icr, cdf, mcr, k)
     acr = icr
     for _ in range(k + 1):
-        acr = max(mcr, acr - acr * cdf)
+        cut = max(mcr, acr - acr * cdf)
+        if cut == acr:
+            break
+        acr = cut
     return acr
 
 

@@ -342,6 +342,16 @@ def non_negative(text: str) -> float:
     return value
 
 
+def milliseconds(text: str) -> float:
+    """Type of a time flag: ``non_negative`` and within the picosecond clock."""
+    value = non_negative(text)
+    try:
+        ms_to_ps(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 def positive(text: str) -> float:
     """Type of a link-rate or forward-rate flag: ``non_negative`` and not 0."""
     value = non_negative(text)
@@ -378,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="scenario file (bundled name or path)")
     run_p.add_argument("--crm", type=int, help="override crm on every source")
     run_p.add_argument("--cdf", help="override cdf on every source (e.g. 1/16)")
-    run_p.add_argument("--until-ms", type=non_negative, dest="until_ms", help="simulation horizon")
+    run_p.add_argument("--until-ms", type=milliseconds, dest="until_ms", help="simulation horizon")
     run_p.add_argument("--out", help="output directory (default $ABRSIM_OUT or ./out)")
     run_p.set_defaults(func=cmd_run)
 
@@ -386,14 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("config")
     sweep_p.add_argument("--param", required=True, choices=SWEEPABLE)
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
-    sweep_p.add_argument("--until-ms", type=non_negative, dest="until_ms")
+    sweep_p.add_argument("--until-ms", type=milliseconds, dest="until_ms")
     sweep_p.add_argument("--out")
     sweep_p.set_defaults(func=cmd_sweep)
 
     analyze_p = sub.add_parser("analyze", help="closed-form calculators")
     tool = analyze_p.add_subparsers(dest="tool", required=True)
     mc = tool.add_parser("min-crm", help="smallest safe cutoff threshold for a path")
-    mc.add_argument("--rtt-ms", type=non_negative, required=True, dest="rtt_ms")
+    mc.add_argument("--rtt-ms", type=milliseconds, required=True, dest="rtt_ms")
     mc.add_argument("--mbps", type=positive, required=True)
     mc.add_argument("--nrm", type=positive_int, default=32)
     mc.add_argument("--hops", type=positive_int, default=1)
@@ -407,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     trig.add_argument("--bwd-mbps", type=non_negative, required=True, dest="bwd_mbps")
     trig.add_argument("--crm", type=positive_int, required=True)
     fl = tool.add_parser("flight", help="cells in flight over a round trip")
-    fl.add_argument("--rtt-ms", type=non_negative, required=True, dest="rtt_ms")
+    fl.add_argument("--rtt-ms", type=milliseconds, required=True, dest="rtt_ms")
     fl.add_argument("--mbps", type=positive, required=True)
     analyze_p.set_defaults(func=cmd_analyze)
 

@@ -340,10 +340,11 @@ class Engine:
         protocol handlers.  A forward cell bound for position ``i`` was
         sent by ``vc.ports[i - 1]`` (None for the source's link) and is
         still queued there while its departure (delivery time minus the
-        port's propagation delay) is >= now.  Each port's own backlog
-        (``PortState.departures``) must match that scan, and each
-        non-empty line must have its head, and only its head, in the
-        event heap.
+        port's propagation delay) is >= now.  Each port's own backlog,
+        which ``PortState.pop`` reads in closed form from two integers
+        and not from the line, must match that scan, and each non-empty
+        line must have its head, and only its head, in the event heap.
+        The audit changes no state it checks.
         """
         now = self.now
         inflight_fwd: dict[str, int] = {vc_id: 0 for vc_id in self.vcs}

@@ -24,7 +24,7 @@ from dataclasses import Field, dataclass, field, fields, replace
 from .analysis import crm_from_tbe
 from .engine import LinkSpec, SwitchParams, Topology, VcSpec
 from .protocol import SourceParams
-from .units import CellRate, mbps_to_cps, us_to_ps
+from .units import mbps_to_cps, ms_to_ps, us_to_ps
 
 
 class ScenarioError(Exception):
@@ -40,10 +40,10 @@ def error_context(label: str):
         raise ScenarioError(f"{label}: {exc}") from None
 
 
-def _cps(cfg, key: str) -> CellRate:
-    """The rate ``cfg.<key>`` (Mbps) in cells/s; a negative rate names the key."""
+def _converted(cfg, key: str, convert=mbps_to_cps):
+    """``cfg.<key>`` in engine units (by default Mbps to cells/s); an error names the key."""
     try:
-        return mbps_to_cps(getattr(cfg, key))
+        return convert(getattr(cfg, key))
     except ValueError as exc:
         raise ValueError(f"{key}: {exc}") from None
 
@@ -79,9 +79,9 @@ class SourceCfg:
     def to_params(self) -> SourceParams:
         """Engine-unit parameters of a resolved configuration."""
         return SourceParams(
-            pcr=_cps(self, "pcr_mbps"),
-            mcr=_cps(self, "mcr_mbps"),
-            icr=_cps(self, "icr_mbps"),
+            pcr=_converted(self, "pcr_mbps"),
+            mcr=_converted(self, "mcr_mbps"),
+            icr=_converted(self, "icr_mbps"),
             nrm=self.nrm, rif=self.rif, cdf=self.cdf, crm=self.crm, tbe=self.tbe,
         )
 
@@ -96,7 +96,7 @@ class SwitchCfg:
         return SwitchParams(
             target_utilization=self.target_utilization,
             interval_cell_limit=self.interval_cells,
-            interval_time_limit=us_to_ps(self.interval_us),
+            interval_time_limit=_converted(self, "interval_us", us_to_ps),
         )
 
 
@@ -130,6 +130,8 @@ class RunCfg:
         """The ``[run]`` rule; checked again after ``--until-ms`` sets the horizon."""
         if self.until_ms < 0:
             raise ScenarioError(f"run: until_ms must be >= 0, got {self.until_ms}")
+        with error_context("run: until_ms"):
+            ms_to_ps(self.until_ms)
         for lo, hi in self.windows_ms:
             if not 0 <= lo < hi:
                 raise ScenarioError(f"run: windows_ms needs 0 <= start < end, got {lo}:{hi}")
@@ -294,6 +296,10 @@ def parse_scenario(text: str) -> Scenario:
         return default_scenario()
 
     _validate(scenario)
+    # A VC's sender without a [source.] section runs on the defaults.
+    for vc in scenario.vcs.values():
+        if vc.path and vc.path[0] not in scenario.switches:
+            scenario.sources.setdefault(vc.path[0], SourceCfg())
     for name, cfg in scenario.sources.items():
         with error_context(f"source {name}"):
             scenario.sources[name] = cfg.resolved()
@@ -350,15 +356,13 @@ def to_topology(scenario: Scenario) -> Topology:
             topo.switch_params[name] = cfg.to_params()
     for name, cfg in scenario.links.items():
         with error_context(f"link {name}"):
-            spec = LinkSpec(name, rate=_cps(cfg, "rate_mbps"), prop_delay=us_to_ps(cfg.delay_us))
+            spec = LinkSpec(
+                name,
+                rate=_converted(cfg, "rate_mbps"),
+                prop_delay=_converted(cfg, "delay_us", us_to_ps),
+            )
         topo.add_duplex_link(cfg.from_node, cfg.to_node, spec)
     topo.vcs = tuple(VcSpec(vc_id=name, path=cfg.path) for name, cfg in scenario.vcs.items())
-    # VC endpoints that never send still need no parameters; sending
-    # endpoints without a [source.] section get the defaults.
-    for spec in topo.vcs:
-        sender = spec.path[0] if spec.path else None
-        if sender and sender not in topo.source_params and sender not in scenario.switches:
-            topo.source_params[sender] = SourceCfg().resolved().to_params()
     topo.validate()
     return topo
 

@@ -12,14 +12,15 @@ An interval in which nothing arrived keeps the previous measurement; with
 no measurement at all the port offers the target rate.
 
 Service is closed-form: a cell enqueued at ``now`` departs at
-``max(now, last_departure) + tx_time``, so the port keeps only pending
-departure times, and a cell counts in the backlog at ``now`` while its
-departure is ``>= now``.  Intervals close lazily: each arrival or stamp
-first closes every interval whose deadline ``interval_start +
-interval_time_limit`` is ``< now``.  A deadline equal to ``now`` is left
-open, so a cell arriving at that picosecond is counted in the interval
-and closes it, and a stamp at that picosecond sees the previous
-measurement.
+``max(now, last_departure) + tx_time``.  Departures in one busy period are
+``tx_time`` apart, so the port keeps two integers, the period's first
+departure (``busy_from``) and ``last_departure``.  The backlog at ``now``
+is the cells departing ``>= now``; ``pop`` computes it without changing
+the port.  Intervals close lazily: each arrival or stamp first closes
+every interval whose deadline ``interval_start + interval_time_limit``
+is ``< now``.  A deadline equal to ``now`` is left open, so a cell
+arriving at that picosecond is counted in the interval and closes it, and
+a stamp at that picosecond sees the previous measurement.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ class PortState:
         self.interval_cell_limit = params.interval_cell_limit
         self.interval_time_limit = params.interval_time_limit
 
-        self.last_departure: SimTime = 0
-        self.departures: deque[SimTime] = deque()  # pending, in FIFO order
+        self.busy_from: SimTime = -1  # -1 before the first cell: an idle port
+        self.last_departure: SimTime = -1
         # Served cells awaiting delivery at the next hop, as the engine's
         # ``(time, seq, cell, i)`` delay-line entries; the engine fills it.
         self.line: deque = deque()
@@ -104,9 +105,9 @@ class PortState:
         return the time the cell finishes transmission."""
         self._close_due(now)
         backlog = self.pop(now) + 1
-        departure = max(now, self.last_departure) + self.tx_time
-        self.last_departure = departure
-        self.departures.append(departure)
+        departure = self.last_departure = max(now, self.last_departure) + self.tx_time
+        if backlog == 1:  # the port was idle: a busy period starts
+            self.busy_from = departure
         if backlog > self.max_queue:
             self.max_queue = backlog
         self.accum_cells += 1
@@ -174,8 +175,7 @@ class PortState:
             rm.er = er
 
     def pop(self, now: SimTime) -> int:
-        """Retire every departure before ``now``; return the backlog left."""
-        departures = self.departures
-        while departures and departures[0] < now:
-            departures.popleft()
-        return len(departures)
+        """The backlog at ``now``: the busy period's cells departing ``>= now``."""
+        if self.last_departure < now:
+            return 0
+        return (self.last_departure - max(now, self.busy_from)) // self.tx_time + 1

@@ -12,6 +12,8 @@ overhead is modeled.
 
 from __future__ import annotations
 
+import math
+
 SimTime = int  # picoseconds
 CellRate = float  # cells per second
 
@@ -43,12 +45,19 @@ def cell_tx_time(link_rate: CellRate) -> SimTime:
     return round(PS_PER_SEC / link_rate)
 
 
+def _to_ps(value: float, ps_per_unit: int, unit: str) -> SimTime:
+    ps = value * ps_per_unit
+    if not math.isfinite(ps):
+        raise ValueError(f"must fit the picosecond clock, got {value:g} {unit}")
+    return round(ps)
+
+
 def us_to_ps(us: float) -> SimTime:
-    return round(us * PS_PER_US)
+    return _to_ps(us, PS_PER_US, "us")
 
 
 def ms_to_ps(ms: float) -> SimTime:
-    return round(ms * PS_PER_MS)
+    return _to_ps(ms, PS_PER_MS, "ms")
 
 
 def ps_to_ms(ps: SimTime) -> float:

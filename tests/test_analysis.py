@@ -140,6 +140,20 @@ def test_decay_floors_at_mcr():
     assert decay_after(mbps_to_cps(140), 1 / 16, mbps_to_cps(50), 1000) == mbps_to_cps(50)
 
 
+@pytest.mark.parametrize(
+    "cdf, mcr", [(1 / 64, 0.0), (1 / 2, 0.0), (1 / 16, mbps_to_cps(50)), (1.0, 0.0), (0.0, 0.0)]
+)
+def test_decay_stops_at_its_fixed_point(cdf, mcr):
+    # The iteration reaches MCR, zero or a rate whose decrement rounds to
+    # zero; from there every cut repeats it, so k = 10**12 returns at once.
+    icr = mbps_to_cps(140)
+    acr = icr
+    for _ in range(200_000):
+        acr = max(mcr, acr - acr * cdf)
+    assert decay_after(icr, cdf, mcr, 10**12) == acr
+    assert decay_after(icr, cdf, mcr, 199_999) == acr
+
+
 def test_decay_rejects_bad_inputs():
     with pytest.raises(ValueError):
         decay_after(1.0, 1.5, 0.0, 0)

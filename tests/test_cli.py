@@ -75,6 +75,24 @@ def test_overrides_apply_and_echo_into_meta(tiny_cfg, tmp_path):
     assert "tbe = 2048" in meta  # rederived from the override
 
 
+def test_overrides_reach_a_sender_without_a_source_section(tmp_path):
+    # s1 sends on vc main but has no [source.s1]: it runs on the defaults,
+    # takes the overrides and is listed, exactly as with an empty section.
+    outputs = []
+    for name, text in [
+        ("bare", TINY.replace("[source.s1]\ncrm = 32\n", "")),
+        ("empty", TINY.replace("crm = 32\n", "")),
+    ]:
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / name
+        assert main(["run", str(cfg), "--crm", "1", "--cdf", "1/2", "--out", str(out)]) == 0
+        outputs.append({p.name: read(p) for p in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
+    source = outputs[0]["meta.txt"].split("[source.s1]\n", 1)[1].split("\n\n", 1)[0]
+    assert "crm = 1\n" in source and "cdf = 1/2\n" in source
+
+
 def test_bundled_scenario_resolves_by_bare_name(tmp_path):
     out = tmp_path / "out_fig3"
     assert main(["run", "fig3.cfg", "--until-ms", "2", "--out", str(out)]) == 0
@@ -295,15 +313,24 @@ def test_zero_denominator_names_the_flag(tiny_cfg, tmp_path, capsys, argv, flag)
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
-@pytest.mark.parametrize("horizon", ["inf", "nan", "-1"])
-def test_until_ms_must_be_finite_and_non_negative(tiny_cfg, capsys, command, horizon):
+@pytest.mark.parametrize(
+    "horizon, message",
+    [
+        ("inf", "must be finite and >= 0"),
+        ("nan", "must be finite and >= 0"),
+        ("-1", "must be finite and >= 0"),
+        ("1e300", "must fit the picosecond clock, got 1e+300 ms"),
+    ],
+    ids=["inf", "nan", "-1", "1e300"],
+)
+def test_until_ms_must_be_finite_and_non_negative(tiny_cfg, capsys, command, horizon, message):
     argv = [command, str(tiny_cfg), "--until-ms", horizon]
     if command == "sweep":
         argv += ["--param", "crm", "--values", "32"]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "argument --until-ms: must be finite and >= 0" in capsys.readouterr().err
+    assert f"argument --until-ms: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -314,8 +341,20 @@ def test_until_ms_must_be_finite_and_non_negative(tiny_cfg, capsys, command, hor
         ("delay_us = 5", "delay_us = -1", "link a: delay_us must be >= 0, got -1"),
         ("path = s1, sw1, d1", "path = s1", "vc main: path needs at least two nodes"),
         ("[switch.sw1]\n", "[switch.sw1]\ntarget_utilization = 2\n", "switch sw1: target_utilization"),
+        (
+            "delay_us = 5",
+            "delay_ms = 1e300",
+            "link a: delay_us: must fit the picosecond clock, got 1e+303 us",
+        ),
+        (
+            "[switch.sw1]\n",
+            "[switch.sw1]\ninterval_us = 1e303\n",
+            "switch sw1: interval_us: must fit the picosecond clock, got 1e+303 us",
+        ),
+        ("until_ms = 5", "until_ms = 1e300", "run: until_ms: must fit the picosecond clock"),
     ],
-    ids=["zero-rate", "negative-rate", "negative-delay", "one-node-path", "bad-switch"],
+    ids=["zero-rate", "negative-rate", "negative-delay", "one-node-path", "bad-switch",
+         "huge-delay", "huge-interval", "huge-horizon"],
 )
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_topology_errors_name_the_link_vc_or_switch(tmp_path, capsys, command, old, new, message):
@@ -379,6 +418,14 @@ def test_bad_oscillation_band_fails_before_any_event(tmp_path, capsys, monkeypat
     "argv, message",
     [
         (["flight", "--rtt-ms", "inf", "--mbps", "155.52"], "argument --rtt-ms: must be finite"),
+        (
+            ["flight", "--rtt-ms", "1e300", "--mbps", "155.52"],
+            "argument --rtt-ms: must fit the picosecond clock, got 1e+300 ms\n",
+        ),
+        (
+            ["min-crm", "--rtt-ms", "1e300", "--mbps", "155.52"],
+            "argument --rtt-ms: must fit the picosecond clock, got 1e+300 ms\n",
+        ),
         (["decay", "--icr-mbps", "140", "--cdf", "0.05"], "error: cdf must be 0 or a power of two"),
         (
             ["trigger", "--fwd-mbps", "100", "--bwd-mbps", "1", "--crm", "0"],
@@ -409,6 +456,8 @@ def test_bad_oscillation_band_fails_before_any_event(tmp_path, capsys, monkeypat
     ],
     ids=[
         "flight-rtt-inf",
+        "flight-rtt-huge",
+        "min-crm-rtt-huge",
         "decay-cdf",
         "trigger-crm",
         "min-crm-mbps-0",

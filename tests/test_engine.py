@@ -210,10 +210,12 @@ def test_a_hand_built_engine_samples_queues_and_audits():
 def test_tampered_port_backlog_fails_the_audit():
     topo = to_topology(parse_scenario(bundled_config_text("fig3.cfg")))
     eng = Engine(topo)
-    eng.run_until(ms_to_ps(30))
+    eng.run_until(ms_to_ps(23))  # sw1->sw2 is busy: a cell is in service
     eng.audit()
     port = eng.switches["sw1"].ports["sw2"]
-    port.departures.append(eng.now + 1)  # a departure no pending delivery carries
+    assert port.pop(eng.now) == 1
+    port.last_departure += port.tx_time  # a departure no pending delivery carries
+    assert port.pop(eng.now) == 2
     with pytest.raises(SimulationError, match="sw1->sw2"):
         eng.audit()
 

@@ -214,6 +214,7 @@ def test_source_errors_name_the_source_and_the_key(body, pattern):
         ("target_utilization = 2", r"switch sw1: target_utilization must be in \(0, 1\], got 2"),
         ("interval_cells = 0", r"switch sw1: interval_cells must be >= 1, got 0"),
         ("interval_us = -1", r"switch sw1: interval_us must be > 0, got -1"),
+        ("interval_us = 1e303", r"switch sw1: interval_us: must fit the picosecond clock"),
     ],
 )
 def test_switch_errors_name_the_switch_and_the_key(body, pattern):

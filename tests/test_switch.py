@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from abrsim.protocol import Cell, Direction, RmFields
@@ -281,14 +283,49 @@ def test_backlog_counts_cells_until_their_departure():
     assert port.pop(second + 1) == 0
 
 
+def test_arrival_at_the_previous_departure_continues_the_busy_period():
+    port = make_port()
+    first = port.enqueue(data_cell(), now=0)
+    second = port.enqueue(data_cell(), now=first)
+    assert second == first + port.tx_time
+    assert port.pop(first) == 2  # the departing cell and the arrival
+    assert port.max_queue == 2
+
+
 def test_port_conserves_cells():
     port = make_port()
     for i in range(100):
         port.enqueue(data_cell(), now=i)
-    backlog = port.pop(40 * port.tx_time + 50)
-    assert backlog == 100 - 40  # the first 40 departed
-    assert list(port.departures) == [port.tx_time * (k + 1) for k in range(40, 100)]
+    tx = port.tx_time
+    assert port.pop(40 * tx + 50) == 100 - 40  # the first 40 departed
+    assert port.pop(40 * tx + 50) == 100 - 40  # a read changes nothing
+    # cell k departs at (k + 1) tx, and counts until then
+    assert [port.pop(tx * (k + 1)) for k in range(40, 100)] == list(range(60, 0, -1))
+    assert port.pop(100 * tx + 1) == 0
     assert port.max_queue == 100
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_closed_form_backlog_matches_a_list_of_departures(seed):
+    # The plain model: every departure kept in a list, in the backlog
+    # while it is >= now.  Gaps around tx_time end and continue busy
+    # periods at and near the exact picosecond of the last departure.
+    rng = random.Random(seed)
+    port = make_port()
+    tx = port.tx_time
+    departures: list[int] = []
+    max_queue = now = 0
+    for _ in range(400):
+        gap = rng.choice((0, 1, tx - 1, tx, tx + 1, 2 * tx, rng.randrange(4 * tx)))
+        probe = now + rng.randrange(gap + 1)  # a read between two arrivals
+        assert port.pop(probe) == sum(d >= probe for d in departures)
+        now += gap
+        backlog = sum(d >= now for d in departures) + 1
+        max_queue = max(max_queue, backlog)
+        departures.append(max([now, *departures[-1:]]) + tx)
+        assert port.enqueue(data_cell(), now) == departures[-1]
+        assert port.pop(now) == backlog
+        assert port.max_queue == max_queue
 
 
 def test_port_rejects_bad_parameters():

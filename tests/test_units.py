@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -80,6 +81,16 @@ def test_time_helpers_are_exact_at_scenario_scales():
     assert ms_to_ps(275) == 275 * 10**9
     assert us_to_ps(5) == 5 * 10**6
     assert ps_to_ms(ms_to_ps(1200.5)) == 1200.5
+
+
+@pytest.mark.parametrize(
+    "convert, value, unit",
+    [(ms_to_ps, 1e300, "ms"), (us_to_ps, 1e303, "us"), (ms_to_ps, float("nan"), "ms")],
+)
+def test_times_beyond_the_picosecond_clock_are_value_errors(convert, value, unit):
+    message = f"must fit the picosecond clock, got {value:g} {unit}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        convert(value)
 
 
 def test_cell_size_is_53_bytes():
