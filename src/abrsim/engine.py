@@ -340,9 +340,11 @@ class Engine:
         protocol handlers.  A forward cell bound for position ``i`` was
         sent by ``vc.ports[i - 1]`` (None for the source's link) and is
         still queued there while its departure (delivery time minus the
-        port's propagation delay) is >= now.  Each port's own backlog,
-        which ``PortState.pop`` reads in closed form from two integers
-        and not from the line, must match that scan, and each non-empty
+        port's propagation delay) is after now; over a zero-delay link the
+        cell departing at now may already be delivered.  Each port's own
+        backlog after now, which ``PortState.pop`` reads in closed form
+        from two integers and not from the line, must match that scan,
+        and each non-empty
         line must have its head, and only its head, in the event heap.
         The audit changes no state it checks.
         """
@@ -369,14 +371,14 @@ class Engine:
                     inflight_bwd[vc.vc_id] += 1
                     continue
                 port = vc.ports[i - 1]
-                if port is not None and time - port.prop_delay >= now:
+                if port is not None and time - port.prop_delay > now:
                     queued[vc.vc_id] += 1
                     backlog[port] = backlog.get(port, 0) + 1
                 else:
                     inflight_fwd[vc.vc_id] += 1
         for sw in self.switches.values():
             for port in sw.ports.values():
-                pending = port.pop(now)
+                pending = port.pop(now + 1)
                 if pending != backlog.get(port, 0):
                     raise SimulationError(
                         f"port {port.name}: backlog {pending} != {backlog.get(port, 0)} "
