@@ -20,6 +20,7 @@ import concurrent.futures
 import os
 import sys
 from dataclasses import dataclass, replace
+from itertools import count
 from pathlib import Path
 
 from . import analysis, metrics
@@ -35,7 +36,7 @@ from .scenario import (
     render_scenario,
     to_topology,
 )
-from .units import cps_to_mbps, mbps_to_cps, ms_to_ps, ps_to_ms
+from .units import PS_PER_MS, cps_to_mbps, mbps_to_cps, ms_to_ps, ps_to_ms
 
 SWEEPABLE = ("crm", "cdf", "icr", "rif")
 
@@ -83,10 +84,14 @@ def apply_override(sc: Scenario, param: str, value: float) -> None:
 # -- output writing ------------------------------------------------------
 
 
-def _write_csv(path: Path, rows) -> None:
+_COUNT_ROW = "%.6f,%d.000000\n"  # an integer value, printed as "%.6f" would print it
+
+
+def _write_csv(path: Path, rows, row: str = "%.6f,%.6f\n") -> None:
+    """Write ``(time_ps, value)`` pairs as ``time_ms,value`` lines formatted by ``row``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("time_ms,value\n")
-        fh.writelines(f"{t:.6f},{v:.6f}\n" for t, v in rows)
+        fh.writelines(row % (t / PS_PER_MS, v) for t, v in rows)
 
 
 def _write_outputs(result: RunResult, overrides: dict[str, str]) -> None:
@@ -94,17 +99,11 @@ def _write_outputs(result: RunResult, overrides: dict[str, str]) -> None:
     out.mkdir(parents=True, exist_ok=True)
     rec = result.recorder
     for vc_id, trace in rec.acr.items():
-        _write_csv(
-            out / f"acr_{vc_id}.csv",
-            ((ps_to_ms(t), cps_to_mbps(v)) for t, v in zip(trace.times, trace.values)),
-        )
-    for vc_id, trace in rec.recv.items():
-        _write_csv(
-            out / f"recv_{vc_id}.csv",
-            ((ps_to_ms(t), float(n)) for n, t in enumerate(trace.times, start=1)),
-        )
+        _write_csv(out / f"acr_{vc_id}.csv", zip(trace.times, map(cps_to_mbps, trace.values)))
+    for vc_id, trace in rec.recv.items():  # the n-th delivery brings the count to n
+        _write_csv(out / f"recv_{vc_id}.csv", zip(trace.times, count(1)), _COUNT_ROW)
     for sw, samples in rec.queues.items():
-        _write_csv(out / f"queues_{sw}.csv", ((ps_to_ms(t), float(n)) for t, n in samples))
+        _write_csv(out / f"queues_{sw}.csv", samples, _COUNT_ROW)
 
     with open(out / "summary.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("vc,metric,t0_ms,t1_ms,value\n")

@@ -39,9 +39,11 @@ EMIT per VC and the TICK.  A line enters the heap when it goes from empty
 to non-empty, and re-enters with its next head when its head is delivered.
 Merging sorted lines by their heads yields exactly the ``(time, seq)``
 order that one heap entry per cell would, so traces and event counts do
-not depend on how cells are stored.  The loop has three event kinds
-(EMIT, DELIVER, TICK).  A queue sample at ``now`` counts every cell whose
-departure is ``>= now``.
+not depend on how cells are stored.  ``Engine.run_until`` dispatches all
+three event kinds (EMIT, DELIVER, TICK) inline, and every cell it sends,
+whether emitted, queued at a port, stamped or turned around, joins its
+line through one append tail.  A queue sample at ``now`` counts every
+cell whose departure is ``>= now``.
 """
 
 from __future__ import annotations
@@ -238,94 +240,95 @@ class Engine:
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, kind, payload))
 
-    def _send(self, line: deque, time: SimTime, cell: Cell, i: int) -> None:
-        """Put ``cell`` on ``line``, due at position ``i`` at ``time``."""
-        self._seq += 1
-        if not line:
-            heapq.heappush(self._heap, (time, self._seq, _DELIVER, line))
-        line.append((time, self._seq, cell, i))
-
     def run_until(self, t_end: SimTime) -> None:
-        """Process every event with timestamp <= t_end, in order."""
-        if t_end < self.now:
-            raise SimulationError(f"cannot run backwards: now={self.now}, t_end={t_end}")
+        """Process every event with timestamp <= t_end, in order.
+
+        All three kinds are handled here.  Every cell sent ends in one
+        tail: it takes the next sequence number and joins its delay line,
+        which enters the heap if it was empty.  EMIT and TICK re-arm in
+        place, as their entry is still the heap's first.
+        """
+        now = self.now
+        if t_end < now:
+            raise SimulationError(f"cannot run backwards: now={now}, t_end={t_end}")
         heap = self._heap
+        heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
+        vcs = self.vcs
+        recorder = self.recorder
+        backward = Direction.BACKWARD
+        next_cell = protocol.next_cell
         while heap and heap[0][0] <= t_end:
             time, _seq, kind, payload = heap[0]
-            if time < self.now:
-                raise SimulationError(f"event scheduled in the past: {time} < {self.now}")
-            self.now = time
+            if time < now:
+                raise SimulationError(f"event scheduled in the past: {time} < {now}")
+            self.now = now = time  # before any handler: the TICK's audit reads it
             self.events_processed += 1
-            if kind == _DELIVER:
+            if kind == _DELIVER:  # the head of delay line ``payload`` is due
                 _time, _seq, cell, i = payload.popleft()
                 if payload:  # the line's next head takes its place
                     head = payload[0]
-                    heapq.heapreplace(heap, (head[0], head[1], _DELIVER, payload))
+                    heapreplace(heap, (head[0], head[1], _DELIVER, payload))
                 else:
-                    heapq.heappop(heap)
-                self._on_deliver(cell, i)
-            else:
-                heapq.heappop(heap)
-                if kind == _EMIT:
-                    self._on_emit(payload)
-                else:
-                    self._on_tick()
-        if t_end > self.now:
-            self.now = t_end
-
-    # -- event handlers -------------------------------------------------
-
-    def _on_emit(self, vc: VcRuntime) -> None:
-        state = vc.state
-        prev_acr = state.acr
-        cell = protocol.next_cell(state, vc.params, vc.vc_id, self.now)
-        if state.acr != prev_acr:
-            self.recorder.acr_change(vc.vc_id, self.now, state.acr)
-        if state.acr == 0:  # recorded once: ``Recorder.deviation`` dedupes
-            self.recorder.deviation(
-                f"vc {vc.vc_id}: rate decayed to zero; keep-alive RM probing engaged"
-            )
-        delay, line = vc.emit_hop
-        self._send(line, self.now + delay, cell, 1)
-        self._push(state.next_departure, _EMIT, vc)
-
-    def _on_deliver(self, cell: Cell, i: int) -> None:
-        vc = self.vcs[cell.vc_id]
-        rm = cell.rm
-        if rm is not None and rm.direction is Direction.BACKWARD:
-            if i == 0:
-                vc.bwd_delivered += 1
+                    heappop(heap)
+                vc = vcs[cell.vc_id]
+                rm = cell.rm
+                if rm is not None and rm.direction is backward:
+                    if i == 0:  # feedback reaches the source
+                        vc.bwd_delivered += 1
+                        state = vc.state
+                        prev_acr = state.acr
+                        protocol.on_backward_rm(state, vc.params, rm)
+                        recorder.backward_rm(vc.vc_id, now)
+                        if state.acr != prev_acr:
+                            recorder.acr_change(vc.vc_id, now, state.acr)
+                        continue
+                    vc.ports[i].stamp_backward(rm, cell.vc_id, now)
+                    delay, line = vc.bwd_hops[i]
+                    due, i = now + delay, i - 1
+                elif i == vc.last:
+                    vc.delivered += 1
+                    recorder.delivery(vc.vc_id, now)
+                    if rm is None:
+                        continue
+                    vc.turned += 1
+                    cell = Cell(cell.vc_id, protocol.turnaround(rm))
+                    delay, line = vc.bwd_hops[i]
+                    due, i = now + delay, i - 1
+                else:  # queued at the port toward position i + 1
+                    port = vc.ports[i]
+                    line = port.line
+                    due, i = port.enqueue(cell, now) + port.prop_delay, i + 1
+            elif kind == _EMIT:
+                vc = payload
                 state = vc.state
                 prev_acr = state.acr
-                protocol.on_backward_rm(state, vc.params, rm)
-                self.recorder.backward_rm(vc.vc_id, self.now)
+                cell = next_cell(state, vc.params, vc.vc_id, now)
                 if state.acr != prev_acr:
-                    self.recorder.acr_change(vc.vc_id, self.now, state.acr)
-            else:
-                vc.ports[i].stamp_backward(rm, cell.vc_id, self.now)
-                delay, line = vc.bwd_hops[i]
-                self._send(line, self.now + delay, cell, i - 1)
-        elif i == vc.last:
-            vc.delivered += 1
-            self.recorder.delivery(vc.vc_id, self.now)
-            if rm is not None:
-                back = protocol.turnaround(rm)
-                vc.turned += 1
-                delay, line = vc.bwd_hops[i]
-                self._send(line, self.now + delay, Cell(cell.vc_id, back), i - 1)
-        else:
-            port = vc.ports[i]
-            departure = port.enqueue(cell, self.now)
-            self._send(port.line, departure + port.prop_delay, cell, i + 1)
-
-    def _on_tick(self) -> None:
-        now = self.now
-        for sw in self.switches.values():
-            self.recorder.queue_sample(sw.name, now, sum(p.pop(now) for p in sw.ports.values()))
-        self._ticks += 1
-        if self._ticks % _AUDIT_EVERY_TICKS == 0:
-            self.audit()
-        self._push(self.now + _TICK_INTERVAL, _TICK, None)
+                    recorder.acr_change(vc.vc_id, now, state.acr)
+                if state.acr == 0:  # recorded once: ``Recorder.deviation`` dedupes
+                    recorder.deviation(
+                        f"vc {vc.vc_id}: rate decayed to zero; keep-alive RM probing engaged"
+                    )
+                delay, line = vc.emit_hop
+                due, i = now + delay, 1
+            else:  # TICK: sample every switch's backlog, audit now and then
+                for sw in self.switches.values():
+                    recorder.queue_sample(sw.name, now, sum(p.pop(now) for p in sw.ports.values()))
+                self._ticks += 1
+                if self._ticks % _AUDIT_EVERY_TICKS == 0:
+                    self.audit()
+                self._seq += 1
+                heapreplace(heap, (now + _TICK_INTERVAL, self._seq, _TICK, None))
+                continue
+            self._seq = seq = self._seq + 1  # the tail: ``cell`` joins ``line``
+            if not line:
+                heappush(heap, (due, seq, _DELIVER, line))
+            line.append((due, seq, cell, i))
+            if kind == _EMIT:  # the new head is due later: this entry is still first
+                self._seq = seq + 1
+                heapreplace(heap, (state.next_departure, seq + 1, _EMIT, vc))
+        if t_end > now:
+            self.now = t_end
 
     # -- accounting -------------------------------------------------------
 

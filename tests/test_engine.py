@@ -326,3 +326,73 @@ def test_interval_deadline_tie_rule_holds_end_to_end(tmp_path):
         "recv_v2.csv": "8352766d2e734b831bc8d2f65d0e94ab742891b36061ad673bad0368ceaf5c02",
         "summary.csv": "076e26f0007f01cce97bac51a8ff73f31bdf49d7f53b466280d0f5c8986038ad",
     }
+
+
+# -- slicing the loop --------------------------------------------------------
+
+
+def snapshot(eng):
+    """Everything a run leaves behind, for comparing two ways of driving it."""
+    rec = eng.recorder
+    ports = {
+        p.name: (p.busy_from, p.last_departure, p.accum_cells, p.interval_start,
+                 sorted(p.active_vcs), p.ccr_table, p.measurement, p.max_queue, list(p.line))
+        for sw in eng.switches.values()
+        for p in sw.ports.values()
+    }
+    vcs = {
+        vc_id: (vc.state, vc.delivered, vc.turned, vc.bwd_delivered)
+        for vc_id, vc in eng.vcs.items()
+    }
+    return {
+        "events": eng.events_processed,
+        "now": eng.now,
+        "acr": {vc: (tr.times, tr.values) for vc, tr in rec.acr.items()},
+        "recv": {vc: list(tr.times) for vc, tr in rec.recv.items()},
+        "queues": rec.queues,
+        "first_backward": rec.first_backward,
+        "deviations": rec.deviations,
+        "audits_passed": rec.audits_passed,
+        "pending": [entry[:3] for entry in sorted(eng._heap, key=lambda e: e[:2])],
+        "lines": [list(line) for line in eng.lines],
+        "ports": ports,
+        "vcs": vcs,
+        "audit": eng.audit(),
+    }
+
+
+def run_whole(eng, t_end):
+    eng.run_until(t_end)
+
+
+def run_in_ms_slices(eng, t_end):
+    # as ``perfbench/child.py`` drives the loop in trace mode
+    while True:
+        t = min(t_end, (eng.now // PS_PER_MS + 1) * PS_PER_MS)
+        eng.run_until(t)
+        if t >= t_end:
+            return
+
+
+def run_to_each_pending_time(eng, t_end):
+    # every slice ends exactly at the time of the next pending event
+    while eng._heap and eng._heap[0][0] <= t_end:
+        eng.run_until(eng._heap[0][0])
+    eng.run_until(t_end)
+
+
+@pytest.mark.parametrize("text, until_ms", [
+    (bundled_config_text("fig3.cfg"), 40),
+    (tie_scenario(), 3),
+], ids=["fig3", "tie-rule"])
+def test_slicing_run_until_changes_nothing(text, until_ms):
+    t_end = ms_to_ps(until_ms)
+    results = []
+    for drive in (run_whole, run_in_ms_slices, run_to_each_pending_time):
+        eng = Engine(to_topology(parse_scenario(text)))
+        drive(eng, t_end)
+        results.append(snapshot(eng))
+    whole, *sliced = results
+    assert whole["events"] > 1000 and whole["audit"]
+    for other in sliced:
+        assert other == whole

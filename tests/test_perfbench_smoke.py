@@ -2,7 +2,9 @@
 
 ``perfbench/child.py`` patches functions by name (``Engine.__init__``,
 ``Recorder.delivery``, ``cli._sweep_worker`` and others); a renamed
-function or a changed signature makes its run fail or count no engines.
+function or a changed signature makes its run fail or count no engines,
+and an engine that stops calling ``protocol.next_cell`` or
+``PortState.enqueue`` through those names leaves their spans empty.
 """
 
 import json
@@ -48,6 +50,9 @@ def test_trace_mode_runs_clean_and_counts_every_engine(tmp_path, argv, runs):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert sum(len(r["engines"]) for r in loaded) == runs
     assert all(e["events"] > 0 for r in loaded for e in r["engines"])
+    # the per-layer view: the hot path still calls the names the child wraps
+    for name in ("protocol.next_cell", "switch.enqueue"):
+        assert sum(r["agg"].get(name, [0])[0] for r in loaded) > 0, name
 
 
 def test_probe_mode_stops_a_sweep_without_failing_a_member(tmp_path):
