@@ -3,9 +3,9 @@
 Sections are ``[source.<name>]``, ``[switch.<name>]``, ``[link.<name>]``,
 ``[vc.<name>]`` and ``[run]``; ``#`` starts a comment.  A section's keys,
 their value types and their rendering order are the fields of its ``*Cfg``
-dataclass.  Rates are given in Mbps and delays in microseconds or
-milliseconds; everything is converted once, at topology-build time, where
-the engine types check the values.  Unknown sections or keys are errors;
+dataclass.  Rates are given in Mbps and delays in us or ms; ``delay_ms`` is
+checked as parsed and kept in us, and the rest is converted and checked by
+the engine types at topology build.  Unknown sections or keys are errors;
 missing keys fall back to the standard parameter block (OC-3 peak rate,
 zero minimum rate, initial rate at 90% of peak, one RM cell per 32 cells,
 rate increase factor 1, cutoff decrease factor 1/16, cutoff threshold 32).
@@ -290,7 +290,13 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"line {line_no}: give {seen_keys[slot]} or {key}, not both")
         seen_keys[slot] = key
         parsed = _parse_value(f, value.strip(), line_no)
-        setattr(current, f.name, parsed * 1000.0 if key == "delay_ms" else parsed)
+        if key == "delay_ms":  # kept in us: checked here, so that errors quote the ms
+            if parsed < 0:
+                raise ScenarioError(f"link {name}: delay_ms must be >= 0, got {parsed:g}")
+            with error_context(f"link {name}: delay_ms"):
+                ms_to_ps(parsed)
+            parsed *= 1000.0
+        setattr(current, f.name, parsed)
 
     if not seen_sections:
         return default_scenario()

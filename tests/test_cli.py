@@ -344,7 +344,7 @@ def test_until_ms_must_be_finite_and_non_negative(tiny_cfg, capsys, command, hor
         (
             "delay_us = 5",
             "delay_ms = 1e300",
-            "link a: delay_us: must fit the picosecond clock, got 1e+303 us",
+            "link a: delay_ms: must fit the picosecond clock, got 1e+300 ms",
         ),
         (
             "[switch.sw1]\n",

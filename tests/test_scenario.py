@@ -2,6 +2,7 @@ from dataclasses import fields
 
 import pytest
 
+from abrsim.cli import main
 from abrsim.scenario import (
     LinkCfg,
     RunCfg,
@@ -125,6 +126,27 @@ def test_key_outside_section_rejected():
 def test_link_delay_units_are_exclusive():
     with pytest.raises(ScenarioError, match="not both"):
         parse_scenario("[link.l]\nfrom = a\nto = b\ndelay_us = 5\ndelay_ms = 1\n")
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("-1", "link sat: delay_ms must be >= 0, got -1\n"),
+        ("1e300", "link sat: delay_ms: must fit the picosecond clock, got 1e+300 ms\n"),
+    ],
+    ids=["negative", "huge"],
+)
+def test_a_delay_given_in_ms_is_reported_in_ms(tmp_path, capsys, value, message):
+    # stored as delay_us; an error must still quote the key and value given
+    cfg = tmp_path / "bad.cfg"
+    text = bundled_config_text("fig3.cfg")
+    cfg.write_text(text.replace("delay_ms = 275", f"delay_ms = {value}"), encoding="utf-8")
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(cfg.read_text(encoding="utf-8"))
+    assert f"{exc.value}\n" == message
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}"
+    assert not (tmp_path / "o").exists()
 
 
 def test_link_requires_endpoints():
