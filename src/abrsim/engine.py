@@ -346,10 +346,9 @@ class Engine:
         port's propagation delay) is after now; over a zero-delay link the
         cell departing at now may already be delivered.  Each port's own
         backlog after now, which ``PortState.pop`` reads in closed form
-        from two integers and not from the line, must match that scan,
-        and each non-empty
-        line must have its head, and only its head, in the event heap.
-        The audit changes no state it checks.
+        from two integers and not from the line, must match that scan, and
+        each non-empty line must have its head, and only its head, in the
+        event heap.  The audit changes no state it checks.
         """
         now = self.now
         inflight_fwd: dict[str, int] = {vc_id: 0 for vc_id in self.vcs}
