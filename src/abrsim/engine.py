@@ -23,34 +23,43 @@ backward RM cells to ``i - 1``.
 
 A port's FIFO service is closed-form, so a cell entering a switch port is
 scheduled straight to its delivery at the next hop.  Cells in flight wait
-in FIFO delay lines, of two kinds:
+in FIFO delay lines, and each line holds the cells of one VC in one
+direction.  A VC has three kinds:
 
-* a *served line* per ``PortState`` (``PortState.line``) holds the cells
-  the port has served, due at ``departure + prop_delay``;
-* a *straight line* per directed link holds the cells sent onto the link
-  without queueing (source emissions, stamped and turned-around backward
-  RM cells), due at ``now + tx + prop``, the link's fixed hop delay.
+* its *emit line* (``VcRuntime.emit_hop``) holds the cells the source has
+  sent, due at ``now + tx + prop``, the first link's fixed hop delay;
+* a *served line* per port position (``VcRuntime.served[i]``) holds the
+  cells ``ports[i]`` has served, due at ``departure + prop_delay``;
+* a *backward line* per hop (``VcRuntime.bwd_hops[i]``) holds the RM
+  cells stamped or turned around at position ``i``, due at the hop delay
+  of the link back to ``i - 1``.
 
-Departures of one port rise and a straight line's delay is fixed, so the
-times in a line never decrease and, taken from one counter, its sequence
-numbers rise: each line is sorted by ``(time, seq)``.  The event heap
-holds only the head of each non-empty line as a DELIVER event, beside one
-EMIT per VC and the TICK.  A line enters the heap when it goes from empty
-to non-empty, and re-enters with its next head when its head is delivered.
-Merging sorted lines by their heads yields exactly the ``(time, seq)``
-order that one heap entry per cell would, so traces and event counts do
-not depend on how cells are stored.  ``Engine.run_until`` dispatches all
-three event kinds (EMIT, DELIVER, TICK) inline, and every cell it sends,
-whether emitted, queued at a port, stamped or turned around, joins its
-line through one append tail.  A queue sample at ``now`` counts every
-cell whose departure is ``>= now``.
+Departures of one port rise and a hop's delay is fixed, so the times in a
+line never decrease and, taken from one counter, its sequence numbers
+rise: each line is sorted by ``(time, seq)``.  Splitting a port's or a
+link's cells by VC keeps that order, since a subsequence of a sorted line
+is still sorted.  The event heap holds only the head of each non-empty
+line as a DELIVER event, beside one EMIT per VC and the TICK.  A VC has
+one forward and one backward line per hop, so the heap never holds more
+than VCs x 2 x hops line heads, plus the EMITs and the TICK.  A line
+enters the heap when it goes from empty to non-empty, and re-enters with
+its next head when its head is delivered.  Merging sorted lines by their
+heads yields exactly the ``(time, seq)`` order that one heap entry per
+cell would, so traces and event counts do not depend on how cells are
+stored.  ``Engine.run_until`` dispatches all three event kinds (EMIT,
+DELIVER, TICK) inline, and every cell it sends, whether emitted, queued
+at a port, stamped or turned around, joins its line through one append
+tail.  A queue sample at ``now`` counts every cell whose departure is
+``>= now``.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import protocol
 from .metrics import Recorder
@@ -134,6 +143,7 @@ class VcRuntime:
         "ports",
         "last",
         "emit_hop",
+        "served",
         "bwd_hops",
         "state",
         "delivered",
@@ -142,18 +152,31 @@ class VcRuntime:
     )
 
     def __init__(
-        self, vc_id: str, params: SourceParams, ports: tuple, emit_hop: tuple, bwd_hops: tuple
+        self,
+        vc_id: str,
+        params: SourceParams,
+        ports: tuple,
+        emit_delay: SimTime,
+        bwd_delays: list[SimTime],
     ):
         self.vc_id = vc_id
         self.params = params
         self.ports = ports
         self.last = len(ports) - 1
-        self.emit_hop = emit_hop  # (hop delay, straight line) from the source
-        self.bwd_hops = bwd_hops  # the same from position i back to i - 1; None at 0
+        self.emit_hop = (emit_delay, deque())  # (hop delay, emit line) from the source
+        # the line of cells served by ports[i]; None at both ends
+        self.served = tuple(None if port is None else deque() for port in ports)
+        # (hop delay, backward line) from position i back to i - 1; None at 0
+        self.bwd_hops = (None, *((delay, deque()) for delay in bwd_delays))
         self.state = protocol.new_state(params)
         self.delivered = 0
         self.turned = 0
         self.bwd_delivered = 0
+
+    def lines(self) -> tuple[tuple[deque, ...], tuple[deque, ...]]:
+        """The VC's forward lines (emit, then served) and its backward lines."""
+        fwd = (self.emit_hop[1], *self.served[1:-1])
+        return fwd, tuple(line for _delay, line in self.bwd_hops[1:])
 
 
 class SwitchRuntime:
@@ -169,6 +192,8 @@ class SwitchRuntime:
 _EMIT = 0
 _DELIVER = 1
 _TICK = 2
+
+_TIME = itemgetter(0)  # a delay-line entry's delivery time
 
 _TICK_INTERVAL = PS_PER_MS  # queue sampling cadence
 _AUDIT_EVERY_TICKS = 100  # conservation audit cadence
@@ -187,14 +212,10 @@ class Engine:
 
         topology.validate()  # hand-built topologies skip ``to_topology``
 
-        straight: dict[tuple[str, str], tuple[SimTime, deque]] = {}
-
-        def hop(a: str, b: str) -> tuple[SimTime, deque]:
-            """The hop delay and straight line of the directed link a -> b."""
-            if (a, b) not in straight:
-                link = topology.links[(a, b)]
-                straight[(a, b)] = (cell_tx_time(link.rate) + link.prop_delay, deque())
-            return straight[(a, b)]
+        def hop(a: str, b: str) -> SimTime:
+            """The fixed hop delay of the directed link a -> b."""
+            link = topology.links[(a, b)]
+            return cell_tx_time(link.rate) + link.prop_delay
 
         self.switches = {name: SwitchRuntime(name) for name in topology.switch_params}
         self.vcs: dict[str, VcRuntime] = {}
@@ -218,13 +239,14 @@ class Engine:
                 topology.source_params[path[0]],
                 tuple(ports),
                 hop(path[0], path[1]),
-                (None, *(hop(b, a) for a, b in zip(path, path[1:]))),
+                [hop(b, a) for a, b in zip(path, path[1:])],
             )
             recorder.start_vc(vc.vc_id, vc.params.icr)
         for name in self.switches:
             recorder.start_switch(name)
-        served = [p.line for sw in self.switches.values() for p in sw.ports.values()]
-        self.lines: tuple[deque, ...] = (*served, *(line for _delay, line in straight.values()))
+        self.lines: tuple[deque, ...] = tuple(
+            line for vc in self.vcs.values() for lines in vc.lines() for line in lines
+        )
         recorder.deviation(
             "backward RM cells bypass port queues (stamped and re-emitted "
             "immediately, ahead of reverse-direction data)"
@@ -296,7 +318,7 @@ class Engine:
                     due, i = now + delay, i - 1
                 else:  # queued at the port toward position i + 1
                     port = vc.ports[i]
-                    line = port.line
+                    line = vc.served[i]
                     due, i = port.enqueue(cell, now) + port.prop_delay, i + 1
             elif kind == _EMIT:
                 vc = payload
@@ -338,23 +360,20 @@ class Engine:
         Forward direction: cells emitted == delivered + queued at ports +
         in flight on links.  Backward direction: RM cells turned around ==
         delivered back to the source + in flight.  Both sides come from
-        scanning the ``(time, seq, cell, i)`` entries of every delay line,
-        served and straight, independently of the counters kept by the
-        protocol handlers.  A forward cell bound for position ``i`` was
-        sent by ``vc.ports[i - 1]`` (None for the source's link) and is
-        still queued there while its departure (delivery time minus the
+        counting the entries of the VC's delay lines, independently of the
+        counters kept by the protocol handlers.  A served line of
+        ``vc.ports[i]`` splits at one bisect on its times: a cell is still
+        queued at the port while its departure (delivery time minus the
         port's propagation delay) is after now; over a zero-delay link the
         cell departing at now may already be delivered.  Each port's own
         backlog after now, which ``PortState.pop`` reads in closed form
-        from two integers and not from the line, must match that scan, and
-        each non-empty line must have its head, and only its head, in the
-        event heap.  The audit changes no state it checks.
+        from two integers and not from the lines, must match the sum of
+        those splits over the VCs it serves.  Cells are not checked one by
+        one: each non-empty line's head must be a cell of that line's VC
+        and direction, and must be in the event heap, as the only entry of
+        its line.  The audit changes no state it checks.
         """
         now = self.now
-        inflight_fwd: dict[str, int] = {vc_id: 0 for vc_id in self.vcs}
-        inflight_bwd: dict[str, int] = {vc_id: 0 for vc_id in self.vcs}
-        queued: dict[str, int] = {vc_id: 0 for vc_id in self.vcs}
-        backlog: dict[PortState, int] = {}
         heads = [entry for entry in self._heap if entry[2] == _DELIVER]
         in_heap = {id(entry[3]): entry[:2] for entry in heads}
         nonempty = [line for line in self.lines if line]
@@ -365,19 +384,49 @@ class Engine:
                 f"event heap holds {len(heads)} delay-line heads for "
                 f"{len(nonempty)} non-empty lines, or a stale head, at t={now}"
             )
-        for line in nonempty:
-            for time, _seq, cell, i in line:
-                vc = self.vcs[cell.vc_id]
-                rm = cell.rm
-                if rm is not None and rm.direction is Direction.BACKWARD:
-                    inflight_bwd[vc.vc_id] += 1
-                    continue
-                port = vc.ports[i - 1]
-                if port is not None and time - port.prop_delay > now:
-                    queued[vc.vc_id] += 1
-                    backlog[port] = backlog.get(port, 0) + 1
-                else:
-                    inflight_fwd[vc.vc_id] += 1
+        backward = Direction.BACKWARD
+        backlog: dict[PortState, int] = {}
+        report = {}
+        for vc_id, vc in self.vcs.items():
+            fwd, bwd = vc.lines()
+            for lines, is_bwd in ((fwd, False), (bwd, True)):
+                for line in lines:
+                    if not line:
+                        continue
+                    cell = line[0][2]
+                    rm = cell.rm
+                    head_bwd = rm is not None and rm.direction is backward
+                    if cell.vc_id != vc_id or head_bwd != is_bwd:
+                        raise SimulationError(
+                            f"vc {vc_id}: the head of a {'backward' if is_bwd else 'forward'} "
+                            f"delay line is {cell} at t={now}"
+                        )
+            queued = 0
+            for port, line in zip(vc.ports[1:-1], vc.served[1:-1]):
+                waiting = len(line) - bisect_right(line, now + port.prop_delay, key=_TIME)
+                queued += waiting
+                backlog[port] = backlog.get(port, 0) + waiting
+            in_flight = sum(map(len, fwd)) - queued
+            emitted = vc.state.cells_sent_total
+            if emitted != vc.delivered + queued + in_flight:
+                raise SimulationError(
+                    f"vc {vc_id}: forward cell conservation violated at t={now}: "
+                    f"emitted {emitted} != delivered {vc.delivered} + queued "
+                    f"{queued} + in-flight {in_flight}"
+                )
+            in_flight_bwd = sum(map(len, bwd))
+            if vc.turned != vc.bwd_delivered + in_flight_bwd:
+                raise SimulationError(
+                    f"vc {vc_id}: backward RM conservation violated at t={now}: "
+                    f"turned {vc.turned} != delivered {vc.bwd_delivered} + "
+                    f"in-flight {in_flight_bwd}"
+                )
+            report[vc_id] = {
+                "emitted": emitted,
+                "delivered": vc.delivered,
+                "queued": queued,
+                "in_flight": in_flight,
+            }
         for sw in self.switches.values():
             for port in sw.ports.values():
                 pending = port.pop(now + 1)
@@ -386,28 +435,5 @@ class Engine:
                         f"port {port.name}: backlog {pending} != {backlog.get(port, 0)} "
                         f"cells awaiting departure at t={now}"
                     )
-        report = {}
-        for vc_id, vc in self.vcs.items():
-            emitted = vc.state.cells_sent_total
-            fwd_rhs = vc.delivered + queued[vc_id] + inflight_fwd[vc_id]
-            if emitted != fwd_rhs:
-                raise SimulationError(
-                    f"vc {vc_id}: forward cell conservation violated at t={now}: "
-                    f"emitted {emitted} != delivered {vc.delivered} + queued "
-                    f"{queued[vc_id]} + in-flight {inflight_fwd[vc_id]}"
-                )
-            bwd_rhs = vc.bwd_delivered + inflight_bwd[vc_id]
-            if vc.turned != bwd_rhs:
-                raise SimulationError(
-                    f"vc {vc_id}: backward RM conservation violated at t={now}: "
-                    f"turned {vc.turned} != delivered {vc.bwd_delivered} + "
-                    f"in-flight {inflight_bwd[vc_id]}"
-                )
-            report[vc_id] = {
-                "emitted": emitted,
-                "delivered": vc.delivered,
-                "queued": queued[vc_id],
-                "in_flight": inflight_fwd[vc_id],
-            }
         self.recorder.audits_passed += 1
         return report

@@ -103,21 +103,36 @@ class SourceParams:
 
 @dataclass
 class SourceState:
-    """Mutable per-VC source machine."""
+    """Mutable per-VC source machine.
+
+    ``gap`` is the pacing gap at the current ACR; ``_set_acr`` writes the
+    two together.  ``data_cell`` is the VC's one data cell: data cells
+    carry no state, so every data cell the source sends is this object.
+    """
 
     acr: CellRate
+    gap: SimTime = 0
     unacked_fwd_rm: int = 0
     cells_since_rm: int = 0
     next_departure: SimTime = 0
     cells_sent_total: int = 0
     rule6_count: int = 0
     first_rule6_cells: int | None = None
+    data_cell: Cell | None = None
+
+
+def _set_acr(state: SourceState, acr: CellRate) -> None:
+    """The one writer of ACR, and of the pacing gap it implies."""
+    state.acr = acr
+    state.gap = cell_tx_time(acr) if acr > 0 else QUIESCENT_PROBE_GAP
 
 
 def new_state(params: SourceParams) -> SourceState:
     # cells_since_rm starts one short of a full cycle so that the very
     # first cell on the wire is an RM cell.
-    return SourceState(acr=params.icr, cells_since_rm=params.nrm - 1)
+    state = SourceState(acr=params.icr, cells_since_rm=params.nrm - 1)
+    _set_acr(state, params.icr)
+    return state
 
 
 def apply_rule6(state: SourceState, params: SourceParams) -> bool:
@@ -128,7 +143,7 @@ def apply_rule6(state: SourceState, params: SourceParams) -> bool:
     """
     if state.unacked_fwd_rm < params.crm:
         return False
-    state.acr = max(params.mcr, state.acr - state.acr * params.cdf)
+    _set_acr(state, max(params.mcr, state.acr - state.acr * params.cdf))
     state.rule6_count += 1
     if state.first_rule6_cells is None:
         state.first_rule6_cells = state.cells_sent_total
@@ -148,7 +163,7 @@ def on_backward_rm(state: SourceState, params: SourceParams, rm: RmFields) -> No
     if not rm.bn:
         state.unacked_fwd_rm = 0
     wanted = min(state.acr + params.rif * params.pcr, rm.er)
-    state.acr = min(max(wanted, params.mcr), params.pcr)
+    _set_acr(state, min(max(wanted, params.mcr), params.pcr))
 
 
 def next_cell(state: SourceState, params: SourceParams, vc_id: str, now: SimTime) -> Cell:
@@ -166,13 +181,12 @@ def next_cell(state: SourceState, params: SourceParams, vc_id: str, now: SimTime
         state.unacked_fwd_rm += 1
         state.cells_since_rm = 0
     else:
-        cell = Cell(vc_id)
+        cell = state.data_cell
+        if cell is None:
+            cell = state.data_cell = Cell(vc_id)
         state.cells_since_rm += 1
     state.cells_sent_total += 1
-    if state.acr > 0:
-        state.next_departure = now + cell_tx_time(state.acr)
-    else:
-        state.next_departure = now + QUIESCENT_PROBE_GAP
+    state.next_departure = now + state.gap
     return cell
 
 

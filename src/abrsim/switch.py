@@ -16,16 +16,17 @@ Service is closed-form: a cell enqueued at ``now`` departs at
 ``tx_time`` apart, so the port keeps two integers, the period's first
 departure (``busy_from``) and ``last_departure``.  The backlog at ``now``
 is the cells departing ``>= now``; ``pop`` computes it without changing
-the port.  Intervals close lazily: each arrival or stamp first closes
-every interval whose deadline ``interval_start + interval_time_limit``
-is ``< now``.  A deadline equal to ``now`` is left open, so a cell
-arriving at that picosecond is counted in the interval and closes it, and
-a stamp at that picosecond sees the previous measurement.
+the port.  The port holds no cells: the engine keeps the cells it has
+served in per-VC delay lines.  Intervals close lazily: each arrival or
+stamp first closes every interval whose deadline
+``interval_start + interval_time_limit`` is ``< now``.  A deadline equal
+to ``now`` is left open, so a cell arriving at that picosecond is counted
+in the interval and closes it, and a stamp at that picosecond sees the
+previous measurement.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .protocol import Cell, Direction, RmFields
@@ -75,18 +76,14 @@ class PortState:
         params: SwitchParams,
     ):
         self.name = name
-        self.link_rate = link_rate
         self.prop_delay = prop_delay
         self.tx_time = cell_tx_time(link_rate)
-        self.target_utilization = params.target_utilization
+        self.target_rate: CellRate = params.target_utilization * link_rate
         self.interval_cell_limit = params.interval_cell_limit
         self.interval_time_limit = params.interval_time_limit
 
         self.busy_from: SimTime = -1  # -1 before the first cell: an idle port
         self.last_departure: SimTime = -1
-        # Served cells awaiting delivery at the next hop, as the engine's
-        # ``(time, seq, cell, i)`` delay-line entries; the engine fills it.
-        self.line: deque = deque()
 
         self.accum_cells = 0
         self.interval_start: SimTime = 0
@@ -96,18 +93,19 @@ class PortState:
 
         self.max_queue = 0
 
-    @property
-    def target_rate(self) -> CellRate:
-        return self.target_utilization * self.link_rate
-
     def enqueue(self, cell: Cell, now: SimTime) -> SimTime:
         """Account for an arriving cell, close the interval if due, and
         return the time the cell finishes transmission."""
-        self._close_due(now)
-        backlog = self.pop(now) + 1
-        departure = self.last_departure = max(now, self.last_departure) + self.tx_time
-        if backlog == 1:  # the port was idle: a busy period starts
-            self.busy_from = departure
+        if self.interval_start + self.interval_time_limit < now:
+            self._close_due(now)
+        tx = self.tx_time
+        if self.last_departure < now:  # the port was idle: a busy period starts
+            departure = self.busy_from = now + tx
+            backlog = 1
+        else:  # ``pop(now) + 1``, the arrival included
+            departure = self.last_departure + tx
+            backlog = (departure - max(now, self.busy_from)) // tx + 1
+        self.last_departure = departure
         if backlog > self.max_queue:
             self.max_queue = backlog
         self.accum_cells += 1
@@ -125,14 +123,14 @@ class PortState:
     def _close_due(self, now: SimTime) -> None:
         """Close every interval whose deadline passed before ``now``.
 
-        Only the first can hold arrivals; the rest are empty, keep the
+        Callers check first that the current deadline is ``< now``.  Only
+        the first interval can hold arrivals; the rest are empty, keep the
         measurement, and are skipped arithmetically.
         """
         limit = self.interval_time_limit
         deadline = self.interval_start + limit
-        if deadline < now:
-            self.end_interval(deadline)
-            self.interval_start += (now - 1 - deadline) // limit * limit
+        self.end_interval(deadline)
+        self.interval_start += (now - 1 - deadline) // limit * limit
 
     def end_interval(self, now: SimTime) -> Measurement | None:
         """Close the measurement interval; returns the measurement now in effect.
@@ -169,7 +167,8 @@ class PortState:
         """Lower (never raise) the explicit rate carried by a backward RM cell."""
         if rm.direction is not Direction.BACKWARD:
             raise ValueError("only backward RM cells are stamped")
-        self._close_due(now)
+        if self.interval_start + self.interval_time_limit < now:
+            self._close_due(now)
         er = self.compute_er(vc_id)
         if er < rm.er:
             rm.er = er

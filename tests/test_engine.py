@@ -12,9 +12,10 @@ from abrsim.engine import (
     Topology,
     VcSpec,
 )
-from abrsim.protocol import SourceParams
+from abrsim.protocol import Cell, Direction, RmFields, SourceParams
 from abrsim.scenario import bundled_config_text, parse_scenario, to_topology
 from abrsim.units import PS_PER_MS, cell_tx_time, mbps_to_cps, ms_to_ps, ps_to_ms, us_to_ps
+from test_random_scenarios import HORIZON_MS, scenario_text
 
 OC3 = mbps_to_cps(155.52)
 
@@ -225,7 +226,7 @@ def test_cell_missing_from_a_delay_line_fails_the_audit():
     eng = Engine(topo)
     eng.run_until(ms_to_ps(30))
     eng.audit()
-    line = eng.switches["sw1"].ports["sw2"].line
+    line = eng.vcs["fwd"].served[1]  # the cells sw1->sw2 has served
     del line[1]  # a cell of vc fwd already out on the satellite hop
     with pytest.raises(SimulationError, match="vc fwd"):
         eng.audit()
@@ -235,9 +236,100 @@ def test_line_head_out_of_step_with_the_heap_fails_the_audit():
     topo = to_topology(parse_scenario(bundled_config_text("fig3.cfg")))
     eng = Engine(topo)
     eng.run_until(ms_to_ps(30))
-    eng.switches["sw1"].ports["sw2"].line.popleft()  # the heap still holds this head
+    eng.vcs["fwd"].served[1].popleft()  # the heap still holds this head
     with pytest.raises(SimulationError, match="stale head"):
         eng.audit()
+
+
+@pytest.mark.parametrize("swap", ["foreign vc", "backward rm"])
+def test_wrong_cell_at_a_line_head_fails_the_audit(swap):
+    # The audit counts lines and checks only their heads: a head of
+    # another VC, or a backward RM cell heading a forward line, must fail
+    # it although every count and the heap still match.
+    topo = to_topology(parse_scenario(bundled_config_text("fig3.cfg")))
+    eng = Engine(topo)
+    eng.run_until(ms_to_ps(30))
+    eng.audit()
+    line = eng.vcs["fwd"].served[1]
+    time, seq, cell, i = line[0]
+    if swap == "foreign vc":
+        cell = Cell("rev")
+    else:
+        cell = Cell("fwd", RmFields(Direction.BACKWARD, False, OC3, OC3))
+    line[0] = (time, seq, cell, i)
+    with pytest.raises(SimulationError, match="vc fwd: the head of a forward delay line"):
+        eng.audit()
+
+
+def scan_lines(eng):
+    """``Engine.audit``'s report, by walking every delay-line entry.
+
+    The per-cell oracle for the audit, which counts lines: each cell is
+    charged to its own VC and direction, and a forward cell bound for
+    position ``i`` is queued at ``vc.ports[i - 1]`` while its departure
+    (delivery time minus the port's propagation delay) is after now.  The
+    backward counts and the ports' backlogs must hold too.
+    """
+    now = eng.now
+    queued = dict.fromkeys(eng.vcs, 0)
+    in_flight = dict.fromkeys(eng.vcs, 0)
+    in_flight_bwd = dict.fromkeys(eng.vcs, 0)
+    backlog = {}
+    for line in eng.lines:
+        for time, _seq, cell, i in line:
+            vc = eng.vcs[cell.vc_id]
+            rm = cell.rm
+            if rm is not None and rm.direction is Direction.BACKWARD:
+                in_flight_bwd[vc.vc_id] += 1
+                continue
+            port = vc.ports[i - 1]
+            if port is not None and time - port.prop_delay > now:
+                queued[vc.vc_id] += 1
+                backlog[port] = backlog.get(port, 0) + 1
+            else:
+                in_flight[vc.vc_id] += 1
+    for sw in eng.switches.values():
+        for port in sw.ports.values():
+            assert port.pop(now + 1) == backlog.get(port, 0)
+    for vc_id, vc in eng.vcs.items():
+        assert vc.turned == vc.bwd_delivered + in_flight_bwd[vc_id]
+    return {
+        vc_id: {
+            "emitted": vc.state.cells_sent_total,
+            "delivered": vc.delivered,
+            "queued": queued[vc_id],
+            "in_flight": in_flight[vc_id],
+        }
+        for vc_id, vc in eng.vcs.items()
+    }
+
+
+def test_audit_by_counting_matches_a_per_cell_scan_on_fig3_at_full_rate():
+    sc = parse_scenario(bundled_config_text("fig3.cfg"))
+    apply_override(sc, "crm", 6144)
+    eng = Engine(to_topology(sc))
+    reports = []
+    for t_ms in (1, 23, 150, 275.5, 290):  # deliveries at d1 start at 275.018 ms
+        eng.run_until(ms_to_ps(t_ms))
+        reports.append(eng.audit())
+        assert reports[-1] == scan_lines(eng)
+    assert any(r["fwd"]["queued"] for r in reports)
+    assert reports[-1]["fwd"]["in_flight"] > 50_000
+    assert eng.vcs["fwd"].turned > eng.vcs["fwd"].bwd_delivered
+
+
+@pytest.mark.parametrize("seed", [0, 6, 19, 20])  # each has zero-delay links
+def test_audit_by_counting_matches_a_per_cell_scan_at_every_event(seed):
+    text = scenario_text(seed)
+    assert "delay_us = 0\n" in text
+    eng = Engine(to_topology(parse_scenario(text)))
+    t_end = ms_to_ps(HORIZON_MS)
+    checks = 0
+    while eng._heap and eng._heap[0][0] <= t_end:
+        eng.run_until(eng._heap[0][0])
+        assert eng.audit() == scan_lines(eng)
+        checks += 1
+    assert checks > 500
 
 
 def test_heap_holds_line_heads_not_every_cell_in_flight():
@@ -336,7 +428,7 @@ def snapshot(eng):
     rec = eng.recorder
     ports = {
         p.name: (p.busy_from, p.last_departure, p.accum_cells, p.interval_start,
-                 sorted(p.active_vcs), p.ccr_table, p.measurement, p.max_queue, list(p.line))
+                 sorted(p.active_vcs), p.ccr_table, p.measurement, p.max_queue)
         for sw in eng.switches.values()
         for p in sw.ports.values()
     }

@@ -310,6 +310,32 @@ def test_feedback_restarts_a_quiescent_source():
     assert state.next_departure == now + cell_tx_time(state.acr)
 
 
+@pytest.mark.parametrize("cdf", [1 / 16, 1.0])
+def test_pacing_gap_follows_every_acr_write(cdf):
+    # Rule-6 cuts (with cdf = 1 down to zero, then at zero), BN=0 and BN=1
+    # feedback, feedback to zero and a restart: after each, the gap is the
+    # one ACR implies, and it spaces the next two departures.
+    params = make_params(cdf=cdf)
+    state = new_state(params)
+
+    def check():
+        for _ in range(2):
+            assert state.gap == (
+                cell_tx_time(state.acr) if state.acr > 0 else QUIESCENT_PROBE_GAP
+            )
+            now = state.next_departure
+            next_cell(state, params, "vc", now)
+            assert state.next_departure - now == state.gap
+
+    for _ in range(600):
+        check()
+    assert state.rule6_count >= 5 and (state.acr == 0) == (cdf == 1.0)
+    for er_mbps, bn in ((140, False), (20, True), (0, True), (80, False), (155.52, False)):
+        on_backward_rm(state, params, bwd(er_mbps, bn))
+        check()
+    assert state.acr == PCR
+
+
 # -- turnaround ---------------------------------------------------------------
 
 

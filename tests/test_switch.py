@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -326,6 +327,27 @@ def test_closed_form_backlog_matches_a_list_of_departures(seed):
         assert port.enqueue(data_cell(), now) == departures[-1]
         assert port.pop(now) == backlog
         assert port.max_queue == max_queue
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_closed_form_enqueue_matches_a_literal_fifo(seed):
+    # A literal FIFO: a deque of the departure times of the cells still
+    # in the port; a cell leaves it once its departure is before now.
+    # Arrivals tie exactly, keep the port busy, or find it idle.
+    rng = random.Random(seed)
+    port = make_port()
+    tx = port.tx_time
+    fifo: deque[int] = deque()
+    max_queue = now = 0
+    for _ in range(500):
+        now += rng.choice((0, 0, 1, tx // 2, tx, 2 * tx, 40 * tx))
+        while fifo and fifo[0] < now:
+            fifo.popleft()
+        fifo.append((fifo[-1] if fifo else now) + tx)
+        max_queue = max(max_queue, len(fifo))
+        assert port.enqueue(data_cell(), now) == fifo[-1]
+        assert port.max_queue == max_queue
+        assert port.pop(now) == len(fifo)
 
 
 def test_port_rejects_bad_parameters():
