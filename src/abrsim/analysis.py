@@ -38,8 +38,10 @@ class PathSpec:
     def __post_init__(self):
         if self.rtt < 0:
             raise ValueError(f"rtt must be >= 0, got {self.rtt}")
-        if self.link_rate <= 0:
-            raise ValueError(f"link_rate must be > 0, got {self.link_rate}")
+        if not 0 < self.link_rate < math.inf:
+            raise ValueError(f"link_rate must be > 0 and finite, got {self.link_rate}")
+        if ps_to_s(self.rtt) * self.link_rate == math.inf:
+            raise ValueError("the cell count overflows: the round trip is too long at this rate")
         if self.nrm < 1 or self.hops < 1:
             raise ValueError(f"nrm and hops must be >= 1, got {self.nrm}, {self.hops}")
 

@@ -100,8 +100,8 @@ def _write_outputs(result: RunResult, overrides: dict[str, str]) -> None:
     rec = result.recorder
     for vc_id, trace in rec.acr.items():
         _write_csv(out / f"acr_{vc_id}.csv", zip(trace.times, map(cps_to_mbps, trace.values)))
-    for vc_id, trace in rec.recv.items():  # the n-th delivery brings the count to n
-        _write_csv(out / f"recv_{vc_id}.csv", zip(trace.times, count(1)), _COUNT_ROW)
+    for vc_id, times in rec.recv.items():  # the n-th delivery brings the count to n
+        _write_csv(out / f"recv_{vc_id}.csv", zip(times, count(1)), _COUNT_ROW)
     for sw, samples in rec.queues.items():
         _write_csv(out / f"queues_{sw}.csv", samples, _COUNT_ROW)
 
@@ -334,26 +334,36 @@ def cmd_analyze(args) -> int:
 
 
 def non_negative(text: str) -> float:
-    """Type of every float flag: a finite number, at least 0."""
+    """Type of a float flag: a finite number, at least 0."""
     value = float(text)
     if not 0 <= value < float("inf"):
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return value
 
 
-def milliseconds(text: str) -> float:
-    """Type of a time flag: ``non_negative`` and within the picosecond clock."""
+def _converts(convert, text: str) -> float:
+    """``non_negative``, and a value the unit conversion ``convert`` accepts."""
     value = non_negative(text)
     try:
-        ms_to_ps(value)
+        convert(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
+def milliseconds(text: str) -> float:
+    """Type of a time flag: ``non_negative`` and within the picosecond clock."""
+    return _converts(ms_to_ps, text)
+
+
+def mbps(text: str) -> float:
+    """Type of a rate flag: ``non_negative`` and finite in cells/s."""
+    return _converts(mbps_to_cps, text)
+
+
 def positive(text: str) -> float:
-    """Type of a link-rate or forward-rate flag: ``non_negative`` and not 0."""
-    value = non_negative(text)
+    """Type of a link-rate or forward-rate flag: ``mbps`` and not 0."""
+    value = mbps(text)
     if value == 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
     return value
@@ -407,13 +417,13 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--nrm", type=positive_int, default=32)
     mc.add_argument("--hops", type=positive_int, default=1)
     dec = tool.add_parser("decay", help="rate left after consecutive cutoff cuts")
-    dec.add_argument("--icr-mbps", type=non_negative, required=True, dest="icr_mbps")
+    dec.add_argument("--icr-mbps", type=mbps, required=True, dest="icr_mbps")
     dec.add_argument("--cdf", required=True)
-    dec.add_argument("--mcr-mbps", type=non_negative, default=0.0, dest="mcr_mbps")
+    dec.add_argument("--mcr-mbps", type=mbps, default=0.0, dest="mcr_mbps")
     dec.add_argument("--k", type=non_negative_int, default=0)
     trig = tool.add_parser("trigger", help="does the cutoff trigger at these RM rates")
     trig.add_argument("--fwd-mbps", type=positive, required=True, dest="fwd_mbps")
-    trig.add_argument("--bwd-mbps", type=non_negative, required=True, dest="bwd_mbps")
+    trig.add_argument("--bwd-mbps", type=mbps, required=True, dest="bwd_mbps")
     trig.add_argument("--crm", type=positive_int, required=True)
     fl = tool.add_parser("flight", help="cells in flight over a round trip")
     fl.add_argument("--rtt-ms", type=milliseconds, required=True, dest="rtt_ms")

@@ -65,7 +65,7 @@ from . import protocol
 from .metrics import Recorder
 from .protocol import Cell, Direction, SourceParams
 from .switch import PortState, SwitchParams
-from .units import CELL_BITS, CellRate, SimTime, PS_PER_MS, PS_PER_US, cell_tx_time
+from .units import CellRate, SimTime, PS_PER_MS, PS_PER_US, cell_tx_time
 
 
 class ConfigError(Exception):
@@ -80,13 +80,11 @@ class SimulationError(Exception):
 class LinkSpec:
     """One link's parameters; errors use the scenario key names."""
 
-    name: str
     rate: CellRate  # cells/s
     prop_delay: SimTime  # one-way propagation, ps
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError(f"rate_mbps must be > 0, got {self.rate * CELL_BITS / 1e6:g}")
+        cell_tx_time(self.rate, "rate_mbps")
         if self.prop_delay < 0:
             raise ValueError(f"delay_us must be >= 0, got {self.prop_delay / PS_PER_US:g}")
 
@@ -207,7 +205,6 @@ class Engine:
         self.now: SimTime = 0
         self._heap: list = []
         self._seq = 0
-        self._ticks = 0
         self.events_processed = 0
 
         topology.validate()  # hand-built topologies skip ``to_topology``
@@ -336,8 +333,7 @@ class Engine:
             else:  # TICK: sample every switch's backlog, audit now and then
                 for sw in self.switches.values():
                     recorder.queue_sample(sw.name, now, sum(p.pop(now) for p in sw.ports.values()))
-                self._ticks += 1
-                if self._ticks % _AUDIT_EVERY_TICKS == 0:
+                if now // _TICK_INTERVAL % _AUDIT_EVERY_TICKS == 0:  # TICKs fall on the grid
                     self.audit()
                 self._seq += 1
                 heapreplace(heap, (now + _TICK_INTERVAL, self._seq, _TICK, None))

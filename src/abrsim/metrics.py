@@ -1,8 +1,9 @@
 """Run recording and derived measurements.
 
 The recorder keeps, per VC, the allowed-cell-rate trajectory (sampled on
-change) and the time of every cell delivered to the destination; the
-cumulative count at ``t`` is the number of deliveries at or before ``t``.
+change) and the time of every cell delivered to the destination, in order
+in an ``array("q")``; the n-th delivery brings the cumulative count to n,
+so the count at ``t`` is the number of deliveries at or before ``t``.
 Throughput over a window is the delivered cell count difference times the
 cell size over the window length.
 """
@@ -33,31 +34,12 @@ class StepTrace:
         i = bisect_right(self.times, t)
         return self.values[i - 1] if i else self.initial
 
-    def __len__(self) -> int:
-        return len(self.times)
 
-
-class RecvTrace:
-    """Delivery times in order; the n-th delivery brings the count to n."""
-
-    def __init__(self):
-        self.times = array("q")
-
-    def add(self, t: SimTime) -> None:
-        self.times.append(t)
-
-    def count_at(self, t: SimTime) -> int:
-        return bisect_right(self.times, t)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-
-def throughput(trace: RecvTrace, t0: SimTime, t1: SimTime) -> float:
-    """Average delivered rate over [t0, t1], in Mbps."""
+def throughput(times: array, t0: SimTime, t1: SimTime) -> float:
+    """Average delivered rate over [t0, t1], in Mbps, from sorted delivery times."""
     if t1 <= t0:
         raise ValueError(f"need t0 < t1, got {t0} >= {t1}")
-    cells = trace.count_at(t1) - trace.count_at(t0)
+    cells = bisect_right(times, t1) - bisect_right(times, t0)
     return cells * CELL_BITS / ps_to_s(t1 - t0) / 1e6
 
 
@@ -91,7 +73,7 @@ class Recorder:
 
     def __init__(self):
         self.acr: dict[str, StepTrace] = {}
-        self.recv: dict[str, RecvTrace] = {}
+        self.recv: dict[str, array] = {}  # delivery times, "q" (int64) arrays
         self.queues: dict[str, list[tuple[SimTime, int]]] = {}
         self.first_backward: dict[str, SimTime] = {}
         self.deviations: list[str] = []
@@ -99,7 +81,7 @@ class Recorder:
 
     def start_vc(self, vc_id: str, icr: CellRate) -> None:
         self.acr[vc_id] = StepTrace(icr)
-        self.recv[vc_id] = RecvTrace()
+        self.recv[vc_id] = array("q")
 
     def start_switch(self, name: str) -> None:
         self.queues[name] = []
@@ -108,7 +90,7 @@ class Recorder:
         self.acr[vc_id].add(t, acr)
 
     def delivery(self, vc_id: str, t: SimTime) -> None:
-        self.recv[vc_id].add(t)
+        self.recv[vc_id].append(t)
 
     def queue_sample(self, switch: str, t: SimTime, total: int) -> None:
         self.queues[switch].append((t, total))

@@ -55,10 +55,6 @@ class Cell:
     vc_id: str
     rm: RmFields | None = None
 
-    @property
-    def is_rm(self) -> bool:
-        return self.rm is not None
-
 
 @dataclass(frozen=True)
 class SourceParams:
@@ -84,8 +80,10 @@ class SourceParams:
             raise ValueError(
                 f"need 0 <= mcr <= icr <= pcr, got mcr={mcr} icr={icr} pcr={pcr} Mbps"
             )
-        if self.pcr <= 0:
-            raise ValueError("pcr must be > 0")
+        cell_tx_time(self.pcr, "pcr_mbps")
+        for rate, key in ((self.icr, "icr_mbps"), (self.mcr, "mcr_mbps")):
+            if rate > 0:  # 0 is allowed (the source probes); any other rate is timed
+                cell_tx_time(rate, key)
         if self.nrm < 1:
             raise ValueError(f"nrm must be >= 1, got {self.nrm}")
         if not 0.0 < self.rif <= 1.0:
@@ -124,7 +122,7 @@ class SourceState:
 def _set_acr(state: SourceState, acr: CellRate) -> None:
     """The one writer of ACR, and of the pacing gap it implies."""
     state.acr = acr
-    state.gap = cell_tx_time(acr) if acr > 0 else QUIESCENT_PROBE_GAP
+    state.gap = cell_tx_time(acr, "acr") if acr > 0 else QUIESCENT_PROBE_GAP
 
 
 def new_state(params: SourceParams) -> SourceState:

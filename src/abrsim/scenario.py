@@ -24,6 +24,7 @@ from dataclasses import Field, dataclass, field, fields, replace
 from .analysis import crm_from_tbe
 from .engine import LinkSpec, SwitchParams, Topology, VcSpec
 from .protocol import SourceParams
+from .switch import INTERVAL_RULE
 from .units import mbps_to_cps, ms_to_ps, us_to_ps
 
 
@@ -93,10 +94,13 @@ class SwitchCfg:
     interval_us: float = 20.0
 
     def to_params(self) -> SwitchParams:
+        limit = _converted(self, "interval_us", us_to_ps)
+        if limit < 1:  # ``SwitchParams`` would quote the value rounded to the clock
+            raise ValueError(f"{INTERVAL_RULE}, got {self.interval_us:g}")
         return SwitchParams(
             target_utilization=self.target_utilization,
             interval_cell_limit=self.interval_cells,
-            interval_time_limit=_converted(self, "interval_us", us_to_ps),
+            interval_time_limit=limit,
         )
 
 
@@ -363,7 +367,6 @@ def to_topology(scenario: Scenario) -> Topology:
     for name, cfg in scenario.links.items():
         with error_context(f"link {name}"):
             spec = LinkSpec(
-                name,
                 rate=_converted(cfg, "rate_mbps"),
                 prop_delay=_converted(cfg, "delay_us", us_to_ps),
             )

@@ -3,13 +3,16 @@
 Each output port owns an unbounded FIFO served at link rate (work
 conserving, no loss) and measures its own input over short intervals: an
 interval ends after a fixed cell count or a fixed time, whichever comes
-first.  From the latest measurement the port offers each VC an explicit
-rate: the larger of the equal split of the target rate and the VC's own
-rate normalized by the load factor, never above the target rate.  The
+first.  Closing an interval that holds arrivals sets the port's two
+terms: the fair share, the target rate split equally over the VCs seen,
+and the load factor, the input rate over the target rate.  The port
+offers each VC ``min(max(fair_share, ccr / load_factor), target)``, where
+``ccr`` is the rate the VC last carried in a forward RM cell.  The
 running minimum of those offers is stamped into backward RM cells.
 
-An interval in which nothing arrived keeps the previous measurement; with
-no measurement at all the port offers the target rate.
+An interval in which nothing arrived keeps the previous terms.  Before
+the first such interval the fair share is the target rate and the load
+factor is infinite, so the port offers the target rate.
 
 Service is closed-form: a cell enqueued at ``now`` departs at
 ``max(now, last_departure) + tx_time``.  Departures in one busy period are
@@ -22,15 +25,19 @@ stamp first closes every interval whose deadline
 ``interval_start + interval_time_limit`` is ``< now``.  A deadline equal
 to ``now`` is left open, so a cell arriving at that picosecond is counted
 in the interval and closes it, and a stamp at that picosecond sees the
-previous measurement.
+previous terms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .protocol import Cell, Direction, RmFields
 from .units import CellRate, SimTime, PS_PER_SEC, PS_PER_US, cell_tx_time
+
+
+INTERVAL_RULE = "interval_us must be at least 1e-06 (1 ps)"
 
 
 @dataclass(frozen=True)
@@ -49,16 +56,7 @@ class SwitchParams:
         if self.interval_cell_limit < 1:
             raise ValueError(f"interval_cells must be >= 1, got {self.interval_cell_limit}")
         if self.interval_time_limit < 1:
-            raise ValueError(
-                f"interval_us must be > 0, got {self.interval_time_limit / PS_PER_US}"
-            )
-
-
-@dataclass(frozen=True)
-class Measurement:
-    input_rate: CellRate  # cells/s arrived over the interval
-    num_active: int  # distinct VCs seen in the interval
-    load_factor: float  # input_rate / target rate
+            raise ValueError(f"{INTERVAL_RULE}, got {self.interval_time_limit / PS_PER_US:g}")
 
 
 class PortState:
@@ -89,7 +87,8 @@ class PortState:
         self.interval_start: SimTime = 0
         self.active_vcs: set[str] = set()
         self.ccr_table: dict[str, CellRate] = {}
-        self.measurement: Measurement | None = None
+        self.fair_share: CellRate = self.target_rate
+        self.load_factor = math.inf
 
         self.max_queue = 0
 
@@ -125,43 +124,32 @@ class PortState:
 
         Callers check first that the current deadline is ``< now``.  Only
         the first interval can hold arrivals; the rest are empty, keep the
-        measurement, and are skipped arithmetically.
+        terms, and are skipped arithmetically.
         """
         limit = self.interval_time_limit
         deadline = self.interval_start + limit
         self.end_interval(deadline)
         self.interval_start += (now - 1 - deadline) // limit * limit
 
-    def end_interval(self, now: SimTime) -> Measurement | None:
-        """Close the measurement interval; returns the measurement now in effect.
+    def end_interval(self, now: SimTime) -> None:
+        """Close the measurement interval at ``now``.
 
-        Empty and zero-length intervals retain the previous measurement so
-        that a silent source does not wipe out the feedback basis.
+        Empty and zero-length intervals keep the previous terms, so that a
+        silent source does not wipe out the feedback basis.
         """
         duration = now - self.interval_start
         if duration > 0:
             if self.accum_cells > 0:
-                input_rate = self.accum_cells * PS_PER_SEC / duration
-                self.measurement = Measurement(
-                    input_rate=input_rate,
-                    num_active=len(self.active_vcs),
-                    load_factor=input_rate / self.target_rate,
-                )
+                self.fair_share = self.target_rate / len(self.active_vcs)
+                self.load_factor = self.accum_cells * PS_PER_SEC / duration / self.target_rate
             self.interval_start = now
         self.accum_cells = 0
         self.active_vcs.clear()
-        return self.measurement
 
     def compute_er(self, vc_id: str) -> CellRate:
-        """Explicit rate offered to ``vc_id`` from the latest measurement."""
-        m = self.measurement
-        target = self.target_rate
-        if m is None or m.num_active < 1:
-            return target
-        fair_share = target / m.num_active
-        ccr = self.ccr_table.get(vc_id, 0.0)
-        vc_share = ccr / m.load_factor if m.load_factor > 0 else 0.0
-        return min(max(fair_share, vc_share), target)
+        """Explicit rate offered to ``vc_id`` from the last non-empty interval."""
+        vc_share = self.ccr_table.get(vc_id, 0.0) / self.load_factor
+        return min(max(self.fair_share, vc_share), self.target_rate)
 
     def stamp_backward(self, rm: RmFields, vc_id: str, now: SimTime) -> None:
         """Lower (never raise) the explicit rate carried by a backward RM cell."""

@@ -25,10 +25,13 @@ PS_PER_SEC = 10**12
 
 
 def mbps_to_cps(rate_mbps: float) -> CellRate:
-    """Convert a line rate in Mbps to cells per second."""
+    """Convert a line rate in Mbps to cells per second, which must be finite."""
     if rate_mbps < 0:
         raise ValueError(f"rate must be >= 0 Mbps, got {rate_mbps}")
-    return rate_mbps * 1e6 / CELL_BITS
+    rate = rate_mbps * 1e6 / CELL_BITS
+    if rate == math.inf:
+        raise ValueError(f"rate must be finite in cells/s, got {rate_mbps:g} Mbps")
+    return rate
 
 
 def cps_to_mbps(rate: CellRate) -> float:
@@ -38,11 +41,20 @@ def cps_to_mbps(rate: CellRate) -> float:
     return rate * CELL_BITS / 1e6
 
 
-def cell_tx_time(link_rate: CellRate) -> SimTime:
-    """Serialization time of one cell at ``link_rate``, in picoseconds."""
-    if link_rate <= 0:
-        raise ValueError(f"link rate must be > 0 cells/s, got {link_rate}")
-    return round(PS_PER_SEC / link_rate)
+def cell_tx_time(rate: CellRate, key: str = "rate") -> SimTime:
+    """Serialization time of one cell at ``rate`` cells/s, in picoseconds.
+
+    The one rule for every rate: its cell time must be finite and, once
+    rounded to the clock, at least 1 ps.  An error names ``key`` and
+    quotes the rate in Mbps.
+    """
+    ps = PS_PER_SEC / rate if rate > 0 else 0.0
+    if 0.5 < ps < math.inf:  # ``round`` gives at least 1
+        return round(ps)
+    rule = "give a cell time of at least 1 ps that fits the picosecond clock"
+    if not rate > 0:
+        rule = "be > 0"
+    raise ValueError(f"{key} must {rule}, got {rate * CELL_BITS / 1e6:g} Mbps")
 
 
 def _to_ps(value: float, ps_per_unit: int, unit: str) -> SimTime:

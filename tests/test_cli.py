@@ -476,3 +476,53 @@ def test_analyze_rejects_what_a_run_rejects(capsys, argv, message):
         code = exc.code
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+# A second source shares sw1's egress link b with s1.
+SHARED = TINY.replace("[run]", "[link.c]\nfrom = s2\nto = sw1\n\n[vc.second]\npath = s2, sw1, d1\n\n[run]")
+CELL_TIME = "must give a cell time of at least 1 ps that fits the picosecond clock"
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("delay_us = 5\n", "delay_us = 5\nrate_mbps = 1e-300\n", f"link a: rate_mbps {CELL_TIME}"),
+        ("crm = 32\n", "crm = 32\npcr_mbps = 1e-300\n", f"source s1: pcr_mbps {CELL_TIME}"),
+        ("to = d1\n", "to = d1\nrate_mbps = 1e9\n", f"link b: rate_mbps {CELL_TIME}, got 1e+09"),
+        ("crm = 32\n", "crm = 32\npcr_mbps = 1e9\ncdf = 0\n", f"source s1: pcr_mbps {CELL_TIME}"),
+        ("crm = 32\n", "crm = 32\nicr_mbps = 1e-300\n", f"source s1: icr_mbps {CELL_TIME}"),
+        ("crm = 32\n", "crm = 32\nmcr_mbps = 1e-300\n", f"source s1: mcr_mbps {CELL_TIME}"),
+    ],
+    ids=["link-rate-tiny", "pcr-tiny", "shared-link-rate-huge", "pcr-huge-cdf-0", "icr-tiny",
+         "mcr-tiny"],
+)
+def test_a_rate_must_give_a_cell_time_on_the_clock(tmp_path, capsys, old, new, message):
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text(SHARED.replace(old, new, 1), encoding="utf-8")
+    assert main(["run", str(cfg), "--until-ms", "1", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert f"error: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["flight", "--rtt-ms", "1e290", "--mbps", "1e100"], "error: the cell count overflows"),
+        (
+            ["min-crm", "--rtt-ms", "550", "--mbps", "1e308"],
+            "argument --mbps: rate must be finite in cells/s, got 1e+308 Mbps\n",
+        ),
+    ],
+    ids=["flight-cells-overflow", "min-crm-rate-overflow"],
+)
+def test_analyze_rejects_what_is_not_finite(capsys, argv, message):
+    try:
+        code = main(["analyze", *argv])
+    except SystemExit as exc:  # argparse rejects the flag
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
+    assert message in captured.err

@@ -28,12 +28,8 @@ def table_params(**kw):
     return SourceParams(**defaults)
 
 
-def lan(name):
-    return LinkSpec(name=name, rate=OC3, prop_delay=us_to_ps(5))
-
-
-def satellite(name):
-    return LinkSpec(name=name, rate=OC3, prop_delay=ms_to_ps(275))
+LAN = LinkSpec(rate=OC3, prop_delay=us_to_ps(5))
+SATELLITE = LinkSpec(rate=OC3, prop_delay=ms_to_ps(275))
 
 
 def one_source_topology(**source_kw):
@@ -42,9 +38,9 @@ def one_source_topology(**source_kw):
     topo.source_params["s1"] = table_params(**source_kw)
     topo.switch_params["sw1"] = SwitchParams()
     topo.switch_params["sw2"] = SwitchParams()
-    topo.add_duplex_link("s1", "sw1", lan("lan_a"))
-    topo.add_duplex_link("sw1", "sw2", satellite("sat"))
-    topo.add_duplex_link("sw2", "d1", lan("lan_b"))
+    topo.add_duplex_link("s1", "sw1", LAN)
+    topo.add_duplex_link("sw1", "sw2", SATELLITE)
+    topo.add_duplex_link("sw2", "d1", LAN)
     topo.vcs = (VcSpec("fwd", ("s1", "sw1", "sw2", "d1")),)
     return topo
 
@@ -92,8 +88,8 @@ def test_switch_endpoint_is_rejected():
 
 def test_intermediate_node_must_be_a_switch():
     topo = one_source_topology()
-    topo.add_duplex_link("sw1", "d9", lan("lan_x"))
-    topo.add_duplex_link("d9", "sw2", lan("lan_y"))
+    topo.add_duplex_link("sw1", "d9", LAN)
+    topo.add_duplex_link("d9", "sw2", LAN)
     topo.vcs = (VcSpec("fwd", ("s1", "sw1", "d9", "sw2", "d1")),)
     with pytest.raises(ConfigError):
         Engine(topo)
@@ -102,7 +98,7 @@ def test_intermediate_node_must_be_a_switch():
 def test_duplicate_link_is_rejected():
     topo = one_source_topology()
     with pytest.raises(ConfigError):
-        topo.add_duplex_link("sw1", "s1", lan("again"))
+        topo.add_duplex_link("sw1", "s1", LAN)
 
 
 # -- timing ------------------------------------------------------------------
@@ -123,7 +119,7 @@ def test_first_delivery_time_is_propagation_plus_three_serializations():
     eng.run_until(ms_to_ps(276))
     tx = cell_tx_time(OC3)
     expected = 3 * tx + us_to_ps(5) + ms_to_ps(275) + us_to_ps(5)
-    assert rec.recv["fwd"].times[0] == expected
+    assert rec.recv["fwd"][0] == expected
 
 
 def test_first_feedback_arrives_after_one_round_trip():
@@ -142,17 +138,17 @@ def test_two_satellite_hops_double_the_delay():
     topo.source_params["s1"] = table_params()
     for name in ("sw1", "sw2", "sw3"):
         topo.switch_params[name] = SwitchParams()
-    topo.add_duplex_link("s1", "sw1", lan("lan_a"))
-    topo.add_duplex_link("sw1", "sw2", satellite("sat1"))
-    topo.add_duplex_link("sw2", "sw3", satellite("sat2"))
-    topo.add_duplex_link("sw3", "d1", lan("lan_b"))
+    topo.add_duplex_link("s1", "sw1", LAN)
+    topo.add_duplex_link("sw1", "sw2", SATELLITE)
+    topo.add_duplex_link("sw2", "sw3", SATELLITE)
+    topo.add_duplex_link("sw3", "d1", LAN)
     topo.vcs = (VcSpec("fwd", ("s1", "sw1", "sw2", "sw3", "d1")),)
     eng = Engine(topo)
     rec = eng.recorder
     eng.run_until(ms_to_ps(551))
     tx = cell_tx_time(OC3)
     expected = 4 * tx + 2 * us_to_ps(5) + 2 * ms_to_ps(275)
-    assert rec.recv["fwd"].times[0] == expected
+    assert rec.recv["fwd"][0] == expected
 
 
 def test_run_until_rejects_going_backwards():
@@ -362,7 +358,7 @@ def test_identical_runs_produce_identical_traces():
     for vc in rec_a.acr:
         assert rec_a.acr[vc].times == rec_b.acr[vc].times
         assert rec_a.acr[vc].values == rec_b.acr[vc].values
-        assert rec_a.recv[vc].times == rec_b.recv[vc].times
+        assert rec_a.recv[vc] == rec_b.recv[vc]
     assert rec_a.queues == rec_b.queues
 
 
@@ -428,7 +424,8 @@ def snapshot(eng):
     rec = eng.recorder
     ports = {
         p.name: (p.busy_from, p.last_departure, p.accum_cells, p.interval_start,
-                 sorted(p.active_vcs), p.ccr_table, p.measurement, p.max_queue)
+                 sorted(p.active_vcs), p.ccr_table, p.fair_share, p.load_factor,
+                 p.max_queue)
         for sw in eng.switches.values()
         for p in sw.ports.values()
     }
@@ -440,7 +437,7 @@ def snapshot(eng):
         "events": eng.events_processed,
         "now": eng.now,
         "acr": {vc: (tr.times, tr.values) for vc, tr in rec.acr.items()},
-        "recv": {vc: list(tr.times) for vc, tr in rec.recv.items()},
+        "recv": {vc: list(times) for vc, times in rec.recv.items()},
         "queues": rec.queues,
         "first_backward": rec.first_backward,
         "deviations": rec.deviations,

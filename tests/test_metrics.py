@@ -1,20 +1,20 @@
 import random
+from array import array
 
 import pytest
 
-from abrsim.metrics import RecvTrace, StepTrace, oscillation_count, throughput
+from abrsim.metrics import StepTrace, oscillation_count, throughput
 from abrsim.units import CELL_BITS, PS_PER_MS, mbps_to_cps
 
 
 def make_recv(samples):
-    """A trace from (time, cumulative count) samples: one delivery per count step."""
-    trace = RecvTrace()
+    """Delivery times from (time, cumulative count) samples: one per count step."""
+    times = array("q")
     count = 0
     for t, cumulative in samples:
-        for _ in range(cumulative - count):
-            trace.add(t)
+        times.extend([t] * (cumulative - count))
         count = cumulative
-    return trace
+    return times
 
 
 # -- throughput ----------------------------------------------------------------
@@ -57,11 +57,11 @@ def test_time_weighted_window_throughputs_compose():
     # conservation implies the mean of adjacent windows weighted by their
     # lengths equals the whole-window number
     rng = random.Random(11)
-    trace = RecvTrace()
+    trace = array("q")
     t = 0
     for _ in range(5000):
         t += rng.randint(1, 10**9)
-        trace.add(t)
+        trace.append(t)
     edges = sorted(rng.sample(range(1, t), 7))
     cuts = [0] + edges + [t]
     whole = throughput(trace, 0, t)

@@ -185,16 +185,16 @@ def test_one_rm_cell_per_nrm_cells():
     params = make_params()
     state = new_state(params)
     cells = drive(state, params, 32)
-    assert sum(c.is_rm for c in cells) == 1
-    assert sum(not c.is_rm for c in cells) == 31
-    assert cells[0].is_rm  # the first cell on the wire is an RM cell
+    assert sum(c.rm is not None for c in cells) == 1
+    assert sum(c.rm is None for c in cells) == 31
+    assert cells[0].rm is not None  # the first cell on the wire is an RM cell
 
 
 def test_exactly_nrm_minus_one_data_cells_between_rm_cells():
     params = make_params()
     state = new_state(params)
     cells = drive(state, params, 32 * 40)
-    rm_positions = [i for i, c in enumerate(cells) if c.is_rm]
+    rm_positions = [i for i, c in enumerate(cells) if c.rm is not None]
     gaps = [b - a for a, b in zip(rm_positions, rm_positions[1:])]
     assert all(g == 32 for g in gaps)
 
@@ -221,7 +221,7 @@ def test_rm_cells_carry_current_rate_and_peak_er():
     params = make_params()
     state = new_state(params)
     cells = drive(state, params, 1024 + 32 * 3 + 1)
-    rms = [c for c in cells if c.is_rm]
+    rms = [c for c in cells if c.rm is not None]
     for rm_cell in rms:
         assert rm_cell.rm.direction is Direction.FORWARD
         assert rm_cell.rm.bn is False
@@ -234,7 +234,7 @@ def test_no_feedback_decay_matches_analysis_oracle_exactly():
     params = make_params()
     state = new_state(params)
     cells = drive(state, params, 1024 + 32 * 60)
-    rms = [c for c in cells if c.is_rm]
+    rms = [c for c in cells if c.rm is not None]
     for k in range(50):
         expected = decay_after(params.icr, params.cdf, params.mcr, k)
         assert rms[params.crm + k].rm.ccr == expected
@@ -269,7 +269,7 @@ def test_unacked_counter_matches_trace_replay():
     for _ in range(20000):
         if rng.random() < 0.9:
             cell = next_cell(state, params, "vc", state.next_departure)
-            if cell.is_rm:
+            if cell.rm is not None:
                 rm_emitted += 1
         else:
             bn = rng.random() < 0.2
@@ -290,11 +290,21 @@ def test_cdf_one_decays_to_quiescent_probing():
     drive(state, params, 1024)
     t0 = state.next_departure
     probe = next_cell(state, params, "vc", t0)  # cut to zero fires here
-    assert probe.is_rm
+    assert probe.rm is not None
     assert state.acr == 0.0
     assert state.next_departure == t0 + QUIESCENT_PROBE_GAP
     probe2 = next_cell(state, params, "vc", state.next_departure)
-    assert probe2.is_rm and probe2.rm.ccr == 0.0
+    assert probe2.rm.ccr == 0.0
+
+
+def test_decay_past_the_clock_is_an_error_that_names_acr():
+    # mcr = 0 and cdf = 1/2: each cut halves ACR, and after about 1,000
+    # cuts the pacing gap no longer fits the picosecond clock
+    params = make_params(cdf=1 / 2)
+    state = new_state(params)
+    with pytest.raises(ValueError, match="^acr must give a cell time of at least 1 ps"):
+        drive(state, params, 32 * 2000)
+    assert 900 < state.rule6_count < 1100
 
 
 def test_feedback_restarts_a_quiescent_source():

@@ -235,7 +235,8 @@ def test_source_errors_name_the_source_and_the_key(body, pattern):
     [
         ("target_utilization = 2", r"switch sw1: target_utilization must be in \(0, 1\], got 2"),
         ("interval_cells = 0", r"switch sw1: interval_cells must be >= 1, got 0"),
-        ("interval_us = -1", r"switch sw1: interval_us must be > 0, got -1"),
+        ("interval_us = -1", r"switch sw1: interval_us must be at least 1e-06 \(1 ps\), got -1$"),
+        ("interval_us = 1e-7", r"switch sw1: interval_us must be at least 1e-06 \(1 ps\), got 1e-07$"),
         ("interval_us = 1e303", r"switch sw1: interval_us: must fit the picosecond clock"),
     ],
 )

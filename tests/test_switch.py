@@ -1,10 +1,11 @@
+import math
 import random
 from collections import deque
 
 import pytest
 
 from abrsim.protocol import Cell, Direction, RmFields
-from abrsim.switch import Measurement, PortState, SwitchParams
+from abrsim.switch import PortState, SwitchParams
 from abrsim.units import PS_PER_SEC, mbps_to_cps, us_to_ps
 
 OC3 = mbps_to_cps(155.52)
@@ -62,11 +63,11 @@ def test_thirtieth_cell_closes_interval():
     for i in range(29):
         port.enqueue(data_cell(), now=i + 1)
     assert port.accum_cells == 29
-    assert port.measurement is None
+    assert port.load_factor == math.inf  # nothing measured yet
     port.enqueue(data_cell(), now=30)
     assert port.accum_cells == 0  # reset by the close
     assert port.interval_start == 30
-    assert port.measurement.input_rate == 30 * PS_PER_SEC / 30
+    assert port.load_factor == 30 * PS_PER_SEC / 30 / TARGET
 
 
 def test_elapsed_time_closes_interval_on_enqueue():
@@ -74,7 +75,7 @@ def test_elapsed_time_closes_interval_on_enqueue():
     port.enqueue(data_cell(), now=us_to_ps(20))
     assert port.accum_cells == 0
     assert port.interval_start == us_to_ps(20)
-    assert port.measurement.input_rate == pytest.approx(5e4, rel=1e-12)
+    assert port.load_factor * TARGET == pytest.approx(5e4, rel=1e-12)
 
 
 def test_enqueue_before_both_limits_keeps_interval_open():
@@ -82,7 +83,7 @@ def test_enqueue_before_both_limits_keeps_interval_open():
     port.enqueue(data_cell(), now=us_to_ps(19))
     assert port.accum_cells == 1
     assert port.interval_start == 0
-    assert port.measurement is None
+    assert (port.fair_share, port.load_factor) == (TARGET, math.inf)
 
 
 def test_arrival_after_idle_intervals_closes_the_first_at_its_deadline():
@@ -93,9 +94,8 @@ def test_arrival_after_idle_intervals_closes_the_first_at_its_deadline():
     for i in range(5):
         port.enqueue(data_cell(), now=i + 1)
     port.enqueue(data_cell("late"), now=us_to_ps(107))
-    m = port.measurement
-    assert m.input_rate == pytest.approx(5 / 20e-6, rel=1e-12)
-    assert m.num_active == 1
+    assert port.load_factor * TARGET == pytest.approx(5 / 20e-6, rel=1e-12)
+    assert port.fair_share == TARGET / 1
     assert port.interval_start == us_to_ps(100)
     assert port.accum_cells == 1
     assert port.active_vcs == {"late"}
@@ -105,9 +105,8 @@ def test_arrival_at_the_deadline_is_counted_and_closes_the_interval():
     port = make_port(interval_cell_limit=1000)
     port.enqueue(data_cell(), now=1)
     port.enqueue(data_cell("b"), now=us_to_ps(20))
-    m = port.measurement
-    assert m.input_rate == pytest.approx(2 / 20e-6, rel=1e-12)
-    assert m.num_active == 2
+    assert port.load_factor * TARGET == pytest.approx(2 / 20e-6, rel=1e-12)
+    assert port.fair_share == TARGET / 2
     assert port.interval_start == us_to_ps(20)
     assert port.accum_cells == 0
 
@@ -121,36 +120,36 @@ def test_measurement_numbers_for_a_full_interval():
     port = make_port(interval_cell_limit=1000)
     for i in range(30):
         port.enqueue(data_cell(), now=i)
-    m = port.end_interval(us_to_ps(20))
-    assert m.input_rate == pytest.approx(1.5e6, rel=1e-12)
-    assert m.num_active == 1
-    assert m.load_factor == pytest.approx(1.5e6 / TARGET, rel=1e-12)
-    assert m.load_factor == pytest.approx(4.5439, rel=1e-4)
+    port.end_interval(us_to_ps(20))
+    assert port.load_factor * TARGET == pytest.approx(1.5e6, rel=1e-12)
+    assert port.fair_share == TARGET / 1
+    assert port.load_factor == pytest.approx(1.5e6 / TARGET, rel=1e-12)
+    assert port.load_factor == pytest.approx(4.5439, rel=1e-4)
 
 
 def test_idle_interval_retains_previous_measurement():
     port = make_port(interval_cell_limit=1000)
     for i in range(30):
         port.enqueue(data_cell(), now=i)
-    first = port.end_interval(us_to_ps(20))
-    second = port.end_interval(us_to_ps(40))  # nothing arrived
-    assert second is first
-    assert port.measurement is first
+    port.end_interval(us_to_ps(20))
+    first = (port.fair_share, port.load_factor)
+    port.end_interval(us_to_ps(40))  # nothing arrived
+    assert (port.fair_share, port.load_factor) == first
 
 
 def test_two_vcs_count_as_two_active():
     port = make_port(interval_cell_limit=1000)
     port.enqueue(data_cell("a"), now=1)
     port.enqueue(data_cell("b"), now=2)
-    m = port.end_interval(us_to_ps(20))
-    assert m.num_active == 2
+    port.end_interval(us_to_ps(20))
+    assert port.fair_share == TARGET / 2
 
 
 def test_zero_duration_close_is_harmless():
     port = make_port()
     port.enqueue(data_cell(), now=0)
-    before = port.measurement
-    assert port.end_interval(0) is before
+    port.end_interval(0)
+    assert (port.fair_share, port.load_factor) == (TARGET, math.inf)
 
 
 # -- compute_er ----------------------------------------------------------------
@@ -166,7 +165,7 @@ def test_er_single_vc_is_capped_at_target():
     # target, so the offer is exactly the target (139.97 Mbps on OC-3)
     port = make_port()
     port.ccr_table["vc1"] = mbps_to_cps(140)
-    port.measurement = Measurement(input_rate=TARGET, num_active=1, load_factor=1.0)
+    port.fair_share, port.load_factor = TARGET / 1, 1.0
     er = port.compute_er("vc1")
     assert er == TARGET
     assert er == pytest.approx(mbps_to_cps(139.968), rel=1e-12)
@@ -176,16 +175,10 @@ def test_er_two_symmetric_vcs_split_the_target():
     port = make_port()
     port.ccr_table["a"] = TARGET / 2
     port.ccr_table["b"] = TARGET / 2
-    port.measurement = Measurement(input_rate=TARGET, num_active=2, load_factor=1.0)
+    port.fair_share, port.load_factor = TARGET / 2, 1.0
     assert port.compute_er("a") == pytest.approx(TARGET / 2, rel=1e-12)
     assert port.compute_er("b") == pytest.approx(TARGET / 2, rel=1e-12)
     assert port.compute_er("a") + port.compute_er("b") == pytest.approx(TARGET, rel=1e-12)
-
-
-def test_er_zero_load_factor_falls_back_to_fair_share():
-    port = make_port()
-    port.measurement = Measurement(input_rate=0.0, num_active=1, load_factor=0.0)
-    assert port.compute_er("vc1") == TARGET
 
 
 def test_er_underloaded_vc_gets_boosted_share():
@@ -193,8 +186,88 @@ def test_er_underloaded_vc_gets_boosted_share():
     port = make_port()
     port.ccr_table["a"] = TARGET / 4
     port.ccr_table["b"] = TARGET / 4
-    port.measurement = Measurement(input_rate=TARGET / 2, num_active=2, load_factor=0.5)
+    port.fair_share, port.load_factor = TARGET / 2, 0.5
     assert port.compute_er("a") == pytest.approx(TARGET / 2, rel=1e-12)
+
+
+class LiteralIntervals:
+    """The port's measurement as the docs word it, one interval at a time.
+
+    Each interval keeps the VC of every arrival in a list.  Before an
+    arrival or a stamp at ``now``, every interval whose deadline is
+    ``< now`` closes at its deadline, one by one.  An arrival is counted,
+    then closes its interval if the count reached the limit or ``now`` is
+    at or past the deadline.  A close that finds arrivals over a positive
+    duration replaces the measurement; any other close keeps it.
+    """
+
+    def __init__(self, count_limit, time_limit):
+        self.count_limit = count_limit
+        self.time_limit = time_limit
+        self.start = 0
+        self.arrivals: list[str] = []
+        self.last = None  # (cells, duration, VCs) of the last non-empty closed interval
+        self.ccr: dict[str, float] = {}
+
+    def close(self, t):
+        if t > self.start:
+            if self.arrivals:
+                self.last = (len(self.arrivals), t - self.start, len(set(self.arrivals)))
+            self.start = t
+        self.arrivals = []
+
+    def advance(self, now):
+        while self.start + self.time_limit < now:
+            self.close(self.start + self.time_limit)
+
+    def arrive(self, vc, ccr, now):
+        self.advance(now)
+        self.arrivals.append(vc)
+        if ccr is not None:
+            self.ccr[vc] = ccr
+        if len(self.arrivals) >= self.count_limit or now - self.start >= self.time_limit:
+            self.close(now)
+
+    def er(self, vc):
+        """``PAPER.md``: min(max(fair_share, ccr / load_factor), target)."""
+        if self.last is None:
+            return TARGET
+        cells, duration, active = self.last
+        load_factor = cells * PS_PER_SEC / duration / TARGET
+        return min(max(TARGET / active, self.ccr.get(vc, 0.0) / load_factor), TARGET)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_er_matches_a_literal_interval_model(seed):
+    # Arrivals from four VCs on a quarter-interval grid, with exact ties,
+    # arrivals and stamps on deadlines, idle gaps across several deadlines,
+    # count closes at the interval's own start, and forward RM cells
+    # whose CCR ranges from 0 to above the target.
+    rng = random.Random(seed)
+    count_limit = rng.choice((1, 3, 7, 30))
+    limit = us_to_ps(20)
+    port = make_port(interval_cell_limit=count_limit, interval_time_limit=limit)
+    model = LiteralIntervals(count_limit, limit)
+    vcs = ("a", "b", "c", "d")
+    ccrs = (0.0, TARGET / 8, TARGET / 3, TARGET, 1.3 * TARGET)
+    now = 0
+    for _ in range(600):
+        now += rng.choice((0, 0, 1, limit // 4, limit // 2, limit, 3 * limit + 1, 5 * limit))
+        if rng.random() < 0.2:  # land exactly on the current deadline
+            now = max(now, model.start + limit)
+        vc = rng.choice(vcs)
+        if rng.random() < 0.25:
+            rm = bwd_rm()
+            port.stamp_backward(rm, vc, now)
+            model.advance(now)
+            assert rm.er == model.er(vc)
+        else:
+            ccr = rng.choice(ccrs) if rng.random() < 0.4 else None
+            port.enqueue(data_cell(vc) if ccr is None else fwd_rm(vc, ccr), now)
+            model.arrive(vc, ccr, now)
+        assert port.interval_start == model.start
+        for other in vcs:
+            assert port.compute_er(other) == model.er(other)
 
 
 # -- stamping -------------------------------------------------------------------
@@ -248,7 +321,7 @@ def test_stamp_after_an_unvisited_deadline_sees_that_intervals_measurement():
     after = bwd_rm()
     port.stamp_backward(after, "a", now=us_to_ps(61))
     assert after.er == pytest.approx(TARGET / 2, rel=1e-12)
-    assert port.measurement.input_rate == pytest.approx(30 / 20e-6, rel=1e-12)
+    assert port.load_factor * TARGET == pytest.approx(30 / 20e-6, rel=1e-12)
     assert port.interval_start == us_to_ps(60)
 
 

@@ -57,6 +57,22 @@ def test_cell_tx_time_zero_rate_rejected():
         cell_tx_time(0.0)
 
 
+@pytest.mark.parametrize(
+    "rate, ps",
+    [(1.0, PS_PER_SEC), (1.99e12, 1), (2e12, None), (2.4e12, None), (float("inf"), None),
+     (5.7e-297, round(PS_PER_SEC / 5.7e-297)), (5.5e-297, None), (1e-300, None),
+     (0.0, None), (-1.0, None), (float("nan"), None)],
+)
+def test_cell_tx_time_is_finite_and_at_least_one_picosecond(rate, ps):
+    # 2e12 cells/s is 0.5 ps, which rounds to 0; below about 5.6e-297
+    # cells/s the time overflows a float
+    if ps is None:
+        with pytest.raises(ValueError, match="^link must "):
+            cell_tx_time(rate, "link")
+    else:
+        assert cell_tx_time(rate, "link") == ps
+
+
 def test_round_trip_conversion_is_identity():
     rng = random.Random(8151)
     for _ in range(10**6):
