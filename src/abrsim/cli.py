@@ -150,11 +150,8 @@ def _summarize(sc: Scenario, recorder: Recorder) -> list[tuple[str, str, float, 
     """Per-VC throughput, then oscillation, rows over the whole run, the
     windows that end by the horizon and the steady-state window."""
     run = sc.run
-    windows = []
-    if run.until_ms > 0:
-        windows = [(0.0, run.until_ms), *(w for w in run.windows_ms if w[1] <= run.until_ms)]
-        windows.append(run.steady_window())  # non-empty: ``RunCfg.check``
-    edges = [(t0, t1, ms_to_ps(t0), ms_to_ps(t1)) for t0, t1 in windows]
+    # each window is non-empty on the clock: ``RunCfg.check``
+    edges = [(t0, t1, ms_to_ps(t0), ms_to_ps(t1)) for t0, t1 in run.summary_windows()]
     low = mbps_to_cps(run.osc_low_mbps)
     high = mbps_to_cps(run.osc_high_mbps)
     rows = []
@@ -370,9 +367,13 @@ def positive(text: str) -> float:
 
 
 def _int_at_least(text: str, low: int) -> int:
+    """An integer from ``low`` to the largest float: the calculators mix counts with rates."""
     value = int(text)
     if value < low:
         raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+    if value > sys.float_info.max:
+        limit = sys.float_info.max
+        raise argparse.ArgumentTypeError(f"must be at most {limit:g}, got {len(text)} digits")
     return value
 
 

@@ -14,43 +14,39 @@ re-emits them on the reverse link immediately.  That priority treatment
 of feedback is a deliberate simplification and is reported in run
 metadata.
 
-Each VC's route is resolved once, when the engine is built, and indexed
-by path position: 0 is the source, ``last`` the destination, and
-``VcRuntime.ports[i]`` the switch port serving position ``i`` (None at
-both ends).  A cell in flight is an entry ``(time, seq, cell, i)``: it
-reaches position ``i`` at ``time``; forward cells move on to ``i + 1``,
-backward RM cells to ``i - 1``.
+Each VC's route is resolved once, when the engine is built, into a
+chain of FIFO delay lines, one per hop and direction.  A ``DelayLine``
+holds one VC's cells in one direction and knows where they go: ``vc``,
+the ``port`` they reach (None at an end system), the line ``then`` that
+they join there (None at the source) and, for a line whose cells leave
+at once, its fixed hop delay ``delay``.  A VC's forward lines
+(``VcRuntime.fwd``) are its *emit line*, due at ``now + tx + prop`` from
+the source, then one *served line* per switch port, due at ``departure +
+prop_delay`` (``delay`` is None: the port sets the departure).  The
+destination turns RM cells around onto its *backward lines*
+(``VcRuntime.bwd``), one per hop, each due at the hop delay of the link
+back.  A cell in flight is only its entry ``(time, seq, rm)``, where
+``rm`` is its RM fields, None for a data cell: its line holds every
+other fact about it.
 
 A port's FIFO service is closed-form, so a cell entering a switch port is
-scheduled straight to its delivery at the next hop.  Cells in flight wait
-in FIFO delay lines, and each line holds the cells of one VC in one
-direction.  A VC has three kinds:
-
-* its *emit line* (``VcRuntime.emit_hop``) holds the cells the source has
-  sent, due at ``now + tx + prop``, the first link's fixed hop delay;
-* a *served line* per port position (``VcRuntime.served[i]``) holds the
-  cells ``ports[i]`` has served, due at ``departure + prop_delay``;
-* a *backward line* per hop (``VcRuntime.bwd_hops[i]``) holds the RM
-  cells stamped or turned around at position ``i``, due at the hop delay
-  of the link back to ``i - 1``.
-
-Departures of one port rise and a hop's delay is fixed, so the times in a
-line never decrease and, taken from one counter, its sequence numbers
-rise: each line is sorted by ``(time, seq)``.  Splitting a port's or a
-link's cells by VC keeps that order, since a subsequence of a sorted line
-is still sorted.  The event heap holds only the head of each non-empty
-line as a DELIVER event, beside one EMIT per VC and the TICK.  A VC has
-one forward and one backward line per hop, so the heap never holds more
-than VCs x 2 x hops line heads, plus the EMITs and the TICK.  A line
-enters the heap when it goes from empty to non-empty, and re-enters with
-its next head when its head is delivered.  Merging sorted lines by their
-heads yields exactly the ``(time, seq)`` order that one heap entry per
-cell would, so traces and event counts do not depend on how cells are
-stored.  ``Engine.run_until`` dispatches all three event kinds (EMIT,
-DELIVER, TICK) inline, and every cell it sends, whether emitted, queued
-at a port, stamped or turned around, joins its line through one append
-tail.  A queue sample at ``now`` counts every cell whose departure is
-``>= now``.
+scheduled straight to its delivery at the next hop.  Departures of one
+port rise and a hop's delay is fixed, so the times in a line never
+decrease and, taken from one counter, its sequence numbers rise: each
+line is sorted by ``(time, seq)``.  Splitting a port's or a link's cells
+by VC keeps that order, since a subsequence of a sorted line is still
+sorted.  The event heap holds only the head of each non-empty line as a
+DELIVER event, beside one EMIT per VC and the TICK.  A VC has one forward
+and one backward line per hop, so the heap never holds more than VCs x 2
+x hops line heads, plus the EMITs and the TICK.  A line enters the heap
+when it goes from empty to non-empty, and re-enters with its next head
+when its head is delivered.  Merging sorted lines by their heads yields
+exactly the ``(time, seq)`` order that one heap entry per cell would, so
+traces and event counts do not depend on how cells are stored.
+``Engine.run_until`` dispatches all three event kinds (EMIT, DELIVER,
+TICK) inline, and every cell it sends, whether emitted, queued at a port,
+stamped or turned around, joins its line through one append tail.  A
+queue sample at ``now`` counts every cell whose departure is ``>= now``.
 """
 
 from __future__ import annotations
@@ -63,7 +59,7 @@ from operator import itemgetter
 
 from . import protocol
 from .metrics import Recorder
-from .protocol import Cell, Direction, SourceParams
+from .protocol import Direction, SourceParams
 from .switch import PortState, SwitchParams
 from .units import CellRate, SimTime, PS_PER_MS, PS_PER_US, cell_tx_time
 
@@ -134,47 +130,37 @@ class Topology:
                     raise ConfigError(f"vc {spec.vc_id}: no link between {a} and {b}")
 
 
-class VcRuntime:
-    __slots__ = (
-        "vc_id",
-        "params",
-        "ports",
-        "last",
-        "emit_hop",
-        "served",
-        "bwd_hops",
-        "state",
-        "delivered",
-        "turned",
-        "bwd_delivered",
-    )
+class DelayLine(deque):
+    """A FIFO of ``(time, seq, rm)`` entries: one VC's cells on one hop
+    in one direction, sorted by ``(time, seq)``.
 
-    def __init__(
-        self,
-        vc_id: str,
-        params: SourceParams,
-        ports: tuple,
-        emit_delay: SimTime,
-        bwd_delays: list[SimTime],
-    ):
+    Unpickling calls ``DelayLine()`` with no arguments, so ``_delay_line``
+    sets the slots after construction.
+    """
+
+    __slots__ = ("vc", "port", "then", "delay")
+
+
+def _delay_line(
+    vc: VcRuntime, port: PortState | None, then: DelayLine | None, delay: SimTime | None
+) -> DelayLine:
+    line = DelayLine()
+    line.vc, line.port, line.then, line.delay = vc, port, then, delay
+    return line
+
+
+class VcRuntime:
+    __slots__ = ("vc_id", "params", "fwd", "bwd", "state", "delivered", "turned", "bwd_delivered")
+
+    def __init__(self, vc_id: str, params: SourceParams):
         self.vc_id = vc_id
         self.params = params
-        self.ports = ports
-        self.last = len(ports) - 1
-        self.emit_hop = (emit_delay, deque())  # (hop delay, emit line) from the source
-        # the line of cells served by ports[i]; None at both ends
-        self.served = tuple(None if port is None else deque() for port in ports)
-        # (hop delay, backward line) from position i back to i - 1; None at 0
-        self.bwd_hops = (None, *((delay, deque()) for delay in bwd_delays))
+        self.fwd: tuple[DelayLine, ...] = ()  # the emit line, then each port's served line
+        self.bwd: tuple[DelayLine, ...] = ()  # bwd[k] runs from path position k + 1 back to k
         self.state = protocol.new_state(params)
         self.delivered = 0
         self.turned = 0
         self.bwd_delivered = 0
-
-    def lines(self) -> tuple[tuple[deque, ...], tuple[deque, ...]]:
-        """The VC's forward lines (emit, then served) and its backward lines."""
-        fwd = (self.emit_hop[1], *self.served[1:-1])
-        return fwd, tuple(line for _delay, line in self.bwd_hops[1:])
 
 
 class SwitchRuntime:
@@ -218,6 +204,8 @@ class Engine:
         self.vcs: dict[str, VcRuntime] = {}
         for spec in topology.vcs:
             path = spec.path
+            vc = self.vcs[spec.vc_id] = VcRuntime(spec.vc_id, topology.source_params[path[0]])
+            # ports[k] serves path position k toward k + 1; None at both ends
             ports: list[PortState | None] = [None]
             for node, nxt in zip(path[1:-1], path[2:]):
                 sw_ports = self.switches[node].ports
@@ -231,18 +219,21 @@ class Engine:
                     )
                 ports.append(sw_ports[nxt])
             ports.append(None)
-            vc = self.vcs[spec.vc_id] = VcRuntime(
-                spec.vc_id,
-                topology.source_params[path[0]],
-                tuple(ports),
-                hop(path[0], path[1]),
-                [hop(b, a) for a, b in zip(path, path[1:])],
-            )
+            then = None  # backward lines, from the source out
+            bwd = []
+            for k, (a, b) in enumerate(zip(path, path[1:])):
+                then = _delay_line(vc, ports[k], then, hop(b, a))
+                bwd.append(then)
+            fwd = []  # forward lines, from the destination back; RM cells turn onto bwd[-1]
+            for k in range(len(path) - 1, 0, -1):
+                then = _delay_line(vc, ports[k], then, hop(path[0], path[1]) if k == 1 else None)
+                fwd.append(then)
+            vc.fwd, vc.bwd = tuple(reversed(fwd)), tuple(bwd)
             recorder.start_vc(vc.vc_id, vc.params.icr)
         for name in self.switches:
             recorder.start_switch(name)
-        self.lines: tuple[deque, ...] = tuple(
-            line for vc in self.vcs.values() for lines in vc.lines() for line in lines
+        self.lines: tuple[DelayLine, ...] = tuple(
+            line for vc in self.vcs.values() for line in (*vc.fwd, *vc.bwd)
         )
         recorder.deviation(
             "backward RM cells bypass port queues (stamped and re-emitted "
@@ -272,7 +263,6 @@ class Engine:
             raise SimulationError(f"cannot run backwards: now={now}, t_end={t_end}")
         heap = self._heap
         heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
-        vcs = self.vcs
         recorder = self.recorder
         backward = Direction.BACKWARD
         next_cell = protocol.next_cell
@@ -283,16 +273,15 @@ class Engine:
             self.now = now = time  # before any handler: the TICK's audit reads it
             self.events_processed += 1
             if kind == _DELIVER:  # the head of delay line ``payload`` is due
-                _time, _seq, cell, i = payload.popleft()
+                _time, _seq, rm = payload.popleft()
                 if payload:  # the line's next head takes its place
                     head = payload[0]
                     heapreplace(heap, (head[0], head[1], _DELIVER, payload))
                 else:
                     heappop(heap)
-                vc = vcs[cell.vc_id]
-                rm = cell.rm
+                vc, port, line = payload.vc, payload.port, payload.then
                 if rm is not None and rm.direction is backward:
-                    if i == 0:  # feedback reaches the source
+                    if line is None:  # feedback reaches the source
                         vc.bwd_delivered += 1
                         state = vc.state
                         prev_acr = state.acr
@@ -301,35 +290,31 @@ class Engine:
                         if state.acr != prev_acr:
                             recorder.acr_change(vc.vc_id, now, state.acr)
                         continue
-                    vc.ports[i].stamp_backward(rm, cell.vc_id, now)
-                    delay, line = vc.bwd_hops[i]
-                    due, i = now + delay, i - 1
-                elif i == vc.last:
+                    port.stamp_backward(rm, vc.vc_id, now)
+                    due = now + line.delay
+                elif port is None:  # the destination
                     vc.delivered += 1
                     recorder.delivery(vc.vc_id, now)
                     if rm is None:
                         continue
                     vc.turned += 1
-                    cell = Cell(cell.vc_id, protocol.turnaround(rm))
-                    delay, line = vc.bwd_hops[i]
-                    due, i = now + delay, i - 1
-                else:  # queued at the port toward position i + 1
-                    port = vc.ports[i]
-                    line = vc.served[i]
-                    due, i = port.enqueue(cell, now) + port.prop_delay, i + 1
+                    rm = protocol.turnaround(rm)
+                    due = now + line.delay
+                else:  # queued at ``port``; its served line is ``line``
+                    due = port.enqueue(vc.vc_id, rm, now) + port.prop_delay
             elif kind == _EMIT:
                 vc = payload
                 state = vc.state
                 prev_acr = state.acr
-                cell = next_cell(state, vc.params, vc.vc_id, now)
+                rm = next_cell(state, vc.params, now)
                 if state.acr != prev_acr:
                     recorder.acr_change(vc.vc_id, now, state.acr)
                 if state.acr == 0:  # recorded once: ``Recorder.deviation`` dedupes
                     recorder.deviation(
                         f"vc {vc.vc_id}: rate decayed to zero; keep-alive RM probing engaged"
                     )
-                delay, line = vc.emit_hop
-                due, i = now + delay, 1
+                line = vc.fwd[0]
+                due = now + line.delay
             else:  # TICK: sample every switch's backlog, audit now and then
                 for sw in self.switches.values():
                     recorder.queue_sample(sw.name, now, sum(p.pop(now) for p in sw.ports.values()))
@@ -338,10 +323,10 @@ class Engine:
                 self._seq += 1
                 heapreplace(heap, (now + _TICK_INTERVAL, self._seq, _TICK, None))
                 continue
-            self._seq = seq = self._seq + 1  # the tail: ``cell`` joins ``line``
+            self._seq = seq = self._seq + 1  # the tail: the cell joins ``line``
             if not line:
                 heappush(heap, (due, seq, _DELIVER, line))
-            line.append((due, seq, cell, i))
+            line.append((due, seq, rm))
             if kind == _EMIT:  # the new head is due later: this entry is still first
                 self._seq = seq + 1
                 heapreplace(heap, (state.next_departure, seq + 1, _EMIT, vc))
@@ -357,17 +342,18 @@ class Engine:
         in flight on links.  Backward direction: RM cells turned around ==
         delivered back to the source + in flight.  Both sides come from
         counting the entries of the VC's delay lines, independently of the
-        counters kept by the protocol handlers.  A served line of
-        ``vc.ports[i]`` splits at one bisect on its times: a cell is still
-        queued at the port while its departure (delivery time minus the
-        port's propagation delay) is after now; over a zero-delay link the
-        cell departing at now may already be delivered.  Each port's own
-        backlog after now, which ``PortState.pop`` reads in closed form
-        from two integers and not from the lines, must match the sum of
-        those splits over the VCs it serves.  Cells are not checked one by
-        one: each non-empty line's head must be a cell of that line's VC
-        and direction, and must be in the event heap, as the only entry of
-        its line.  The audit changes no state it checks.
+        counters kept by the protocol handlers.  A served line splits at one
+        bisect on its times: a cell is still queued at the port that serves
+        it (the port the VC's line before it reaches) while its departure
+        (delivery time minus the port's propagation delay) is after now;
+        over a zero-delay link the cell departing at now may already be
+        delivered.  Each port's own backlog after now, which
+        ``PortState.pop`` reads in closed form from two integers and not
+        from the lines, must match the sum of those splits over the VCs it
+        serves.  Cells are not checked one by one: each non-empty line's
+        head must be a cell of that line's direction, and must be in the
+        event heap, as the only entry of its line.  The audit changes no
+        state it checks.
         """
         now = self.now
         heads = [entry for entry in self._heap if entry[2] == _DELIVER]
@@ -384,21 +370,20 @@ class Engine:
         backlog: dict[PortState, int] = {}
         report = {}
         for vc_id, vc in self.vcs.items():
-            fwd, bwd = vc.lines()
+            fwd, bwd = vc.fwd, vc.bwd
             for lines, is_bwd in ((fwd, False), (bwd, True)):
                 for line in lines:
                     if not line:
                         continue
-                    cell = line[0][2]
-                    rm = cell.rm
-                    head_bwd = rm is not None and rm.direction is backward
-                    if cell.vc_id != vc_id or head_bwd != is_bwd:
+                    rm = line[0][2]
+                    if (rm is not None and rm.direction is backward) != is_bwd:
                         raise SimulationError(
                             f"vc {vc_id}: the head of a {'backward' if is_bwd else 'forward'} "
-                            f"delay line is {cell} at t={now}"
+                            f"delay line is {'a data cell' if rm is None else rm} at t={now}"
                         )
             queued = 0
-            for port, line in zip(vc.ports[1:-1], vc.served[1:-1]):
+            for served_by, line in zip(fwd, fwd[1:]):
+                port = served_by.port
                 waiting = len(line) - bisect_right(line, now + port.prop_delay, key=_TIME)
                 queued += waiting
                 backlog[port] = backlog.get(port, 0) + waiting

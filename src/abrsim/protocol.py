@@ -48,14 +48,6 @@ class RmFields:
     ccr: CellRate
 
 
-@dataclass(slots=True)
-class Cell:
-    """One simulated cell; ``rm`` is None for data cells."""
-
-    vc_id: str
-    rm: RmFields | None = None
-
-
 @dataclass(frozen=True)
 class SourceParams:
     """Per-VC rate parameters, in cells/second.
@@ -104,8 +96,7 @@ class SourceState:
     """Mutable per-VC source machine.
 
     ``gap`` is the pacing gap at the current ACR; ``_set_acr`` writes the
-    two together.  ``data_cell`` is the VC's one data cell: data cells
-    carry no state, so every data cell the source sends is this object.
+    two together.
     """
 
     acr: CellRate
@@ -116,7 +107,6 @@ class SourceState:
     cells_sent_total: int = 0
     rule6_count: int = 0
     first_rule6_cells: int | None = None
-    data_cell: Cell | None = None
 
 
 def _set_acr(state: SourceState, acr: CellRate) -> None:
@@ -164,28 +154,26 @@ def on_backward_rm(state: SourceState, params: SourceParams, rm: RmFields) -> No
     _set_acr(state, min(max(wanted, params.mcr), params.pcr))
 
 
-def next_cell(state: SourceState, params: SourceParams, vc_id: str, now: SimTime) -> Cell:
+def next_cell(state: SourceState, params: SourceParams, now: SimTime) -> RmFields | None:
     """Emit the next cell of a persistent source and reschedule its pacing.
 
-    Caller must hold ``now >= state.next_departure``.  Every ``nrm``-th
-    cell is a forward RM cell carrying ccr = current ACR and er = PCR; the
-    cutoff check runs just before it.  A source whose ACR has decayed to
-    zero emits only keep-alive RM probes every 100 ms.
+    Returns the cell's RM fields, or None for a data cell, which carries
+    nothing.  Caller must hold ``now >= state.next_departure``.  Every
+    ``nrm``-th cell is a forward RM cell carrying ccr = current ACR and
+    er = PCR; the cutoff check runs just before it.  A source whose ACR
+    has decayed to zero emits only keep-alive RM probes every 100 ms.
     """
     if state.acr == 0 or state.cells_since_rm == params.nrm - 1:
         apply_rule6(state, params)
-        fields = RmFields(Direction.FORWARD, bn=False, er=params.pcr, ccr=state.acr)
-        cell = Cell(vc_id, fields)
+        rm = RmFields(Direction.FORWARD, bn=False, er=params.pcr, ccr=state.acr)
         state.unacked_fwd_rm += 1
         state.cells_since_rm = 0
     else:
-        cell = state.data_cell
-        if cell is None:
-            cell = state.data_cell = Cell(vc_id)
+        rm = None
         state.cells_since_rm += 1
     state.cells_sent_total += 1
     state.next_departure = now + state.gap
-    return cell
+    return rm
 
 
 def turnaround(rm: RmFields) -> RmFields:

@@ -130,6 +130,15 @@ class RunCfg:
         start = self.until_ms / 4 if self.steady_from_ms is None else self.steady_from_ms
         return (start, self.until_ms)
 
+    def summary_windows(self) -> list[tuple[float, float]]:
+        """The windows the summary reports, in ms: the whole run, each of
+        ``windows_ms`` that ends by the horizon, then the steady window.
+        A zero horizon has none."""
+        if self.until_ms == 0:
+            return []
+        ends_by = [w for w in self.windows_ms if w[1] <= self.until_ms]
+        return [(0.0, self.until_ms), *ends_by, self.steady_window()]
+
     def check(self) -> None:
         """The ``[run]`` rule; checked again after ``--until-ms`` sets the horizon."""
         if self.until_ms < 0:
@@ -145,11 +154,20 @@ class RunCfg:
                 f"run: steady_from_ms must be >= 0 and below until_ms, "
                 f"got {start} and {self.until_ms}"
             )
+        windows = self.summary_windows()
+        keys = ["until_ms", *["windows_ms"] * (len(windows) - 2), "steady_from_ms"]
+        for key, (t0, t1) in zip(keys, windows):
+            if ms_to_ps(t0) >= ms_to_ps(t1):
+                raise ScenarioError(
+                    f"run: {key}: the window {t0}:{t1} ms is empty on the picosecond clock"
+                )
         low, high = self.osc_low_mbps, self.osc_high_mbps
         if not 0 <= low < high:
             raise ScenarioError(
                 f"run: osc_low_mbps must be >= 0 and below osc_high_mbps, got {low} and {high}"
             )
+        with error_context("run: osc_high_mbps"):
+            mbps_to_cps(high)  # the lower threshold, below it, converts too
 
 
 @dataclass

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .protocol import Cell, Direction, RmFields
+from .protocol import Direction, RmFields
 from .units import CellRate, SimTime, PS_PER_SEC, PS_PER_US, cell_tx_time
 
 
@@ -92,9 +92,10 @@ class PortState:
 
         self.max_queue = 0
 
-    def enqueue(self, cell: Cell, now: SimTime) -> SimTime:
-        """Account for an arriving cell, close the interval if due, and
-        return the time the cell finishes transmission."""
+    def enqueue(self, vc_id: str, rm: RmFields | None, now: SimTime) -> SimTime:
+        """Account for a cell of ``vc_id`` arriving with RM fields ``rm``
+        (None for a data cell), close the interval if due, and return the
+        time the cell finishes transmission."""
         if self.interval_start + self.interval_time_limit < now:
             self._close_due(now)
         tx = self.tx_time
@@ -108,10 +109,9 @@ class PortState:
         if backlog > self.max_queue:
             self.max_queue = backlog
         self.accum_cells += 1
-        self.active_vcs.add(cell.vc_id)
-        rm = cell.rm
+        self.active_vcs.add(vc_id)
         if rm is not None and rm.direction is Direction.FORWARD:
-            self.ccr_table[cell.vc_id] = rm.ccr
+            self.ccr_table[vc_id] = rm.ccr
         if (
             self.accum_cells >= self.interval_cell_limit
             or now - self.interval_start >= self.interval_time_limit

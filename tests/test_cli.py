@@ -1,5 +1,6 @@
 import functools
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -370,6 +371,7 @@ def test_topology_errors_name_the_link_vc_or_switch(tmp_path, capsys, command, o
 
 
 STEADY = "steady_from_ms must be >= 0 and below until_ms, got "
+EMPTY = " is empty on the picosecond clock"
 
 
 @pytest.mark.parametrize(
@@ -380,14 +382,31 @@ STEADY = "steady_from_ms must be >= 0 and below until_ms, got "
         ("steady_from_ms = 5", [], STEADY + "5.0 and 5.0"),
         ("steady_from_ms = 3", ["--until-ms", "3"], STEADY + "3.0 and 3.0"),
         ("steady_from_ms = 3", ["--until-ms", "2"], STEADY + "3.0 and 2.0"),
+        ("windows_ms = 1:5", ["--until-ms", "1e-10"], "until_ms: the window 0.0:1e-10 ms" + EMPTY),
+        (
+            "windows_ms = 0.0000000001:0.0000000002",
+            [],
+            "windows_ms: the window 1e-10:2e-10 ms" + EMPTY,
+        ),
+        (
+            "steady_from_ms = 1.9999999999",
+            ["--until-ms", "2"],
+            "steady_from_ms: the window 1.9999999999:2.0 ms" + EMPTY,
+        ),
+        ("osc_high_mbps = 1e308", [], "osc_high_mbps: rate must be finite in cells/s, got 1e+308"),
     ],
     ids=["window-before-zero", "steady-before-zero", "steady-at-horizon", "flag-at-steady",
-         "flag-before-steady"],
+         "flag-before-steady", "flag-below-1-ps", "window-below-1-ps", "steady-below-1-ps",
+         "osc-high-beyond-cells-per-s"],
 )
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_run_rule_holds_for_the_file_and_the_until_ms_flag(
-    tmp_path, capsys, command, run_keys, flags, message
+    tmp_path, capsys, monkeypatch, command, run_keys, flags, message
 ):
+    def no_events(self, t_end):
+        raise AssertionError("the simulation ran")
+
+    monkeypatch.setattr(Engine, "run_until", no_events)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(TINY.replace("windows_ms = 1:5", run_keys), encoding="utf-8")
     out = tmp_path / "o"
@@ -395,7 +414,9 @@ def test_run_rule_holds_for_the_file_and_the_until_ms_flag(
     if command == "sweep":
         argv += ["--param", "crm", "--values", "32,64"]
     assert main(argv) == 2
-    assert f"error: run: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert f"error: run: {message}" in err
     assert not out.exists()
 
 
@@ -453,6 +474,14 @@ def test_bad_oscillation_band_fails_before_any_event(tmp_path, capsys, monkeypat
             ["min-crm", "--rtt-ms", "550", "--mbps", "155.52", "--hops", "0"],
             "argument --hops: must be >= 1, got 0\n",
         ),
+        (
+            ["min-crm", "--rtt-ms", "550", "--mbps", "155", "--nrm", "1" + "0" * 400],
+            f"argument --nrm: must be at most {sys.float_info.max:g}, got 401 digits\n",
+        ),
+        (
+            ["trigger", "--fwd-mbps", "140", "--bwd-mbps", "0", "--crm", "1" + "0" * 400],
+            f"argument --crm: must be at most {sys.float_info.max:g}, got 401 digits\n",
+        ),
     ],
     ids=[
         "flight-rtt-inf",
@@ -467,6 +496,8 @@ def test_bad_oscillation_band_fails_before_any_event(tmp_path, capsys, monkeypat
         "decay-k-negative",
         "min-crm-nrm-0",
         "min-crm-hops-0",
+        "min-crm-nrm-beyond-float",
+        "trigger-crm-beyond-float",
     ],
 )
 def test_analyze_rejects_what_a_run_rejects(capsys, argv, message):
@@ -475,7 +506,9 @@ def test_analyze_rejects_what_a_run_rejects(capsys, argv, message):
     except SystemExit as exc:  # argparse rejects the flag
         code = exc.code
     assert code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert message in err
 
 
 # A second source shares sw1's egress link b with s1.

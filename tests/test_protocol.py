@@ -5,7 +5,6 @@ import pytest
 from abrsim.analysis import decay_after
 from abrsim.protocol import (
     QUIESCENT_PROBE_GAP,
-    Cell,
     Direction,
     RmFields,
     SourceParams,
@@ -174,27 +173,25 @@ def test_feedback_requires_backward_cell():
 # -- emission pacing and interleaving ---------------------------------------
 
 
-def drive(state, params, n, vc="vc"):
-    cells = []
-    for _ in range(n):
-        cells.append(next_cell(state, params, vc, state.next_departure))
-    return cells
+def drive(state, params, n):
+    """The next ``n`` cells' RM fields, None for each data cell."""
+    return [next_cell(state, params, state.next_departure) for _ in range(n)]
 
 
 def test_one_rm_cell_per_nrm_cells():
     params = make_params()
     state = new_state(params)
     cells = drive(state, params, 32)
-    assert sum(c.rm is not None for c in cells) == 1
-    assert sum(c.rm is None for c in cells) == 31
-    assert cells[0].rm is not None  # the first cell on the wire is an RM cell
+    assert sum(rm is not None for rm in cells) == 1
+    assert sum(rm is None for rm in cells) == 31
+    assert cells[0] is not None  # the first cell on the wire is an RM cell
 
 
 def test_exactly_nrm_minus_one_data_cells_between_rm_cells():
     params = make_params()
     state = new_state(params)
     cells = drive(state, params, 32 * 40)
-    rm_positions = [i for i, c in enumerate(cells) if c.rm is not None]
+    rm_positions = [i for i, rm in enumerate(cells) if rm is not None]
     gaps = [b - a for a, b in zip(rm_positions, rm_positions[1:])]
     assert all(g == 32 for g in gaps)
 
@@ -213,7 +210,7 @@ def test_inter_cell_gap_follows_acr():
     params = make_params()
     state = new_state(params)
     t0 = state.next_departure
-    next_cell(state, params, "vc", t0)
+    next_cell(state, params, t0)
     assert state.next_departure - t0 == cell_tx_time(ICR) == 3_028_571
 
 
@@ -221,11 +218,11 @@ def test_rm_cells_carry_current_rate_and_peak_er():
     params = make_params()
     state = new_state(params)
     cells = drive(state, params, 1024 + 32 * 3 + 1)
-    rms = [c for c in cells if c.rm is not None]
-    for rm_cell in rms:
-        assert rm_cell.rm.direction is Direction.FORWARD
-        assert rm_cell.rm.bn is False
-        assert rm_cell.rm.er == params.pcr
+    rms = [rm for rm in cells if rm is not None]
+    for rm in rms:
+        assert rm.direction is Direction.FORWARD
+        assert rm.bn is False
+        assert rm.er == params.pcr
 
 
 def test_no_feedback_decay_matches_analysis_oracle_exactly():
@@ -234,10 +231,10 @@ def test_no_feedback_decay_matches_analysis_oracle_exactly():
     params = make_params()
     state = new_state(params)
     cells = drive(state, params, 1024 + 32 * 60)
-    rms = [c for c in cells if c.rm is not None]
+    rms = [rm for rm in cells if rm is not None]
     for k in range(50):
         expected = decay_after(params.icr, params.cdf, params.mcr, k)
-        assert rms[params.crm + k].rm.ccr == expected
+        assert rms[params.crm + k].ccr == expected
 
 
 def test_acr_stays_in_mcr_pcr_over_random_operation_sequences():
@@ -247,7 +244,7 @@ def test_acr_stays_in_mcr_pcr_over_random_operation_sequences():
     for _ in range(10**5):
         op = rng.random()
         if op < 0.7:
-            next_cell(state, params, "vc", state.next_departure)
+            next_cell(state, params, state.next_departure)
         else:
             er = rng.uniform(0.0, params.pcr * 1.2)
             on_backward_rm(
@@ -268,8 +265,7 @@ def test_unacked_counter_matches_trace_replay():
     rm_at_last_reset = 0
     for _ in range(20000):
         if rng.random() < 0.9:
-            cell = next_cell(state, params, "vc", state.next_departure)
-            if cell.rm is not None:
+            if next_cell(state, params, state.next_departure) is not None:
                 rm_emitted += 1
         else:
             bn = rng.random() < 0.2
@@ -289,12 +285,12 @@ def test_cdf_one_decays_to_quiescent_probing():
     state = new_state(params)
     drive(state, params, 1024)
     t0 = state.next_departure
-    probe = next_cell(state, params, "vc", t0)  # cut to zero fires here
-    assert probe.rm is not None
+    probe = next_cell(state, params, t0)  # cut to zero fires here
+    assert probe is not None
     assert state.acr == 0.0
     assert state.next_departure == t0 + QUIESCENT_PROBE_GAP
-    probe2 = next_cell(state, params, "vc", state.next_departure)
-    assert probe2.rm.ccr == 0.0
+    probe2 = next_cell(state, params, state.next_departure)
+    assert probe2.ccr == 0.0
 
 
 def test_decay_past_the_clock_is_an_error_that_names_acr():
@@ -315,7 +311,7 @@ def test_feedback_restarts_a_quiescent_source():
     on_backward_rm(state, params, bwd(140))
     assert state.acr == mbps_to_cps(140)
     now = state.next_departure
-    next_cell(state, params, "vc", now)
+    next_cell(state, params, now)
     assert state.acr > 0
     assert state.next_departure == now + cell_tx_time(state.acr)
 
@@ -334,7 +330,7 @@ def test_pacing_gap_follows_every_acr_write(cdf):
                 cell_tx_time(state.acr) if state.acr > 0 else QUIESCENT_PROBE_GAP
             )
             now = state.next_departure
-            next_cell(state, params, "vc", now)
+            next_cell(state, params, now)
             assert state.next_departure - now == state.gap
 
     for _ in range(600):

@@ -137,6 +137,7 @@ def test_random_scenario(tmp_path, monkeypatch, seed):
         assert vc.delivered <= min(vc.state.cells_sent_total, bound)
     for sw in eng.switches.values():
         for port in sw.ports.values():
-            carried = sum(v.delivered for v in eng.vcs.values() if port in v.ports)
+            served = [v for v in eng.vcs.values() if any(line.port is port for line in v.fwd)]
+            carried = sum(v.delivered for v in served)
             assert carried <= horizon // (CELL_US * PS_PER_US)  # first departs at one cell
     assert stamps and all(er <= target for er, target in stamps)

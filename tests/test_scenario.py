@@ -173,13 +173,33 @@ def test_bad_window_rejected():
         ("steady_from_ms = -5", "steady_from_ms must be >= 0 and below until_ms, got -5.0 and 5.0"),
         ("steady_from_ms = 5", "steady_from_ms must be >= 0 and below until_ms, got 5.0 and 5.0"),
         ("steady_from_ms = 6", "steady_from_ms must be >= 0 and below until_ms, got 6.0 and 5.0"),
+        (
+            "windows_ms = 0.0000000001:0.0000000002",
+            "windows_ms: the window 1e-10:2e-10 ms is empty on the picosecond clock",
+        ),
+        (
+            "steady_from_ms = 4.9999999999",
+            "steady_from_ms: the window 4.9999999999:5.0 ms is empty on the picosecond clock",
+        ),
+        (
+            "osc_high_mbps = 1e308",
+            "osc_high_mbps: rate must be finite in cells/s, got 1e+308 Mbps",
+        ),
     ],
-    ids=["window-before-zero", "steady-before-zero", "steady-at-horizon", "steady-past-horizon"],
+    ids=["window-before-zero", "steady-before-zero", "steady-at-horizon", "steady-past-horizon",
+         "window-below-1-ps", "steady-below-1-ps", "osc-high-beyond-cells-per-s"],
 )
 def test_run_windows_lie_in_the_run(body, message):
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(f"[run]\nuntil_ms = 5\n{body}\n")
     assert str(exc.value) == f"run: {message}"
+
+
+def test_a_horizon_below_1_ps_is_rejected():
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario("[run]\nuntil_ms = 1e-10\n")
+    message = "run: until_ms: the window 0.0:1e-10 ms is empty on the picosecond clock"
+    assert str(exc.value) == message
 
 
 def test_run_windows_may_start_at_zero_and_end_past_the_horizon():

@@ -4,7 +4,7 @@ from collections import deque
 
 import pytest
 
-from abrsim.protocol import Cell, Direction, RmFields
+from abrsim.protocol import Direction, RmFields
 from abrsim.switch import PortState, SwitchParams
 from abrsim.units import PS_PER_SEC, mbps_to_cps, us_to_ps
 
@@ -22,12 +22,8 @@ def make_port(**params):
     )
 
 
-def data_cell(vc="vc1"):
-    return Cell(vc)
-
-
-def fwd_rm(vc="vc1", ccr=mbps_to_cps(140)):
-    return Cell(vc, RmFields(Direction.FORWARD, False, OC3, ccr))
+def fwd_rm(ccr=mbps_to_cps(140)):
+    return RmFields(Direction.FORWARD, False, OC3, ccr)
 
 
 def bwd_rm(er=OC3):
@@ -39,7 +35,7 @@ def bwd_rm(er=OC3):
 
 def test_enqueue_appends_and_tracks_vc():
     port = make_port()
-    assert port.enqueue(data_cell(), now=10) == 10 + port.tx_time
+    assert port.enqueue("vc1", None, now=10) == 10 + port.tx_time
     assert port.pop(10) == 1
     assert port.active_vcs == {"vc1"}
     assert port.max_queue == 1
@@ -47,24 +43,23 @@ def test_enqueue_appends_and_tracks_vc():
 
 def test_forward_rm_updates_ccr_table():
     port = make_port()
-    port.enqueue(fwd_rm(ccr=mbps_to_cps(140)), now=10)
+    port.enqueue("vc1", fwd_rm(ccr=mbps_to_cps(140)), now=10)
     assert port.ccr_table["vc1"] == mbps_to_cps(140)
 
 
 def test_backward_rm_in_queue_does_not_touch_ccr_table():
     port = make_port()
-    cell = Cell("vc1", RmFields(Direction.BACKWARD, False, OC3, mbps_to_cps(99)))
-    port.enqueue(cell, now=10)
+    port.enqueue("vc1", RmFields(Direction.BACKWARD, False, OC3, mbps_to_cps(99)), now=10)
     assert "vc1" not in port.ccr_table
 
 
 def test_thirtieth_cell_closes_interval():
     port = make_port()
     for i in range(29):
-        port.enqueue(data_cell(), now=i + 1)
+        port.enqueue("vc1", None, now=i + 1)
     assert port.accum_cells == 29
     assert port.load_factor == math.inf  # nothing measured yet
-    port.enqueue(data_cell(), now=30)
+    port.enqueue("vc1", None, now=30)
     assert port.accum_cells == 0  # reset by the close
     assert port.interval_start == 30
     assert port.load_factor == 30 * PS_PER_SEC / 30 / TARGET
@@ -72,7 +67,7 @@ def test_thirtieth_cell_closes_interval():
 
 def test_elapsed_time_closes_interval_on_enqueue():
     port = make_port()
-    port.enqueue(data_cell(), now=us_to_ps(20))
+    port.enqueue("vc1", None, now=us_to_ps(20))
     assert port.accum_cells == 0
     assert port.interval_start == us_to_ps(20)
     assert port.load_factor * TARGET == pytest.approx(5e4, rel=1e-12)
@@ -80,7 +75,7 @@ def test_elapsed_time_closes_interval_on_enqueue():
 
 def test_enqueue_before_both_limits_keeps_interval_open():
     port = make_port()
-    port.enqueue(data_cell(), now=us_to_ps(19))
+    port.enqueue("vc1", None, now=us_to_ps(19))
     assert port.accum_cells == 1
     assert port.interval_start == 0
     assert (port.fair_share, port.load_factor) == (TARGET, math.inf)
@@ -92,8 +87,8 @@ def test_arrival_after_idle_intervals_closes_the_first_at_its_deadline():
     # four empty intervals after it, and opens its count in [100, 120)
     port = make_port(interval_cell_limit=1000)
     for i in range(5):
-        port.enqueue(data_cell(), now=i + 1)
-    port.enqueue(data_cell("late"), now=us_to_ps(107))
+        port.enqueue("vc1", None, now=i + 1)
+    port.enqueue("late", None, now=us_to_ps(107))
     assert port.load_factor * TARGET == pytest.approx(5 / 20e-6, rel=1e-12)
     assert port.fair_share == TARGET / 1
     assert port.interval_start == us_to_ps(100)
@@ -103,8 +98,8 @@ def test_arrival_after_idle_intervals_closes_the_first_at_its_deadline():
 
 def test_arrival_at_the_deadline_is_counted_and_closes_the_interval():
     port = make_port(interval_cell_limit=1000)
-    port.enqueue(data_cell(), now=1)
-    port.enqueue(data_cell("b"), now=us_to_ps(20))
+    port.enqueue("vc1", None, now=1)
+    port.enqueue("b", None, now=us_to_ps(20))
     assert port.load_factor * TARGET == pytest.approx(2 / 20e-6, rel=1e-12)
     assert port.fair_share == TARGET / 2
     assert port.interval_start == us_to_ps(20)
@@ -119,7 +114,7 @@ def test_measurement_numbers_for_a_full_interval():
     # target on OC-3 is 1.5e6 / (0.9 * 366792.45) = 4.544
     port = make_port(interval_cell_limit=1000)
     for i in range(30):
-        port.enqueue(data_cell(), now=i)
+        port.enqueue("vc1", None, now=i)
     port.end_interval(us_to_ps(20))
     assert port.load_factor * TARGET == pytest.approx(1.5e6, rel=1e-12)
     assert port.fair_share == TARGET / 1
@@ -130,7 +125,7 @@ def test_measurement_numbers_for_a_full_interval():
 def test_idle_interval_retains_previous_measurement():
     port = make_port(interval_cell_limit=1000)
     for i in range(30):
-        port.enqueue(data_cell(), now=i)
+        port.enqueue("vc1", None, now=i)
     port.end_interval(us_to_ps(20))
     first = (port.fair_share, port.load_factor)
     port.end_interval(us_to_ps(40))  # nothing arrived
@@ -139,15 +134,15 @@ def test_idle_interval_retains_previous_measurement():
 
 def test_two_vcs_count_as_two_active():
     port = make_port(interval_cell_limit=1000)
-    port.enqueue(data_cell("a"), now=1)
-    port.enqueue(data_cell("b"), now=2)
+    port.enqueue("a", None, now=1)
+    port.enqueue("b", None, now=2)
     port.end_interval(us_to_ps(20))
     assert port.fair_share == TARGET / 2
 
 
 def test_zero_duration_close_is_harmless():
     port = make_port()
-    port.enqueue(data_cell(), now=0)
+    port.enqueue("vc1", None, now=0)
     port.end_interval(0)
     assert (port.fair_share, port.load_factor) == (TARGET, math.inf)
 
@@ -263,7 +258,7 @@ def test_er_matches_a_literal_interval_model(seed):
             assert rm.er == model.er(vc)
         else:
             ccr = rng.choice(ccrs) if rng.random() < 0.4 else None
-            port.enqueue(data_cell(vc) if ccr is None else fwd_rm(vc, ccr), now)
+            port.enqueue(vc, None if ccr is None else fwd_rm(ccr), now)
             model.arrive(vc, ccr, now)
         assert port.interval_start == model.start
         for other in vcs:
@@ -309,7 +304,7 @@ def overloaded_by_two_vcs():
     # ccr = target, so each VC is offered the fair share, target / 2
     port = make_port(interval_cell_limit=1000)
     for i in range(30):
-        port.enqueue(fwd_rm("ab"[i % 2], ccr=TARGET), now=i + 1)
+        port.enqueue("ab"[i % 2], fwd_rm(ccr=TARGET), now=i + 1)
     return port
 
 
@@ -341,16 +336,16 @@ def test_pop_is_fifo():
     # a burst leaves back to back, one transmission time apart, in
     # arrival order; an arrival to an idle port leaves one tx_time later
     port = make_port()
-    out = [port.enqueue(data_cell(), now=i) for i in range(5)]
+    out = [port.enqueue("vc1", None, now=i) for i in range(5)]
     assert out == [port.tx_time * (k + 1) for k in range(5)]
     late = 10 * port.tx_time
-    assert port.enqueue(data_cell(), now=late) == late + port.tx_time
+    assert port.enqueue("vc1", None, now=late) == late + port.tx_time
 
 
 def test_backlog_counts_cells_until_their_departure():
     port = make_port()
-    first = port.enqueue(data_cell(), now=0)
-    second = port.enqueue(data_cell(), now=0)
+    first = port.enqueue("vc1", None, now=0)
+    second = port.enqueue("vc1", None, now=0)
     assert port.pop(first) == 2  # departing at now still counts
     assert port.pop(first + 1) == 1
     assert port.pop(second) == 1
@@ -359,8 +354,8 @@ def test_backlog_counts_cells_until_their_departure():
 
 def test_arrival_at_the_previous_departure_continues_the_busy_period():
     port = make_port()
-    first = port.enqueue(data_cell(), now=0)
-    second = port.enqueue(data_cell(), now=first)
+    first = port.enqueue("vc1", None, now=0)
+    second = port.enqueue("vc1", None, now=first)
     assert second == first + port.tx_time
     assert port.pop(first) == 2  # the departing cell and the arrival
     assert port.max_queue == 2
@@ -369,7 +364,7 @@ def test_arrival_at_the_previous_departure_continues_the_busy_period():
 def test_port_conserves_cells():
     port = make_port()
     for i in range(100):
-        port.enqueue(data_cell(), now=i)
+        port.enqueue("vc1", None, now=i)
     tx = port.tx_time
     assert port.pop(40 * tx + 50) == 100 - 40  # the first 40 departed
     assert port.pop(40 * tx + 50) == 100 - 40  # a read changes nothing
@@ -397,7 +392,7 @@ def test_closed_form_backlog_matches_a_list_of_departures(seed):
         backlog = sum(d >= now for d in departures) + 1
         max_queue = max(max_queue, backlog)
         departures.append(max([now, *departures[-1:]]) + tx)
-        assert port.enqueue(data_cell(), now) == departures[-1]
+        assert port.enqueue("vc1", None, now) == departures[-1]
         assert port.pop(now) == backlog
         assert port.max_queue == max_queue
 
@@ -418,7 +413,7 @@ def test_closed_form_enqueue_matches_a_literal_fifo(seed):
             fifo.popleft()
         fifo.append((fifo[-1] if fifo else now) + tx)
         max_queue = max(max_queue, len(fifo))
-        assert port.enqueue(data_cell(), now) == fifo[-1]
+        assert port.enqueue("vc1", None, now) == fifo[-1]
         assert port.max_queue == max_queue
         assert port.pop(now) == len(fifo)
 
