@@ -42,16 +42,30 @@ x hops line heads, plus the EMITs and the TICK.  A line enters the heap
 when it goes from empty to non-empty, and re-enters with its next head
 when its head is delivered.  Merging sorted lines by their heads yields
 exactly the ``(time, seq)`` order that one heap entry per cell would, so
-traces and event counts do not depend on how cells are stored.
+traces do not depend on how cells are stored.
 ``Engine.run_until`` dispatches all three event kinds (EMIT, DELIVER,
 TICK) inline, and every cell it sends, whether emitted, queued at a port,
 stamped or turned around, joins its line through one append tail.  A
 queue sample at ``now`` counts every cell whose departure is ``>= now``.
+
+The destination is a sink.  A data cell's arrival there changes nothing
+that a later event reads, so a data cell bound for the destination line
+takes no sequence number and no event: its delivery time joins the VC's
+``sink``, a FIFO of times.  The destination line holds only RM cells,
+which keep their events because turnaround has its place in ``(time,
+seq)`` order.  Sequence numbers are only compared, so skipping some
+leaves every other event in the same order; one VC's times on one hop
+are distinct, so no data time ties an RM time.  Sink times move into
+``Recorder.recv`` in order, with ``VcRuntime.delivered`` counting them,
+before an RM cell's delivery at that destination records its own time
+and when ``run_until`` returns, up to the final ``now``.  So
+``events_processed`` counts no data cell's arrival at its destination.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -150,17 +164,29 @@ def _delay_line(
 
 
 class VcRuntime:
-    __slots__ = ("vc_id", "params", "fwd", "bwd", "state", "delivered", "turned", "bwd_delivered")
+    __slots__ = (
+        "vc_id", "params", "fwd", "bwd", "sink", "state", "delivered", "turned", "bwd_delivered"
+    )
 
     def __init__(self, vc_id: str, params: SourceParams):
         self.vc_id = vc_id
         self.params = params
         self.fwd: tuple[DelayLine, ...] = ()  # the emit line, then each port's served line
         self.bwd: tuple[DelayLine, ...] = ()  # bwd[k] runs from path position k + 1 back to k
+        # delivery times of the data cells on the destination line, not yet in ``recv``
+        self.sink: deque[SimTime] = deque()
         self.state = protocol.new_state(params)
         self.delivered = 0
         self.turned = 0
         self.bwd_delivered = 0
+
+    def drain(self, recv: array, t: SimTime) -> None:
+        """Record the sink's deliveries at or before ``t`` in ``recv``, in order."""
+        sink = self.sink
+        n = len(sink)
+        while sink and sink[0] <= t:
+            recv.append(sink.popleft())
+        self.delivered += n - len(sink)
 
 
 class SwitchRuntime:
@@ -255,8 +281,11 @@ class Engine:
 
         All three kinds are handled here.  Every cell sent ends in one
         tail: it takes the next sequence number and joins its delay line,
-        which enters the heap if it was empty.  EMIT and TICK re-arm in
-        place, as their entry is still the heap's first.
+        which enters the heap if it was empty, except a data cell bound
+        for its destination, which only adds its delivery time to the VC's
+        sink.  EMIT and TICK re-arm in place, as their entry is still the
+        heap's first.  On return every sink's times up to ``now`` are in
+        the recorder.
         """
         now = self.now
         if t_end < now:
@@ -264,74 +293,87 @@ class Engine:
         heap = self._heap
         heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
         recorder = self.recorder
+        recv = recorder.recv
         backward = Direction.BACKWARD
         next_cell = protocol.next_cell
-        while heap and heap[0][0] <= t_end:
-            time, _seq, kind, payload = heap[0]
-            if time < now:
-                raise SimulationError(f"event scheduled in the past: {time} < {now}")
-            self.now = now = time  # before any handler: the TICK's audit reads it
-            self.events_processed += 1
-            if kind == _DELIVER:  # the head of delay line ``payload`` is due
-                _time, _seq, rm = payload.popleft()
-                if payload:  # the line's next head takes its place
-                    head = payload[0]
-                    heapreplace(heap, (head[0], head[1], _DELIVER, payload))
-                else:
-                    heappop(heap)
-                vc, port, line = payload.vc, payload.port, payload.then
-                if rm is not None and rm.direction is backward:
-                    if line is None:  # feedback reaches the source
-                        vc.bwd_delivered += 1
-                        state = vc.state
-                        prev_acr = state.acr
-                        protocol.on_backward_rm(state, vc.params, rm)
-                        recorder.backward_rm(vc.vc_id, now)
-                        if state.acr != prev_acr:
-                            recorder.acr_change(vc.vc_id, now, state.acr)
-                        continue
-                    port.stamp_backward(rm, vc.vc_id, now)
+        seq = self._seq
+        events = self.events_processed
+        try:
+            while heap and heap[0][0] <= t_end:
+                time, _, kind, payload = heap[0]
+                if time < now:
+                    raise SimulationError(f"event scheduled in the past: {time} < {now}")
+                now = time
+                events += 1
+                if kind == _DELIVER:  # the head of delay line ``payload`` is due
+                    rm = payload.popleft()[2]
+                    if payload:  # the line's next head takes its place
+                        head = payload[0]
+                        heapreplace(heap, (head[0], head[1], _DELIVER, payload))
+                    else:
+                        heappop(heap)
+                    vc, port, line = payload.vc, payload.port, payload.then
+                    if rm is not None and rm.direction is backward:
+                        if line is None:  # feedback reaches the source
+                            vc.bwd_delivered += 1
+                            state = vc.state
+                            prev_acr = state.acr
+                            protocol.on_backward_rm(state, vc.params, rm)
+                            recorder.backward_rm(vc.vc_id, now)
+                            if state.acr != prev_acr:
+                                recorder.acr_change(vc.vc_id, now, state.acr)
+                            continue
+                        port.stamp_backward(rm, vc.vc_id, now)
+                        due = now + line.delay
+                    elif port is None:  # a forward RM cell reaches the destination
+                        times = recv[vc.vc_id]
+                        vc.drain(times, now)  # the data cells before it
+                        vc.delivered += 1
+                        times.append(now)
+                        vc.turned += 1
+                        rm = protocol.turnaround(rm)
+                        due = now + line.delay
+                    else:  # queued at ``port``; its served line is ``line``
+                        due = port.enqueue(vc.vc_id, rm, now) + port.prop_delay
+                elif kind == _EMIT:
+                    vc = payload
+                    state = vc.state
+                    prev_acr = state.acr
+                    rm = next_cell(state, vc.params, now)
+                    if state.acr != prev_acr:
+                        recorder.acr_change(vc.vc_id, now, state.acr)
+                    if state.acr == 0:  # recorded once: ``Recorder.deviation`` dedupes
+                        recorder.deviation(
+                            f"vc {vc.vc_id}: rate decayed to zero; keep-alive RM probing engaged"
+                        )
+                    line = vc.fwd[0]
                     due = now + line.delay
-                elif port is None:  # the destination
-                    vc.delivered += 1
-                    recorder.delivery(vc.vc_id, now)
-                    if rm is None:
-                        continue
-                    vc.turned += 1
-                    rm = protocol.turnaround(rm)
-                    due = now + line.delay
-                else:  # queued at ``port``; its served line is ``line``
-                    due = port.enqueue(vc.vc_id, rm, now) + port.prop_delay
-            elif kind == _EMIT:
-                vc = payload
-                state = vc.state
-                prev_acr = state.acr
-                rm = next_cell(state, vc.params, now)
-                if state.acr != prev_acr:
-                    recorder.acr_change(vc.vc_id, now, state.acr)
-                if state.acr == 0:  # recorded once: ``Recorder.deviation`` dedupes
-                    recorder.deviation(
-                        f"vc {vc.vc_id}: rate decayed to zero; keep-alive RM probing engaged"
-                    )
-                line = vc.fwd[0]
-                due = now + line.delay
-            else:  # TICK: sample every switch's backlog, audit now and then
-                for sw in self.switches.values():
-                    recorder.queue_sample(sw.name, now, sum(p.pop(now) for p in sw.ports.values()))
-                if now // _TICK_INTERVAL % _AUDIT_EVERY_TICKS == 0:  # TICKs fall on the grid
-                    self.audit()
-                self._seq += 1
-                heapreplace(heap, (now + _TICK_INTERVAL, self._seq, _TICK, None))
-                continue
-            self._seq = seq = self._seq + 1  # the tail: the cell joins ``line``
-            if not line:
-                heappush(heap, (due, seq, _DELIVER, line))
-            line.append((due, seq, rm))
-            if kind == _EMIT:  # the new head is due later: this entry is still first
-                self._seq = seq + 1
-                heapreplace(heap, (state.next_departure, seq + 1, _EMIT, vc))
-        if t_end > now:
-            self.now = t_end
+                else:  # TICK: sample every switch's backlog, audit now and then
+                    for sw in self.switches.values():
+                        backlog = sum(p.pop(now) for p in sw.ports.values())
+                        recorder.queue_sample(sw.name, now, backlog)
+                    if now // _TICK_INTERVAL % _AUDIT_EVERY_TICKS == 0:  # TICKs fall on the grid
+                        self.now = now
+                        self.audit()
+                    seq += 1
+                    heapreplace(heap, (now + _TICK_INTERVAL, seq, _TICK, None))
+                    continue
+                if rm is not None or line.port is not None:  # the tail: the cell joins ``line``
+                    seq += 1
+                    if not line:
+                        heappush(heap, (due, seq, _DELIVER, line))
+                    line.append((due, seq, rm))
+                else:  # a data cell bound for the destination: no event
+                    vc.sink.append(due)
+                if kind == _EMIT:  # the new head is due later: this entry is still first
+                    seq += 1
+                    heapreplace(heap, (state.next_departure, seq, _EMIT, vc))
+            if t_end > now:
+                now = t_end
+        finally:
+            self.now, self._seq, self.events_processed = now, seq, events
+        for vc in self.vcs.values():
+            vc.drain(recv[vc.vc_id], now)
 
     # -- accounting -------------------------------------------------------
 
@@ -341,16 +383,19 @@ class Engine:
         Forward direction: cells emitted == delivered + queued at ports +
         in flight on links.  Backward direction: RM cells turned around ==
         delivered back to the source + in flight.  Both sides come from
-        counting the entries of the VC's delay lines, independently of the
-        counters kept by the protocol handlers.  A served line splits at one
+        counting the entries of the VC's delay lines and sink, independently
+        of the counters kept by the protocol handlers.  A served line splits at one
         bisect on its times: a cell is still queued at the port that serves
         it (the port the VC's line before it reaches) while its departure
         (delivery time minus the port's propagation delay) is after now;
         over a zero-delay link the cell departing at now may already be
-        delivered.  Each port's own backlog after now, which
-        ``PortState.pop`` reads in closed form from two integers and not
-        from the lines, must match the sum of those splits over the VCs it
-        serves.  Cells are not checked one by one: each non-empty line's
+        delivered.  A VC's sink splits at two bisects: a time at or before
+        now is delivered (the loop may not have recorded it yet), a time
+        after now plus the last port's propagation delay is still queued
+        there, and the rest are in flight.  Each port's own backlog after
+        now, which ``PortState.pop`` reads in closed form from two integers
+        and not from the lines, must match the sum of those splits over the
+        VCs it serves.  Cells are not checked one by one: each non-empty line's
         head must be a cell of that line's direction, and must be in the
         event heap, as the only entry of its line.  The audit changes no
         state it checks.
@@ -387,12 +432,20 @@ class Engine:
                 waiting = len(line) - bisect_right(line, now + port.prop_delay, key=_TIME)
                 queued += waiting
                 backlog[port] = backlog.get(port, 0) + waiting
-            in_flight = sum(map(len, fwd)) - queued
+            sink = vc.sink
+            arrived = bisect_right(sink, now)  # delivered, not yet recorded
+            if len(fwd) > 1:  # the last port serves the sink's cells too
+                port = fwd[-2].port
+                waiting = len(sink) - bisect_right(sink, now + port.prop_delay)
+                queued += waiting
+                backlog[port] = backlog.get(port, 0) + waiting
+            delivered = vc.delivered + arrived
+            in_flight = sum(map(len, fwd)) + len(sink) - arrived - queued
             emitted = vc.state.cells_sent_total
-            if emitted != vc.delivered + queued + in_flight:
+            if emitted != delivered + queued + in_flight:
                 raise SimulationError(
                     f"vc {vc_id}: forward cell conservation violated at t={now}: "
-                    f"emitted {emitted} != delivered {vc.delivered} + queued "
+                    f"emitted {emitted} != delivered {delivered} + queued "
                     f"{queued} + in-flight {in_flight}"
                 )
             in_flight_bwd = sum(map(len, bwd))
@@ -404,7 +457,7 @@ class Engine:
                 )
             report[vc_id] = {
                 "emitted": emitted,
-                "delivered": vc.delivered,
+                "delivered": delivered,
                 "queued": queued,
                 "in_flight": in_flight,
             }

@@ -90,6 +90,8 @@ class Recorder:
         self.acr[vc_id].add(t, acr)
 
     def delivery(self, vc_id: str, t: SimTime) -> None:
+        # The engine appends to ``recv`` itself; ``perfbench/child.py``
+        # still wraps this hook by name.
         self.recv[vc_id].append(t)
 
     def queue_sample(self, switch: str, t: SimTime, total: int) -> None:

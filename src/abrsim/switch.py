@@ -104,7 +104,8 @@ class PortState:
             backlog = 1
         else:  # ``pop(now) + 1``, the arrival included
             departure = self.last_departure + tx
-            backlog = (departure - max(now, self.busy_from)) // tx + 1
+            busy_from = self.busy_from
+            backlog = (departure - (now if now > busy_from else busy_from)) // tx + 1
         self.last_departure = departure
         if backlog > self.max_queue:
             self.max_queue = backlog
@@ -165,4 +166,5 @@ class PortState:
         """The backlog at ``now``: the busy period's cells departing ``>= now``."""
         if self.last_departure < now:
             return 0
-        return (self.last_departure - max(now, self.busy_from)) // self.tx_time + 1
+        busy_from = self.busy_from
+        return (self.last_departure - (now if now > busy_from else busy_from)) // self.tx_time + 1

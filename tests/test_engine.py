@@ -263,16 +263,19 @@ def test_wrong_cell_at_a_line_head_fails_the_audit(direction, t_ms, head):
 
 
 def scan_lines(eng):
-    """``Engine.audit``'s report, by walking every delay-line entry.
+    """``Engine.audit``'s report, by walking every delay-line and sink entry.
 
     The per-cell oracle for the audit, which counts lines: each cell is
     charged to its line's VC and to its own direction, and a forward cell
     is queued at the port that served it (the port whose cells join its
     line ``then``) while its departure (delivery time minus the port's
-    propagation delay) is after now.  The backward counts and the ports'
-    backlogs must hold too.
+    propagation delay) is after now.  A sink entry is delivered once its
+    time is at or before now, and before that is queued or in flight like
+    a cell of the VC's destination line.  The backward counts and the
+    ports' backlogs must hold too.
     """
     now = eng.now
+    delivered = {vc_id: vc.delivered for vc_id, vc in eng.vcs.items()}
     queued = dict.fromkeys(eng.vcs, 0)
     in_flight = dict.fromkeys(eng.vcs, 0)
     in_flight_bwd = dict.fromkeys(eng.vcs, 0)
@@ -294,6 +297,16 @@ def scan_lines(eng):
                 backlog[port] = backlog.get(port, 0) + 1
             else:
                 in_flight[vc_id] += 1
+    for vc_id, vc in eng.vcs.items():
+        port = served_by.get(id(vc.fwd[-1]))
+        for time in vc.sink:
+            if time <= now:
+                delivered[vc_id] += 1
+            elif port is not None and time - port.prop_delay > now:
+                queued[vc_id] += 1
+                backlog[port] = backlog.get(port, 0) + 1
+            else:
+                in_flight[vc_id] += 1
     for sw in eng.switches.values():
         for port in sw.ports.values():
             assert port.pop(now + 1) == backlog.get(port, 0)
@@ -302,7 +315,7 @@ def scan_lines(eng):
     return {
         vc_id: {
             "emitted": vc.state.cells_sent_total,
-            "delivered": vc.delivered,
+            "delivered": delivered[vc_id],
             "queued": queued[vc_id],
             "in_flight": in_flight[vc_id],
         }
@@ -338,6 +351,27 @@ def test_audit_by_counting_matches_a_per_cell_scan_at_every_event(seed):
     assert checks > 500
 
 
+@pytest.mark.parametrize("seed", [0, 6, 19, 20])
+def test_audits_inside_the_loop_match_a_per_cell_scan(monkeypatch, seed):
+    # Sink times at or before now wait for the VC's next RM cell at the
+    # destination, or for ``run_until`` to return: only the TICK's audit
+    # sees them.
+    audit = Engine.audit
+    unrecorded = []
+
+    def checked_audit(eng):
+        report = audit(eng)
+        assert report == scan_lines(eng)
+        unrecorded.append(sum(t <= eng.now for vc in eng.vcs.values() for t in vc.sink))
+        return report
+
+    monkeypatch.setattr(Engine, "audit", checked_audit)
+    monkeypatch.setattr("abrsim.engine._AUDIT_EVERY_TICKS", 1)
+    eng = Engine(to_topology(parse_scenario(scenario_text(seed))))
+    eng.run_until(ms_to_ps(HORIZON_MS))
+    assert len(unrecorded) == HORIZON_MS and all(unrecorded)
+
+
 def test_heap_holds_line_heads_not_every_cell_in_flight():
     sc = parse_scenario(bundled_config_text("fig3.cfg"))
     apply_override(sc, "crm", 6144)
@@ -353,6 +387,22 @@ def test_heap_holds_line_heads_not_every_cell_in_flight():
     # the count with one heap entry per cell in flight: merging the lines
     # by their heads runs the same events
     assert eng.events_processed == 39640
+
+
+def test_data_cells_reaching_a_destination_are_not_events():
+    # fig3 at crm 32 to 300 ms: the engine that ran one DELIVER event per
+    # cell at the destination processed 24,462 events here.  A data cell
+    # bound for its destination now only adds its time to the VC's sink;
+    # RM cells there keep their events, since turnaround is ordered.
+    sc = parse_scenario(bundled_config_text("fig3.cfg"))
+    apply_override(sc, "crm", 32)
+    eng = Engine(to_topology(sc))
+    eng.run_until(ms_to_ps(300))
+    data_delivered = sum(vc.delivered - vc.turned for vc in eng.vcs.values())
+    assert data_delivered > 4000
+    assert eng.events_processed + data_delivered == 24462
+    for vc_id, vc in eng.vcs.items():
+        assert vc.delivered == len(eng.recorder.recv[vc_id])
 
 
 def test_identical_runs_produce_identical_traces():
@@ -443,7 +493,7 @@ def snapshot(eng):
         for p in sw.ports.values()
     }
     vcs = {
-        vc_id: (vc.state, vc.delivered, vc.turned, vc.bwd_delivered)
+        vc_id: (vc.state, vc.delivered, vc.turned, vc.bwd_delivered, list(vc.sink))
         for vc_id, vc in eng.vcs.items()
     }
     return {
@@ -484,9 +534,10 @@ def run_to_each_pending_time(eng, t_end):
 
 
 @pytest.mark.parametrize("text, until_ms", [
-    (bundled_config_text("fig3.cfg"), 40),
+    (bundled_config_text("fig3.cfg"), 40),  # d1's first delivery is at 275.018 ms
     (tie_scenario(), 3),
-], ids=["fig3", "tie-rule"])
+    (scenario_text(0), HORIZON_MS),  # its destinations receive: sinks drain at slice ends
+], ids=["fig3", "tie-rule", "seed-0"])
 def test_slicing_run_until_changes_nothing(text, until_ms):
     t_end = ms_to_ps(until_ms)
     results = []
