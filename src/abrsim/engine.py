@@ -18,16 +18,17 @@ Each VC's route is resolved once, when the engine is built, into a
 chain of FIFO delay lines, one per hop and direction.  A ``DelayLine``
 holds one VC's cells in one direction and knows where they go: ``vc``,
 the ``port`` they reach (None at an end system), the line ``then`` that
-they join there (None at the source) and, for a line whose cells leave
-at once, its fixed hop delay ``delay``.  A VC's forward lines
-(``VcRuntime.fwd``) are its *emit line*, due at ``now + tx + prop`` from
-the source, then one *served line* per switch port, due at ``departure +
-prop_delay`` (``delay`` is None: the port sets the departure).  The
-destination turns RM cells around onto its *backward lines*
-(``VcRuntime.bwd``), one per hop, each due at the hop delay of the link
-back.  A cell in flight is only its entry ``(time, seq, rm)``, where
-``rm`` is its RM fields, None for a data cell: its line holds every
-other fact about it.
+they join there (None at the source), whether it runs ``back`` toward
+the source and, for a line whose cells leave at once, its fixed hop
+delay ``delay``.  A VC's forward lines (``VcRuntime.fwd``) are its *emit
+line*, due at ``now + tx + prop`` from the source, then one *served
+line* per switch port, due at ``departure + prop_delay`` (``delay`` is
+None: the port sets the departure).  The destination turns RM cells
+around onto its *backward lines* (``VcRuntime.bwd``), one per hop, each
+due at the hop delay of the link back: the forward cell's ``RmFields``
+object itself goes back.  A cell in flight is only its entry ``(time,
+seq, rm)``, where ``rm`` is its RM fields, None for a data cell: its
+line holds every other fact about it, its direction included.
 
 A port's FIFO service is closed-form, so a cell entering a switch port is
 scheduled straight to its delivery at the next hop.  Departures of one
@@ -56,9 +57,10 @@ which keep their events because turnaround has its place in ``(time,
 seq)`` order.  Sequence numbers are only compared, so skipping some
 leaves every other event in the same order; one VC's times on one hop
 are distinct, so no data time ties an RM time.  Sink times move into
-``Recorder.recv`` in order, with ``VcRuntime.delivered`` counting them,
-before an RM cell's delivery at that destination records its own time
-and when ``run_until`` returns, up to the final ``now``.  So
+the VC's ``recv``, the recorder's own array, in order, before an RM
+cell's delivery at that destination records its own time and when
+``run_until`` returns, up to the final ``now``.  The length of ``recv``
+is the VC's ``delivered`` count; nothing else counts deliveries.  So
 ``events_processed`` counts no data cell's arrival at its destination.
 """
 
@@ -73,7 +75,7 @@ from operator import itemgetter
 
 from . import protocol
 from .metrics import Recorder
-from .protocol import Direction, SourceParams
+from .protocol import SourceParams
 from .switch import PortState, SwitchParams
 from .units import CellRate, SimTime, PS_PER_MS, PS_PER_US, cell_tx_time
 
@@ -152,41 +154,48 @@ class DelayLine(deque):
     sets the slots after construction.
     """
 
-    __slots__ = ("vc", "port", "then", "delay")
+    __slots__ = ("vc", "port", "then", "delay", "back")
 
 
 def _delay_line(
-    vc: VcRuntime, port: PortState | None, then: DelayLine | None, delay: SimTime | None
+    vc: VcRuntime,
+    port: PortState | None,
+    then: DelayLine | None,
+    delay: SimTime | None,
+    back: bool,
 ) -> DelayLine:
     line = DelayLine()
-    line.vc, line.port, line.then, line.delay = vc, port, then, delay
+    line.vc, line.port, line.then, line.delay, line.back = vc, port, then, delay, back
     return line
 
 
 class VcRuntime:
     __slots__ = (
-        "vc_id", "params", "fwd", "bwd", "sink", "state", "delivered", "turned", "bwd_delivered"
+        "vc_id", "params", "fwd", "bwd", "sink", "recv", "state", "turned", "bwd_delivered"
     )
 
-    def __init__(self, vc_id: str, params: SourceParams):
+    def __init__(self, vc_id: str, params: SourceParams, recv: array):
         self.vc_id = vc_id
         self.params = params
         self.fwd: tuple[DelayLine, ...] = ()  # the emit line, then each port's served line
         self.bwd: tuple[DelayLine, ...] = ()  # bwd[k] runs from path position k + 1 back to k
         # delivery times of the data cells on the destination line, not yet in ``recv``
         self.sink: deque[SimTime] = deque()
+        self.recv = recv  # the recorder's delivery times for this VC
         self.state = protocol.new_state(params)
-        self.delivered = 0
         self.turned = 0
         self.bwd_delivered = 0
 
-    def drain(self, recv: array, t: SimTime) -> None:
+    @property
+    def delivered(self) -> int:
+        """Cells recorded as delivered to the destination."""
+        return len(self.recv)
+
+    def drain(self, t: SimTime) -> None:
         """Record the sink's deliveries at or before ``t`` in ``recv``, in order."""
-        sink = self.sink
-        n = len(sink)
+        sink, recv = self.sink, self.recv
         while sink and sink[0] <= t:
             recv.append(sink.popleft())
-        self.delivered += n - len(sink)
 
 
 class SwitchRuntime:
@@ -230,7 +239,9 @@ class Engine:
         self.vcs: dict[str, VcRuntime] = {}
         for spec in topology.vcs:
             path = spec.path
-            vc = self.vcs[spec.vc_id] = VcRuntime(spec.vc_id, topology.source_params[path[0]])
+            params = topology.source_params[path[0]]
+            recorder.start_vc(spec.vc_id, params.icr)
+            vc = self.vcs[spec.vc_id] = VcRuntime(spec.vc_id, params, recorder.recv[spec.vc_id])
             # ports[k] serves path position k toward k + 1; None at both ends
             ports: list[PortState | None] = [None]
             for node, nxt in zip(path[1:-1], path[2:]):
@@ -248,14 +259,14 @@ class Engine:
             then = None  # backward lines, from the source out
             bwd = []
             for k, (a, b) in enumerate(zip(path, path[1:])):
-                then = _delay_line(vc, ports[k], then, hop(b, a))
+                then = _delay_line(vc, ports[k], then, hop(b, a), True)
                 bwd.append(then)
             fwd = []  # forward lines, from the destination back; RM cells turn onto bwd[-1]
             for k in range(len(path) - 1, 0, -1):
-                then = _delay_line(vc, ports[k], then, hop(path[0], path[1]) if k == 1 else None)
+                delay = hop(path[0], path[1]) if k == 1 else None
+                then = _delay_line(vc, ports[k], then, delay, False)
                 fwd.append(then)
             vc.fwd, vc.bwd = tuple(reversed(fwd)), tuple(bwd)
-            recorder.start_vc(vc.vc_id, vc.params.icr)
         for name in self.switches:
             recorder.start_switch(name)
         self.lines: tuple[DelayLine, ...] = tuple(
@@ -293,8 +304,6 @@ class Engine:
         heap = self._heap
         heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
         recorder = self.recorder
-        recv = recorder.recv
-        backward = Direction.BACKWARD
         next_cell = protocol.next_cell
         seq = self._seq
         events = self.events_processed
@@ -313,7 +322,7 @@ class Engine:
                     else:
                         heappop(heap)
                     vc, port, line = payload.vc, payload.port, payload.then
-                    if rm is not None and rm.direction is backward:
+                    if rm is not None and payload.back:
                         if line is None:  # feedback reaches the source
                             vc.bwd_delivered += 1
                             state = vc.state
@@ -326,12 +335,9 @@ class Engine:
                         port.stamp_backward(rm, vc.vc_id, now)
                         due = now + line.delay
                     elif port is None:  # a forward RM cell reaches the destination
-                        times = recv[vc.vc_id]
-                        vc.drain(times, now)  # the data cells before it
-                        vc.delivered += 1
-                        times.append(now)
-                        vc.turned += 1
-                        rm = protocol.turnaround(rm)
+                        vc.drain(now)  # the data cells before it
+                        vc.recv.append(now)
+                        vc.turned += 1  # and goes back on ``line``, fields intact
                         due = now + line.delay
                     else:  # queued at ``port``; its served line is ``line``
                         due = port.enqueue(vc.vc_id, rm, now) + port.prop_delay
@@ -373,7 +379,7 @@ class Engine:
         finally:
             self.now, self._seq, self.events_processed = now, seq, events
         for vc in self.vcs.values():
-            vc.drain(recv[vc.vc_id], now)
+            vc.drain(now)
 
     # -- accounting -------------------------------------------------------
 
@@ -396,9 +402,9 @@ class Engine:
         now, which ``PortState.pop`` reads in closed form from two integers
         and not from the lines, must match the sum of those splits over the
         VCs it serves.  Cells are not checked one by one: each non-empty line's
-        head must be a cell of that line's direction, and must be in the
-        event heap, as the only entry of its line.  The audit changes no
-        state it checks.
+        head must be in the event heap, as the only entry of its line, and a
+        backward line's head must be an RM cell.  The audit changes no state
+        it checks.
         """
         now = self.now
         heads = [entry for entry in self._heap if entry[2] == _DELIVER]
@@ -411,21 +417,14 @@ class Engine:
                 f"event heap holds {len(heads)} delay-line heads for "
                 f"{len(nonempty)} non-empty lines, or a stale head, at t={now}"
             )
-        backward = Direction.BACKWARD
         backlog: dict[PortState, int] = {}
         report = {}
         for vc_id, vc in self.vcs.items():
             fwd, bwd = vc.fwd, vc.bwd
-            for lines, is_bwd in ((fwd, False), (bwd, True)):
-                for line in lines:
-                    if not line:
-                        continue
-                    rm = line[0][2]
-                    if (rm is not None and rm.direction is backward) != is_bwd:
-                        raise SimulationError(
-                            f"vc {vc_id}: the head of a {'backward' if is_bwd else 'forward'} "
-                            f"delay line is {'a data cell' if rm is None else rm} at t={now}"
-                        )
+            if any(line and line[0][2] is None for line in bwd):
+                raise SimulationError(
+                    f"vc {vc_id}: the head of a backward delay line is a data cell at t={now}"
+                )
             queued = 0
             for served_by, line in zip(fwd, fwd[1:]):
                 port = served_by.port

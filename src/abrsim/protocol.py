@@ -2,8 +2,8 @@
 
 A source paces cells at its allowed cell rate (ACR), starting each cycle
 of ``nrm`` cells with one forward RM cell.  The destination turns forward
-RM cells around; switches along the way stamp an explicit rate into the
-backward copies, and the source adjusts ACR to that feedback.
+RM cells around; switches along the way back stamp an explicit rate into
+them, and the source adjusts ACR to that feedback.
 
 The safety valve modeled here is the no-feedback cutoff: immediately
 before each forward RM cell, if at least ``crm`` forward RM cells have
@@ -16,7 +16,6 @@ repeats on every subsequent RM cell and the rate decays geometrically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .analysis import check_cdf, crm_from_tbe
 from .units import CELL_BITS, CellRate, SimTime, PS_PER_MS, cell_tx_time
@@ -28,21 +27,17 @@ from .units import CELL_BITS, CellRate, SimTime, PS_PER_MS, cell_tx_time
 QUIESCENT_PROBE_GAP: SimTime = 100 * PS_PER_MS
 
 
-class Direction(Enum):
-    FORWARD = "fwd"
-    BACKWARD = "bwd"
-
-
 @dataclass
 class RmFields:
     """Control fields of an RM cell.
 
     ``bn`` is False for source-generated cells (the only kind modeled;
     switches here never originate RM cells).  ``er`` starts at the
-    source's PCR and is only ever lowered along the path.
+    source's PCR and is only ever lowered along the path back.  A cell's
+    direction is not a field: the delay line that carries it runs one
+    way, and the destination turns this same object around.
     """
 
-    direction: Direction
     bn: bool
     er: CellRate
     ccr: CellRate
@@ -146,8 +141,6 @@ def on_backward_rm(state: SourceState, params: SourceParams, rm: RmFields) -> No
     counter alone.  The rate moves by at most ``rif * pcr`` upward, is
     capped by the explicit rate, and stays inside [mcr, pcr].
     """
-    if rm.direction is not Direction.BACKWARD:
-        raise ValueError("feedback must come from a backward RM cell")
     if not rm.bn:
         state.unacked_fwd_rm = 0
     wanted = min(state.acr + params.rif * params.pcr, rm.er)
@@ -165,7 +158,7 @@ def next_cell(state: SourceState, params: SourceParams, now: SimTime) -> RmField
     """
     if state.acr == 0 or state.cells_since_rm == params.nrm - 1:
         apply_rule6(state, params)
-        rm = RmFields(Direction.FORWARD, bn=False, er=params.pcr, ccr=state.acr)
+        rm = RmFields(bn=False, er=params.pcr, ccr=state.acr)
         state.unacked_fwd_rm += 1
         state.cells_since_rm = 0
     else:
@@ -177,7 +170,11 @@ def next_cell(state: SourceState, params: SourceParams, now: SimTime) -> RmField
 
 
 def turnaround(rm: RmFields) -> RmFields:
-    """Destination behavior: flip a forward RM cell around, fields intact."""
-    if rm.direction is not Direction.FORWARD:
-        raise ValueError("only forward RM cells are turned around")
-    return RmFields(Direction.BACKWARD, rm.bn, rm.er, rm.ccr)
+    """Destination behavior: a forward RM cell goes back, fields intact.
+
+    The engine no longer calls this: the destination puts the forward
+    ``RmFields`` object itself on the backward line, whose route says
+    which way it runs.  It stays because ``perfbench/child.py`` wraps it
+    by name.
+    """
+    return rm

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .protocol import Direction, RmFields
+from .protocol import RmFields
 from .units import CellRate, SimTime, PS_PER_SEC, PS_PER_US, cell_tx_time
 
 
@@ -93,9 +93,11 @@ class PortState:
         self.max_queue = 0
 
     def enqueue(self, vc_id: str, rm: RmFields | None, now: SimTime) -> SimTime:
-        """Account for a cell of ``vc_id`` arriving with RM fields ``rm``
-        (None for a data cell), close the interval if due, and return the
-        time the cell finishes transmission."""
+        """Account for a forward cell of ``vc_id`` arriving with RM fields
+        ``rm`` (None for a data cell), close the interval if due, and return
+        the time the cell finishes transmission.  Backward cells are never
+        queued, so every RM cell here is a forward one and its ``ccr`` is
+        recorded."""
         if self.interval_start + self.interval_time_limit < now:
             self._close_due(now)
         tx = self.tx_time
@@ -111,7 +113,7 @@ class PortState:
             self.max_queue = backlog
         self.accum_cells += 1
         self.active_vcs.add(vc_id)
-        if rm is not None and rm.direction is Direction.FORWARD:
+        if rm is not None:
             self.ccr_table[vc_id] = rm.ccr
         if (
             self.accum_cells >= self.interval_cell_limit
@@ -154,8 +156,6 @@ class PortState:
 
     def stamp_backward(self, rm: RmFields, vc_id: str, now: SimTime) -> None:
         """Lower (never raise) the explicit rate carried by a backward RM cell."""
-        if rm.direction is not Direction.BACKWARD:
-            raise ValueError("only backward RM cells are stamped")
         if self.interval_start + self.interval_time_limit < now:
             self._close_due(now)
         er = self.compute_er(vc_id)

@@ -13,7 +13,7 @@ from abrsim.engine import (
     Topology,
     VcSpec,
 )
-from abrsim.protocol import Direction, RmFields, SourceParams
+from abrsim.protocol import SourceParams
 from abrsim.scenario import bundled_config_text, parse_scenario, to_topology
 from abrsim.units import PS_PER_MS, cell_tx_time, mbps_to_cps, ms_to_ps, ps_to_ms, us_to_ps
 from test_random_scenarios import HORIZON_MS, scenario_text
@@ -238,27 +238,20 @@ def test_line_head_out_of_step_with_the_heap_fails_the_audit():
         eng.audit()
 
 
-@pytest.mark.parametrize(
-    "direction, t_ms, head",
-    [
-        ("forward", 30, RmFields(Direction.BACKWARD, False, OC3, OC3)),
-        ("backward", 290, None),  # the satellite hop back carries RM cells from 275 ms
-    ],
-    ids=["backward rm", "data cell"],
-)
-def test_wrong_cell_at_a_line_head_fails_the_audit(direction, t_ms, head):
-    # The audit counts lines and checks only their heads: a backward RM
-    # cell heading a forward line, or a data cell heading a backward one,
-    # must fail it although every count and the heap still match.
+@pytest.mark.parametrize("head", [None], ids=["data cell"])
+def test_wrong_cell_at_a_line_head_fails_the_audit(head):
+    # The audit counts lines and checks only their heads: a data cell
+    # heading a backward line must fail it although every count and the
+    # heap still match.  A cell's direction is its line's, so an RM cell
+    # heads any line rightly.
     topo = to_topology(parse_scenario(bundled_config_text("fig3.cfg")))
     eng = Engine(topo)
-    eng.run_until(ms_to_ps(t_ms))
+    eng.run_until(ms_to_ps(290))  # the satellite hop back carries RM cells from 275 ms
     eng.audit()
-    vc = eng.vcs["fwd"]
-    line = max(vc.fwd if direction == "forward" else vc.bwd, key=len)
+    line = max(eng.vcs["fwd"].bwd, key=len)
     time, seq, _rm = line[0]
     line[0] = (time, seq, head)
-    with pytest.raises(SimulationError, match=f"vc fwd: the head of a {direction} delay line"):
+    with pytest.raises(SimulationError, match="vc fwd: the head of a backward delay line"):
         eng.audit()
 
 
@@ -266,13 +259,14 @@ def scan_lines(eng):
     """``Engine.audit``'s report, by walking every delay-line and sink entry.
 
     The per-cell oracle for the audit, which counts lines: each cell is
-    charged to its line's VC and to its own direction, and a forward cell
-    is queued at the port that served it (the port whose cells join its
-    line ``then``) while its departure (delivery time minus the port's
-    propagation delay) is after now.  A sink entry is delivered once its
-    time is at or before now, and before that is queued or in flight like
-    a cell of the VC's destination line.  The backward counts and the
-    ports' backlogs must hold too.
+    charged to its line's VC and to the direction of the tuple that holds
+    its line (``vc.bwd`` or ``vc.fwd``, by identity, not by the ``back``
+    flag the engine reads), and a forward cell is queued at the port that
+    served it (the port whose cells join its line ``then``) while its
+    departure (delivery time minus the port's propagation delay) is after
+    now.  A sink entry is delivered once its time is at or before now, and
+    before that is queued or in flight like a cell of the VC's destination
+    line.  The backward counts and the ports' backlogs must hold too.
     """
     now = eng.now
     delivered = {vc_id: vc.delivered for vc_id, vc in eng.vcs.items()}
@@ -286,13 +280,15 @@ def scan_lines(eng):
         for line in vc.fwd
         if line.port is not None
     }
+    backward = {id(line) for vc in eng.vcs.values() for line in vc.bwd}
     for line in eng.lines:
         vc_id = line.vc.vc_id
+        if id(line) in backward:
+            in_flight_bwd[vc_id] += len(line)
+            continue
         port = served_by.get(id(line))
-        for time, _seq, rm in line:
-            if rm is not None and rm.direction is Direction.BACKWARD:
-                in_flight_bwd[vc_id] += 1
-            elif port is not None and time - port.prop_delay > now:
+        for time, _seq, _rm in line:
+            if port is not None and time - port.prop_delay > now:
                 queued[vc_id] += 1
                 backlog[port] = backlog.get(port, 0) + 1
             else:
@@ -551,16 +547,48 @@ def test_slicing_run_until_changes_nothing(text, until_ms):
         assert other == whole
 
 
+@pytest.mark.parametrize(
+    "text",
+    [bundled_config_text("fig3.cfg")] + [scenario_text(seed) for seed in range(24)],
+    ids=["fig3"] + [f"seed-{seed}" for seed in range(24)],
+)
+def test_each_delay_line_runs_one_way_along_its_route(text):
+    # A cell's direction is its line's ``back`` flag.  The port that
+    # stamps a VC's feedback at a node must be the port that queues its
+    # data there, since its offer is what the source's rate should track.
+    eng = Engine(to_topology(parse_scenario(text)))
+    for vc in eng.vcs.values():
+        fwd, bwd = vc.fwd, vc.bwd
+        assert len(fwd) == len(bwd)
+        assert not any(line.back for line in fwd)
+        assert all(line.back for line in bwd)
+        assert all(a.then is b for a, b in zip(fwd, fwd[1:]))
+        assert fwd[-1].then is bwd[-1]
+        assert all(bwd[k].then is bwd[k - 1] for k in range(1, len(bwd)))
+        assert bwd[0].then is None
+        assert all(bwd[k].port is fwd[k - 1].port for k in range(1, len(bwd)))
+
+
 def test_a_run_result_pickles_and_both_copies_run_on_alike(tmp_path):
     # Delay lines subclass ``deque``: unpickling must rebuild them, their
-    # routes and the heap entries that point at them.
-    sc = parse_scenario(bundled_config_text("fig3.cfg"))
-    sc.run.until_ms = 20
-    result = execute_run(sc, tmp_path)
-    copy = pickle.loads(pickle.dumps(result))
-    assert copy.summary == result.summary
-    assert all(line.vc is copy.engine.vcs[line.vc.vc_id] for line in copy.engine.lines)
-    for eng in (result.engine, copy.engine):
-        eng.run_until(ms_to_ps(30))
-    assert copy.engine.events_processed == result.engine.events_processed > 0
-    assert snapshot(copy.engine) == snapshot(result.engine)  # the audits included
+    # routes and the heap entries that point at them.  Each VC records its
+    # deliveries straight into the recorder's array, which must stay one
+    # object in the copy: fig3 delivers nothing before 275 ms, so the
+    # default LAN, which delivers from its first millisecond, checks that.
+    for name, text, until_ms, on_ms in (
+        ("fig3", bundled_config_text("fig3.cfg"), 20, 30),
+        ("lan", "", 3, 5),
+    ):
+        sc = parse_scenario(text)
+        sc.run.until_ms = until_ms
+        result = execute_run(sc, tmp_path / name)
+        copy = pickle.loads(pickle.dumps(result))
+        assert copy.summary == result.summary
+        assert all(line.vc is copy.engine.vcs[line.vc.vc_id] for line in copy.engine.lines)
+        assert all(vc.recv is copy.recorder.recv[vc_id] for vc_id, vc in copy.engine.vcs.items())
+        for eng in (result.engine, copy.engine):
+            eng.run_until(ms_to_ps(on_ms))
+        assert copy.engine.events_processed == result.engine.events_processed > 0
+        for vc_id, vc in copy.engine.vcs.items():
+            assert vc.delivered == result.engine.vcs[vc_id].delivered
+        assert snapshot(copy.engine) == snapshot(result.engine)  # the audits included

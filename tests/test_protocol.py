@@ -5,7 +5,6 @@ import pytest
 from abrsim.analysis import decay_after
 from abrsim.protocol import (
     QUIESCENT_PROBE_GAP,
-    Direction,
     RmFields,
     SourceParams,
     SourceState,
@@ -13,7 +12,6 @@ from abrsim.protocol import (
     new_state,
     next_cell,
     on_backward_rm,
-    turnaround,
 )
 from abrsim.units import cell_tx_time, mbps_to_cps
 
@@ -115,7 +113,7 @@ def test_cutoff_does_not_reset_its_own_counter():
 
 
 def bwd(er_mbps, bn=False):
-    return RmFields(Direction.BACKWARD, bn=bn, er=mbps_to_cps(er_mbps), ccr=0.0)
+    return RmFields(bn=bn, er=mbps_to_cps(er_mbps), ccr=0.0)
 
 
 def test_feedback_jumps_to_explicit_rate():
@@ -161,13 +159,6 @@ def test_feedback_increase_is_capped_by_er_then_pcr():
     for _ in range(5):
         on_backward_rm(state, params, bwd(155.52))
     assert state.acr == params.pcr
-
-
-def test_feedback_requires_backward_cell():
-    params = make_params()
-    state = new_state(params)
-    with pytest.raises(ValueError):
-        on_backward_rm(state, params, RmFields(Direction.FORWARD, False, PCR, 0.0))
 
 
 # -- emission pacing and interleaving ---------------------------------------
@@ -220,7 +211,6 @@ def test_rm_cells_carry_current_rate_and_peak_er():
     cells = drive(state, params, 1024 + 32 * 3 + 1)
     rms = [rm for rm in cells if rm is not None]
     for rm in rms:
-        assert rm.direction is Direction.FORWARD
         assert rm.bn is False
         assert rm.er == params.pcr
 
@@ -250,7 +240,7 @@ def test_acr_stays_in_mcr_pcr_over_random_operation_sequences():
             on_backward_rm(
                 state,
                 params,
-                RmFields(Direction.BACKWARD, bn=rng.random() < 0.1, er=er, ccr=0.0),
+                RmFields(bn=rng.random() < 0.1, er=er, ccr=0.0),
             )
         assert params.mcr <= state.acr <= params.pcr
 
@@ -270,7 +260,7 @@ def test_unacked_counter_matches_trace_replay():
         else:
             bn = rng.random() < 0.2
             on_backward_rm(
-                state, params, RmFields(Direction.BACKWARD, bn=bn, er=params.pcr, ccr=0.0)
+                state, params, RmFields(bn=bn, er=params.pcr, ccr=0.0)
             )
             if not bn:
                 rm_at_last_reset = rm_emitted
@@ -341,30 +331,3 @@ def test_pacing_gap_follows_every_acr_write(cdf):
         check()
     assert state.acr == PCR
 
-
-# -- turnaround ---------------------------------------------------------------
-
-
-def test_turnaround_flips_direction_and_preserves_fields():
-    fwd = RmFields(Direction.FORWARD, bn=False, er=mbps_to_cps(155.52), ccr=mbps_to_cps(140))
-    back = turnaround(fwd)
-    assert back.direction is Direction.BACKWARD
-    assert back.bn is False
-    assert back.er == fwd.er
-    assert back.ccr == fwd.ccr
-
-
-def test_turnaround_rejects_backward_cells():
-    with pytest.raises(ValueError):
-        turnaround(RmFields(Direction.BACKWARD, False, 1.0, 1.0))
-
-
-def test_turnaround_preserves_fields_for_random_cells():
-    rng = random.Random(3)
-    for _ in range(1000):
-        fwd = RmFields(
-            Direction.FORWARD, bn=rng.random() < 0.5, er=rng.uniform(0, PCR), ccr=rng.uniform(0, PCR)
-        )
-        back = turnaround(fwd)
-        assert back.direction is Direction.BACKWARD
-        assert (back.bn, back.er, back.ccr) == (fwd.bn, fwd.er, fwd.ccr)

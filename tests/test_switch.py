@@ -4,7 +4,7 @@ from collections import deque
 
 import pytest
 
-from abrsim.protocol import Direction, RmFields
+from abrsim.protocol import RmFields
 from abrsim.switch import PortState, SwitchParams
 from abrsim.units import PS_PER_SEC, mbps_to_cps, us_to_ps
 
@@ -23,11 +23,11 @@ def make_port(**params):
 
 
 def fwd_rm(ccr=mbps_to_cps(140)):
-    return RmFields(Direction.FORWARD, False, OC3, ccr)
+    return RmFields(False, OC3, ccr)
 
 
 def bwd_rm(er=OC3):
-    return RmFields(Direction.BACKWARD, False, er=er, ccr=0.0)
+    return RmFields(False, er=er, ccr=0.0)
 
 
 # -- enqueue -----------------------------------------------------------------
@@ -45,12 +45,6 @@ def test_forward_rm_updates_ccr_table():
     port = make_port()
     port.enqueue("vc1", fwd_rm(ccr=mbps_to_cps(140)), now=10)
     assert port.ccr_table["vc1"] == mbps_to_cps(140)
-
-
-def test_backward_rm_in_queue_does_not_touch_ccr_table():
-    port = make_port()
-    port.enqueue("vc1", RmFields(Direction.BACKWARD, False, OC3, mbps_to_cps(99)), now=10)
-    assert "vc1" not in port.ccr_table
 
 
 def test_thirtieth_cell_closes_interval():
@@ -291,12 +285,6 @@ def test_stamp_through_two_ports_folds_min():
     port_a.stamp_backward(rm, "vc1", now=10)
     port_b.stamp_backward(rm, "vc1", now=10)
     assert rm.er == pytest.approx(0.7 * OC3, rel=1e-12)
-
-
-def test_stamp_rejects_forward_cells():
-    port = make_port()
-    with pytest.raises(ValueError):
-        port.stamp_backward(RmFields(Direction.FORWARD, False, OC3, 0.0), "vc1", now=10)
 
 
 def overloaded_by_two_vcs():
