@@ -20,7 +20,8 @@ import concurrent.futures
 import os
 import sys
 from dataclasses import dataclass, replace
-from itertools import count
+from itertools import chain, count, islice, repeat
+from operator import itemgetter, truediv
 from pathlib import Path
 
 from . import analysis, metrics
@@ -85,13 +86,17 @@ def apply_override(sc: Scenario, param: str, value: float) -> None:
 
 
 _COUNT_ROW = "%.6f,%d.000000\n"  # an integer value, printed as "%.6f" would print it
+_CSV_CHUNK = 512  # rows formatted by one ``%``; more only raises peak memory
 
 
-def _write_csv(path: Path, rows, row: str = "%.6f,%.6f\n") -> None:
-    """Write ``(time_ps, value)`` pairs as ``time_ms,value`` lines formatted by ``row``."""
+def _write_csv(path: Path, times, values, row: str = "%.6f,%.6f\n") -> None:
+    """Write ``time_ms,value`` lines formatted by ``row``, from times in ps
+    and their values; rows are formatted a chunk at a time."""
+    pairs = zip(map(truediv, times, repeat(PS_PER_MS)), values)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("time_ms,value\n")
-        fh.writelines(row % (t / PS_PER_MS, v) for t, v in rows)
+        while args := tuple(chain.from_iterable(islice(pairs, _CSV_CHUNK))):
+            fh.write(row * (len(args) // 2) % args)
 
 
 def _write_outputs(result: RunResult, overrides: dict[str, str]) -> None:
@@ -99,11 +104,12 @@ def _write_outputs(result: RunResult, overrides: dict[str, str]) -> None:
     out.mkdir(parents=True, exist_ok=True)
     rec = result.recorder
     for vc_id, trace in rec.acr.items():
-        _write_csv(out / f"acr_{vc_id}.csv", zip(trace.times, map(cps_to_mbps, trace.values)))
+        _write_csv(out / f"acr_{vc_id}.csv", trace.times, map(cps_to_mbps, trace.values))
     for vc_id, times in rec.recv.items():  # the n-th delivery brings the count to n
-        _write_csv(out / f"recv_{vc_id}.csv", zip(times, count(1)), _COUNT_ROW)
+        _write_csv(out / f"recv_{vc_id}.csv", times, count(1), _COUNT_ROW)
     for sw, samples in rec.queues.items():
-        _write_csv(out / f"queues_{sw}.csv", samples, _COUNT_ROW)
+        times, totals = map(itemgetter(0), samples), map(itemgetter(1), samples)
+        _write_csv(out / f"queues_{sw}.csv", times, totals, _COUNT_ROW)
 
     with open(out / "summary.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("vc,metric,t0_ms,t1_ms,value\n")
@@ -166,11 +172,21 @@ def _summarize(sc: Scenario, recorder: Recorder) -> list[tuple[str, str, float, 
 
 
 def execute_run(
-    sc: Scenario, out_dir: Path, overrides: dict[str, str] | None = None
+    sc: Scenario,
+    out_dir: Path,
+    overrides: dict[str, str] | None = None,
+    processes: int | None = None,
 ) -> RunResult:
-    """Build, run and persist one scenario; raises on invariant failures."""
+    """Build, run and persist one scenario; raises on invariant failures.
+
+    The run's parts (``Engine.parts``) run in up to ``processes``
+    processes, by default as many as there are CPUs; the outputs do not
+    depend on it.
+    """
     engine = Engine(to_topology(sc))
-    engine.run_until(ms_to_ps(sc.run.until_ms))
+    if processes is None:
+        processes = os.cpu_count() or 1
+    engine.run_parts(ms_to_ps(sc.run.until_ms), processes)
     engine.audit()
     result = RunResult(
         out_dir=out_dir, scenario=sc, engine=engine, summary=_summarize(sc, engine.recorder)
@@ -231,8 +247,9 @@ def cmd_run(args) -> int:
 
 
 def _sweep_worker(sc: Scenario, overrides: dict[str, str], out_dir: str) -> dict[str, float]:
-    """Run one checked sweep member; returns its steady-state Mbps per VC."""
-    return steady_state_mbps(execute_run(sc, Path(out_dir), overrides))
+    """Run one checked sweep member in this process, as the pool holds the
+    CPUs; returns its steady-state Mbps per VC."""
+    return steady_state_mbps(execute_run(sc, Path(out_dir), overrides, processes=1))
 
 
 def cmd_sweep(args) -> int:

@@ -62,19 +62,46 @@ cell's delivery at that destination records its own time and when
 ``run_until`` returns, up to the final ``now``.  The length of ``recv``
 is the VC's ``delivered`` count; nothing else counts deliveries.  So
 ``events_processed`` counts no data cell's arrival at its destination.
+
+A run splits into *parts* (``Engine.parts``).  Two VCs fall in one part
+when a chain of shared switch ports on their forward paths links them.
+Backward RM cells are stamped only at their own VC's forward ports, so no
+two parts share a port, a line, a source or a per-VC trace; they meet
+only at the TICK, which samples every switch.  ``run_parts`` cuts the
+parts into groups of consecutive parts, runs the first group here and
+each other one in a forked worker, each with ``run_until`` on this engine
+restricted to its group: its VCs, their lines and heap entries, the TICK,
+and in each switch only its ports.  Each group keeps its order: its events
+read and write only its own state, and they take sequence numbers in the
+order they are scheduled, as in the whole run.  So its events and the TICK
+keep the relative ``(time, seq)`` order that they have in the whole run,
+whatever the other groups' events are.  Group k takes its sequence
+numbers from a range of 2**48 that begins k ranges above the run's
+counter, so no two groups share one.  Each worker pickles its group's state
+back and the parent splices it in: VCs, ports and per-VC traces by name.
+Queue samples are summed per switch, ``events_processed`` counts the
+shared TICKs once, and ``audits_passed`` counts each TICK audit once (each
+group audits its own part at the same TICKs).  Deviations are ordered by
+the time each was first recorded, then by group order.  Pending entries
+due at the next TICK's time are renumbered so that, in each group's own
+order, those before its TICK stay before the TICK and the rest after it;
+the spliced engine passes ``audit`` and runs on with ``run_until``.
 """
 
 from __future__ import annotations
 
 import heapq
+import os
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import protocol
-from .metrics import Recorder
+from .metrics import Recorder, StepTrace
 from .protocol import SourceParams
 from .switch import PortState, SwitchParams
 from .units import CellRate, SimTime, PS_PER_MS, PS_PER_US, cell_tx_time
@@ -217,6 +244,22 @@ _TIME = itemgetter(0)  # a delay-line entry's delivery time
 _TICK_INTERVAL = PS_PER_MS  # queue sampling cadence
 _AUDIT_EVERY_TICKS = 100  # conservation audit cadence
 
+_SEQ_RANGE = 1 << 48  # the sequence numbers of one part group in a split run
+
+
+class _GroupState(NamedTuple):
+    """What a part group's process hands back after a split run."""
+
+    vcs: dict[str, VcRuntime]
+    ports: dict[tuple[str, str], PortState]  # by switch name and next hop
+    acr: dict[str, StepTrace]
+    first_backward: dict[str, SimTime]
+    samples: dict[str, list[tuple[SimTime, int]]]  # queue samples taken in the run, per switch
+    deviations: list[tuple[str, SimTime]]  # recorded in the run, with their first times
+    heap: list
+    seq: int
+    events: int  # processed in the run, the TICKs included
+
 
 class Engine:
     """Single-threaded event loop over one topology, recording into ``recorder``."""
@@ -274,7 +317,8 @@ class Engine:
         )
         recorder.deviation(
             "backward RM cells bypass port queues (stamped and re-emitted "
-            "immediately, ahead of reverse-direction data)"
+            "immediately, ahead of reverse-direction data)",
+            0,
         )
         self._push(_TICK_INTERVAL, _TICK, None)
 
@@ -350,7 +394,8 @@ class Engine:
                         recorder.acr_change(vc.vc_id, now, state.acr)
                     if state.acr == 0:  # recorded once: ``Recorder.deviation`` dedupes
                         recorder.deviation(
-                            f"vc {vc.vc_id}: rate decayed to zero; keep-alive RM probing engaged"
+                            f"vc {vc.vc_id}: rate decayed to zero; keep-alive RM probing engaged",
+                            now,
                         )
                     line = vc.fwd[0]
                     due = now + line.delay
@@ -380,6 +425,218 @@ class Engine:
             self.now, self._seq, self.events_processed = now, seq, events
         for vc in self.vcs.values():
             vc.drain(now)
+
+    # -- parts ---------------------------------------------------------------
+
+    def parts(self) -> list[list[str]]:
+        """The VC ids in parts: two VCs share a part when a chain of shared
+        switch ports on their forward paths links them.  Each part lists
+        its VCs in engine order, and the parts come in the order of their
+        first VC."""
+        root = list(range(len(self.vcs)))
+
+        def find(i: int) -> int:
+            while root[i] != i:
+                root[i] = root[root[i]]
+                i = root[i]
+            return i
+
+        first_user: dict[PortState, int] = {}
+        for i, vc in enumerate(self.vcs.values()):
+            for line in vc.fwd:
+                if line.port is not None:
+                    root[find(i)] = find(first_user.setdefault(line.port, i))
+        parts: dict[int, list[str]] = {}
+        for i, vc_id in enumerate(self.vcs):
+            parts.setdefault(find(i), []).append(vc_id)
+        return list(parts.values())
+
+    def run_parts(self, t_end: SimTime, processes: int) -> None:
+        """``run_until(t_end)``, with the parts in up to ``processes`` processes.
+
+        The parts are cut into that many groups of consecutive parts.  The
+        first group runs in this process and each other one in a forked
+        worker; their states are then spliced back into this engine.  With
+        one group, or without ``os.fork``, this is ``run_until``.
+        """
+        parts = self.parts()
+        n = min(processes, len(parts))
+        if n < 2 or not hasattr(os, "fork"):
+            self.run_until(t_end)
+            return
+        groups = [
+            list(chain.from_iterable(parts[k * len(parts) // n:(k + 1) * len(parts) // n]))
+            for k in range(n)
+        ]
+        import pickle  # only a split run pays for these imports
+        import signal
+
+        rec = self.recorder
+        start = (
+            self.events_processed,
+            {name: len(samples) for name, samples in rec.queues.items()},
+            len(rec.deviations),
+        )
+        whole = self.vcs, self.switches
+        seq = self._seq
+        tick_from = next(entry[0] for entry in self._heap if entry[2] == _TICK)
+        workers = []  # (pid, the read end of its pipe)
+        try:
+            for k, group in enumerate(groups[1:], 1):
+                read_end, write_end = os.pipe()
+                pid = os.fork()
+                if pid == 0:  # the worker: run group k, send its state back, exit
+                    code = 1
+                    try:
+                        os.close(read_end)
+                        for _, fh in workers:
+                            fh.close()
+                        try:
+                            self._restrict(group, seq + k * _SEQ_RANGE)
+                            self.run_until(t_end)
+                            reply = (None, self._group_state(*start))
+                            data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+                        except Exception as exc:
+                            try:
+                                data = pickle.dumps((exc, None))
+                            except Exception:
+                                data = pickle.dumps((SimulationError(f"{exc!r}"), None))
+                        with open(write_end, "wb") as fh:
+                            fh.write(data)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                os.close(write_end)
+                workers.append((pid, open(read_end, "rb")))
+            self._restrict(groups[0], seq)
+            self.run_until(t_end)
+            states = [self._group_state(*start)]
+            for pid, fh in workers:
+                try:
+                    exc, state = pickle.load(fh)
+                except EOFError:
+                    raise SimulationError(
+                        f"the worker of a part group (pid {pid}) sent no result"
+                    ) from None
+                if exc is not None:
+                    raise exc
+                states.append(state)
+        except BaseException:
+            for pid, _ in workers:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            for pid, fh in workers:
+                fh.close()
+                os.waitpid(pid, 0)
+        for k, state in enumerate(states):
+            if state.seq >= seq + (k + 1) * _SEQ_RANGE:
+                raise SimulationError(f"part group {k} ran out of sequence numbers")
+        self._splice(whole, states, start, tick_from)
+
+    def _restrict(self, vc_ids: list[str], seq: int) -> None:
+        """Narrow this engine to the VCs ``vc_ids``: their lines, their heap
+        entries and the TICK, and in each switch only their ports.  The
+        next sequence number taken is ``seq + 1``."""
+        self.vcs = vcs = {vc_id: self.vcs[vc_id] for vc_id in vc_ids}
+        self.lines = tuple(line for vc in vcs.values() for line in (*vc.fwd, *vc.bwd))
+        ports = {line.port for line in self.lines}
+        switches = {}
+        for name, sw in self.switches.items():
+            switches[name] = kept = SwitchRuntime(name)
+            kept.ports = {key: port for key, port in sw.ports.items() if port in ports}
+        self.switches = switches
+        mine = set(vcs.values())
+        self._heap = [
+            entry for entry in self._heap
+            if entry[2] == _TICK or (entry[3] if entry[2] == _EMIT else entry[3].vc) in mine
+        ]
+        heapq.heapify(self._heap)
+        self._seq = seq
+
+    def _group_state(self, events: int, samples: dict[str, int], deviations: int) -> _GroupState:
+        """This restricted engine's state, for a run that started with
+        ``events`` processed, ``samples`` queue samples per switch and
+        ``deviations`` deviations recorded."""
+        rec = self.recorder
+        vcs = self.vcs
+        return _GroupState(
+            vcs=vcs,
+            ports={
+                (name, key): port
+                for name, sw in self.switches.items()
+                for key, port in sw.ports.items()
+            },
+            acr={vc_id: rec.acr[vc_id] for vc_id in vcs},
+            first_backward={v: t for v, t in rec.first_backward.items() if v in vcs},
+            samples={name: q[samples[name]:] for name, q in rec.queues.items()},
+            deviations=list(rec.deviations.items())[deviations:],
+            heap=self._heap,
+            seq=self._seq,
+            events=self.events_processed - events,
+        )
+
+    def _splice(self, whole, states: list[_GroupState], start, tick_from: SimTime) -> None:
+        """Make this engine whole again from its groups' states after a split run.
+
+        Pending entries due at the TICK's time are renumbered, each group's
+        in its own order, so that those each group held before its TICK
+        come before the TICK and the others after it.
+        """
+        events, samples, deviations = start
+        self.vcs, self.switches = vcs, switches = whole
+        rec = self.recorder
+        for state in states:
+            for vc_id, vc in state.vcs.items():
+                vcs[vc_id] = vc
+                rec.recv[vc_id] = vc.recv
+            rec.acr.update(state.acr)
+            rec.first_backward.update(state.first_backward)
+            for (name, key), port in state.ports.items():
+                switches[name].ports[key] = port
+        self.lines = tuple(line for vc in vcs.values() for line in (*vc.fwd, *vc.bwd))
+        for name, q in rec.queues.items():
+            rows = zip(*(state.samples[name] for state in states))
+            q[samples[name]:] = [(row[0][0], sum(n for _, n in row)) for row in rows]
+        new = sorted(chain.from_iterable(state.deviations for state in states), key=itemgetter(1))
+        rec.deviations = dict([*rec.deviations.items()][:deviations] + new)
+
+        tick = next(entry[0] for entry in states[0].heap if entry[2] == _TICK)
+        ticks = (tick - tick_from) // _TICK_INTERVAL
+        shared = (len(states) - 1) * ticks  # each group processed every TICK
+        self.events_processed = events + sum(state.events for state in states) - shared
+        heap = []
+        before, after = [], []
+        for state in states:
+            due = []  # (seq, kind, where) of each pending entry due at ``tick``
+            for entry in state.heap:
+                if entry[2] == _EMIT:
+                    if entry[0] == tick:
+                        due.append((entry[1], _EMIT, entry[3]))
+                    else:
+                        heap.append(entry)
+                elif entry[2] == _TICK:
+                    tick_seq = entry[1]
+            for vc in state.vcs.values():
+                for line in (*vc.fwd, *vc.bwd):
+                    i = bisect_left(line, tick, key=_TIME)
+                    while i < len(line) and line[i][0] == tick:
+                        due.append((line[i][1], _DELIVER, (line, i)))
+                        i += 1
+            due.sort(key=itemgetter(0))
+            before += [d for d in due if d[0] < tick_seq]
+            after += [d for d in due if d[0] > tick_seq]
+        seq = max(state.seq for state in states)
+        for _, kind, where in [*before, (0, _TICK, None), *after]:
+            seq += 1
+            if kind == _DELIVER:
+                line, i = where
+                line[i] = (tick, seq, line[i][2])
+            else:
+                heap.append((tick, seq, kind, where))
+        heap += [(line[0][0], line[0][1], _DELIVER, line) for line in self.lines if line]
+        heapq.heapify(heap)
+        self._heap, self._seq = heap, seq
 
     # -- accounting -------------------------------------------------------
 

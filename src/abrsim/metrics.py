@@ -76,7 +76,7 @@ class Recorder:
         self.recv: dict[str, array] = {}  # delivery times, "q" (int64) arrays
         self.queues: dict[str, list[tuple[SimTime, int]]] = {}
         self.first_backward: dict[str, SimTime] = {}
-        self.deviations: list[str] = []
+        self.deviations: dict[str, SimTime] = {}  # message -> the time first recorded
         self.audits_passed = 0
 
     def start_vc(self, vc_id: str, icr: CellRate) -> None:
@@ -100,6 +100,5 @@ class Recorder:
     def backward_rm(self, vc_id: str, t: SimTime) -> None:
         self.first_backward.setdefault(vc_id, t)
 
-    def deviation(self, message: str) -> None:
-        if message not in self.deviations:
-            self.deviations.append(message)
+    def deviation(self, message: str, t: SimTime) -> None:
+        self.deviations.setdefault(message, t)

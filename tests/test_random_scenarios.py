@@ -11,8 +11,9 @@ delays lie on the 20 us grid and measurement intervals last 10, 20 or
 picoseconds, which reaches the switch's tie rule (a deadline equal to
 ``now`` stays open) and the engine's (equal times run in scheduling order).
 
-One sha256 over each run's CSV files pins its outputs; the properties are
-checked on the same runs.
+Each seed runs split into its parts (``Engine.parts``) and serially; the
+two must write the same bytes.  One sha256 over the CSV files pins the
+outputs; the properties are checked on the serial run.
 """
 
 import hashlib
@@ -113,12 +114,16 @@ def test_random_scenario(tmp_path, monkeypatch, seed):
     monkeypatch.setattr(PortState, "stamp_backward", checked_stamp)
     monkeypatch.setattr(engine, "_AUDIT_EVERY_TICKS", 1)  # audit at every ms
     runs = []
-    for rerun in ("a", "b"):
-        out = tmp_path / rerun
-        result = execute_run(parse_scenario(text), out)
+    # The run split into its parts, then the serial one.  A forked part's
+    # stamps never reach ``stamps``, so only the serial run, which holds
+    # every part in this process, is observed.
+    for processes in (2, 1):
+        out = tmp_path / str(processes)
+        stamps.clear()
+        result = execute_run(parse_scenario(text), out, processes=processes)
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         runs.append(files)
-    assert runs[0] == runs[1]  # reruns are byte-identical, meta.txt included
+    assert runs[0] == runs[1]  # byte-identical, meta.txt included
 
     digest = hashlib.sha256()
     for name, data in runs[0].items():
