@@ -1,9 +1,10 @@
 """Deterministic discrete-event core: topology, links, event loop.
 
 Events are ordered by (timestamp, scheduling sequence number); the
-sequence number is assigned globally at scheduling time, so simultaneous
-events run in the order they were scheduled and two runs of the same
-configuration produce identical traces.
+sequence number is assigned at scheduling time from the counter of the
+event's part (below), so simultaneous events of one part run in the
+order they were scheduled and two runs of the same configuration produce
+identical traces.
 
 Node model: end systems originate VCs (persistent greedy sources) and
 turn forward RM cells around; switches queue forward-path cells on the
@@ -44,7 +45,7 @@ when it goes from empty to non-empty, and re-enters with its next head
 when its head is delivered.  Merging sorted lines by their heads yields
 exactly the ``(time, seq)`` order that one heap entry per cell would, so
 traces do not depend on how cells are stored.
-``Engine.run_until`` dispatches all three event kinds (EMIT, DELIVER,
+``Part.run_until`` dispatches all three event kinds (EMIT, DELIVER,
 TICK) inline, and every cell it sends, whether emitted, queued at a port,
 stamped or turned around, joins its line through one append tail.  A
 queue sample at ``now`` counts every cell whose departure is ``>= now``.
@@ -63,29 +64,23 @@ cell's delivery at that destination records its own time and when
 is the VC's ``delivered`` count; nothing else counts deliveries.  So
 ``events_processed`` counts no data cell's arrival at its destination.
 
-A run splits into *parts* (``Engine.parts``).  Two VCs fall in one part
+A run is made of *parts* (``Engine.parts``).  Two VCs fall in one part
 when a chain of shared switch ports on their forward paths links them.
 Backward RM cells are stamped only at their own VC's forward ports, so no
-two parts share a port, a line, a source or a per-VC trace; they meet
-only at the TICK, which samples every switch.  ``run_parts`` cuts the
-parts into groups of consecutive parts, runs the first group here and
-each other one in a forked worker, each with ``run_until`` on this engine
-restricted to its group: its VCs, their lines and heap entries, the TICK,
-and in each switch only its ports.  Each group keeps its order: its events
-read and write only its own state, and they take sequence numbers in the
-order they are scheduled, as in the whole run.  So its events and the TICK
-keep the relative ``(time, seq)`` order that they have in the whole run,
-whatever the other groups' events are.  Group k takes its sequence
-numbers from a range of 2**48 that begins k ranges above the run's
-counter, so no two groups share one.  Each worker pickles its group's state
-back and the parent splices it in: VCs, ports and per-VC traces by name.
-Queue samples are summed per switch, ``events_processed`` counts the
-shared TICKs once, and ``audits_passed`` counts each TICK audit once (each
-group audits its own part at the same TICKs).  Deviations are ordered by
-the time each was first recorded, then by group order.  Pending entries
-due at the next TICK's time are renumbered so that, in each group's own
-order, those before its TICK stay before the TICK and the rest after it;
-the spliced engine passes ``audit`` and runs on with ``run_until``.
+two parts share a port, a line, a source or a per-VC trace.  Each part
+(``Part``) owns its VCs, lines and ports, its event heap, its sequence
+counter, its TICK and its ``Recorder``, and runs the event loop on them
+alone; its TICK samples every switch, counting only its own ports.  A
+part's events read and write only its own state, so their order does not
+depend on the other parts: ``Engine.run_until`` runs the parts one after
+another, and ``Engine.run_parts`` runs groups of consecutive parts in
+forked workers, each of which sends its parts back whole; both leave
+every part in the same state.  What the run reports is merged from its
+parts in one place (``Engine.recorder``): per-VC traces in engine order,
+queue samples summed per switch, and deviations ordered by the time each
+was first recorded, then by part order.  ``events_processed`` and
+``audits_passed`` count the TICKs and their audits, which every part
+takes, once.
 """
 
 from __future__ import annotations
@@ -93,12 +88,11 @@ from __future__ import annotations
 import heapq
 import os
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
-from typing import NamedTuple
 
 from . import protocol
 from .metrics import Recorder, StepTrace
@@ -244,34 +238,19 @@ _TIME = itemgetter(0)  # a delay-line entry's delivery time
 _TICK_INTERVAL = PS_PER_MS  # queue sampling cadence
 _AUDIT_EVERY_TICKS = 100  # conservation audit cadence
 
-_SEQ_RANGE = 1 << 48  # the sequence numbers of one part group in a split run
 
+class Part:
+    """One part of a run, simulated on its own: its VCs, their delay lines
+    and ports, its event heap, sequence counter and TICK, and the
+    ``recorder`` of its traces.  ``switches`` holds every switch of the
+    topology, each with only this part's ports."""
 
-class _GroupState(NamedTuple):
-    """What a part group's process hands back after a split run."""
-
-    vcs: dict[str, VcRuntime]
-    ports: dict[tuple[str, str], PortState]  # by switch name and next hop
-    acr: dict[str, StepTrace]
-    first_backward: dict[str, SimTime]
-    samples: dict[str, list[tuple[SimTime, int]]]  # queue samples taken in the run, per switch
-    deviations: list[tuple[str, SimTime]]  # recorded in the run, with their first times
-    heap: list
-    seq: int
-    events: int  # processed in the run, the TICKs included
-
-
-class Engine:
-    """Single-threaded event loop over one topology, recording into ``recorder``."""
-
-    def __init__(self, topology: Topology):
+    def __init__(self, topology: Topology, specs: list[VcSpec]):
         self.recorder = recorder = Recorder()
         self.now: SimTime = 0
-        self._heap: list = []
-        self._seq = 0
-        self.events_processed = 0
-
-        topology.validate()  # hand-built topologies skip ``to_topology``
+        self.heap: list = []
+        self.seq = 0
+        self.events = 0  # processed, the TICKs included
 
         def hop(a: str, b: str) -> SimTime:
             """The fixed hop delay of the directed link a -> b."""
@@ -280,7 +259,7 @@ class Engine:
 
         self.switches = {name: SwitchRuntime(name) for name in topology.switch_params}
         self.vcs: dict[str, VcRuntime] = {}
-        for spec in topology.vcs:
+        for spec in specs:
             path = spec.path
             params = topology.source_params[path[0]]
             recorder.start_vc(spec.vc_id, params.icr)
@@ -328,8 +307,8 @@ class Engine:
     # -- scheduling ---------------------------------------------------
 
     def _push(self, time: SimTime, kind: int, payload) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, kind, payload))
+        self.seq += 1
+        heapq.heappush(self.heap, (time, self.seq, kind, payload))
 
     def run_until(self, t_end: SimTime) -> None:
         """Process every event with timestamp <= t_end, in order.
@@ -345,12 +324,12 @@ class Engine:
         now = self.now
         if t_end < now:
             raise SimulationError(f"cannot run backwards: now={now}, t_end={t_end}")
-        heap = self._heap
+        heap = self.heap
         heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
         recorder = self.recorder
         next_cell = protocol.next_cell
-        seq = self._seq
-        events = self.events_processed
+        seq = self.seq
+        events = self.events
         try:
             while heap and heap[0][0] <= t_end:
                 time, _, kind, payload = heap[0]
@@ -422,221 +401,9 @@ class Engine:
             if t_end > now:
                 now = t_end
         finally:
-            self.now, self._seq, self.events_processed = now, seq, events
+            self.now, self.seq, self.events = now, seq, events
         for vc in self.vcs.values():
             vc.drain(now)
-
-    # -- parts ---------------------------------------------------------------
-
-    def parts(self) -> list[list[str]]:
-        """The VC ids in parts: two VCs share a part when a chain of shared
-        switch ports on their forward paths links them.  Each part lists
-        its VCs in engine order, and the parts come in the order of their
-        first VC."""
-        root = list(range(len(self.vcs)))
-
-        def find(i: int) -> int:
-            while root[i] != i:
-                root[i] = root[root[i]]
-                i = root[i]
-            return i
-
-        first_user: dict[PortState, int] = {}
-        for i, vc in enumerate(self.vcs.values()):
-            for line in vc.fwd:
-                if line.port is not None:
-                    root[find(i)] = find(first_user.setdefault(line.port, i))
-        parts: dict[int, list[str]] = {}
-        for i, vc_id in enumerate(self.vcs):
-            parts.setdefault(find(i), []).append(vc_id)
-        return list(parts.values())
-
-    def run_parts(self, t_end: SimTime, processes: int) -> None:
-        """``run_until(t_end)``, with the parts in up to ``processes`` processes.
-
-        The parts are cut into that many groups of consecutive parts.  The
-        first group runs in this process and each other one in a forked
-        worker; their states are then spliced back into this engine.  With
-        one group, or without ``os.fork``, this is ``run_until``.
-        """
-        parts = self.parts()
-        n = min(processes, len(parts))
-        if n < 2 or not hasattr(os, "fork"):
-            self.run_until(t_end)
-            return
-        groups = [
-            list(chain.from_iterable(parts[k * len(parts) // n:(k + 1) * len(parts) // n]))
-            for k in range(n)
-        ]
-        import pickle  # only a split run pays for these imports
-        import signal
-
-        rec = self.recorder
-        start = (
-            self.events_processed,
-            {name: len(samples) for name, samples in rec.queues.items()},
-            len(rec.deviations),
-        )
-        whole = self.vcs, self.switches
-        seq = self._seq
-        tick_from = next(entry[0] for entry in self._heap if entry[2] == _TICK)
-        workers = []  # (pid, the read end of its pipe)
-        try:
-            for k, group in enumerate(groups[1:], 1):
-                read_end, write_end = os.pipe()
-                pid = os.fork()
-                if pid == 0:  # the worker: run group k, send its state back, exit
-                    code = 1
-                    try:
-                        os.close(read_end)
-                        for _, fh in workers:
-                            fh.close()
-                        try:
-                            self._restrict(group, seq + k * _SEQ_RANGE)
-                            self.run_until(t_end)
-                            reply = (None, self._group_state(*start))
-                            data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
-                        except Exception as exc:
-                            try:
-                                data = pickle.dumps((exc, None))
-                            except Exception:
-                                data = pickle.dumps((SimulationError(f"{exc!r}"), None))
-                        with open(write_end, "wb") as fh:
-                            fh.write(data)
-                        code = 0
-                    finally:
-                        os._exit(code)
-                os.close(write_end)
-                workers.append((pid, open(read_end, "rb")))
-            self._restrict(groups[0], seq)
-            self.run_until(t_end)
-            states = [self._group_state(*start)]
-            for pid, fh in workers:
-                try:
-                    exc, state = pickle.load(fh)
-                except EOFError:
-                    raise SimulationError(
-                        f"the worker of a part group (pid {pid}) sent no result"
-                    ) from None
-                if exc is not None:
-                    raise exc
-                states.append(state)
-        except BaseException:
-            for pid, _ in workers:
-                os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            for pid, fh in workers:
-                fh.close()
-                os.waitpid(pid, 0)
-        for k, state in enumerate(states):
-            if state.seq >= seq + (k + 1) * _SEQ_RANGE:
-                raise SimulationError(f"part group {k} ran out of sequence numbers")
-        self._splice(whole, states, start, tick_from)
-
-    def _restrict(self, vc_ids: list[str], seq: int) -> None:
-        """Narrow this engine to the VCs ``vc_ids``: their lines, their heap
-        entries and the TICK, and in each switch only their ports.  The
-        next sequence number taken is ``seq + 1``."""
-        self.vcs = vcs = {vc_id: self.vcs[vc_id] for vc_id in vc_ids}
-        self.lines = tuple(line for vc in vcs.values() for line in (*vc.fwd, *vc.bwd))
-        ports = {line.port for line in self.lines}
-        switches = {}
-        for name, sw in self.switches.items():
-            switches[name] = kept = SwitchRuntime(name)
-            kept.ports = {key: port for key, port in sw.ports.items() if port in ports}
-        self.switches = switches
-        mine = set(vcs.values())
-        self._heap = [
-            entry for entry in self._heap
-            if entry[2] == _TICK or (entry[3] if entry[2] == _EMIT else entry[3].vc) in mine
-        ]
-        heapq.heapify(self._heap)
-        self._seq = seq
-
-    def _group_state(self, events: int, samples: dict[str, int], deviations: int) -> _GroupState:
-        """This restricted engine's state, for a run that started with
-        ``events`` processed, ``samples`` queue samples per switch and
-        ``deviations`` deviations recorded."""
-        rec = self.recorder
-        vcs = self.vcs
-        return _GroupState(
-            vcs=vcs,
-            ports={
-                (name, key): port
-                for name, sw in self.switches.items()
-                for key, port in sw.ports.items()
-            },
-            acr={vc_id: rec.acr[vc_id] for vc_id in vcs},
-            first_backward={v: t for v, t in rec.first_backward.items() if v in vcs},
-            samples={name: q[samples[name]:] for name, q in rec.queues.items()},
-            deviations=list(rec.deviations.items())[deviations:],
-            heap=self._heap,
-            seq=self._seq,
-            events=self.events_processed - events,
-        )
-
-    def _splice(self, whole, states: list[_GroupState], start, tick_from: SimTime) -> None:
-        """Make this engine whole again from its groups' states after a split run.
-
-        Pending entries due at the TICK's time are renumbered, each group's
-        in its own order, so that those each group held before its TICK
-        come before the TICK and the others after it.
-        """
-        events, samples, deviations = start
-        self.vcs, self.switches = vcs, switches = whole
-        rec = self.recorder
-        for state in states:
-            for vc_id, vc in state.vcs.items():
-                vcs[vc_id] = vc
-                rec.recv[vc_id] = vc.recv
-            rec.acr.update(state.acr)
-            rec.first_backward.update(state.first_backward)
-            for (name, key), port in state.ports.items():
-                switches[name].ports[key] = port
-        self.lines = tuple(line for vc in vcs.values() for line in (*vc.fwd, *vc.bwd))
-        for name, q in rec.queues.items():
-            rows = zip(*(state.samples[name] for state in states))
-            q[samples[name]:] = [(row[0][0], sum(n for _, n in row)) for row in rows]
-        new = sorted(chain.from_iterable(state.deviations for state in states), key=itemgetter(1))
-        rec.deviations = dict([*rec.deviations.items()][:deviations] + new)
-
-        tick = next(entry[0] for entry in states[0].heap if entry[2] == _TICK)
-        ticks = (tick - tick_from) // _TICK_INTERVAL
-        shared = (len(states) - 1) * ticks  # each group processed every TICK
-        self.events_processed = events + sum(state.events for state in states) - shared
-        heap = []
-        before, after = [], []
-        for state in states:
-            due = []  # (seq, kind, where) of each pending entry due at ``tick``
-            for entry in state.heap:
-                if entry[2] == _EMIT:
-                    if entry[0] == tick:
-                        due.append((entry[1], _EMIT, entry[3]))
-                    else:
-                        heap.append(entry)
-                elif entry[2] == _TICK:
-                    tick_seq = entry[1]
-            for vc in state.vcs.values():
-                for line in (*vc.fwd, *vc.bwd):
-                    i = bisect_left(line, tick, key=_TIME)
-                    while i < len(line) and line[i][0] == tick:
-                        due.append((line[i][1], _DELIVER, (line, i)))
-                        i += 1
-            due.sort(key=itemgetter(0))
-            before += [d for d in due if d[0] < tick_seq]
-            after += [d for d in due if d[0] > tick_seq]
-        seq = max(state.seq for state in states)
-        for _, kind, where in [*before, (0, _TICK, None), *after]:
-            seq += 1
-            if kind == _DELIVER:
-                line, i = where
-                line[i] = (tick, seq, line[i][2])
-            else:
-                heap.append((tick, seq, kind, where))
-        heap += [(line[0][0], line[0][1], _DELIVER, line) for line in self.lines if line]
-        heapq.heapify(heap)
-        self._heap, self._seq = heap, seq
 
     # -- accounting -------------------------------------------------------
 
@@ -664,7 +431,7 @@ class Engine:
         it checks.
         """
         now = self.now
-        heads = [entry for entry in self._heap if entry[2] == _DELIVER]
+        heads = [entry for entry in self.heap if entry[2] == _DELIVER]
         in_heap = {id(entry[3]): entry[:2] for entry in heads}
         nonempty = [line for line in self.lines if line]
         if len(heads) != len(nonempty) or any(
@@ -727,3 +494,184 @@ class Engine:
                     )
         self.recorder.audits_passed += 1
         return report
+
+
+class Engine:
+    """A run over one topology: its parts (``Part``), each running its own
+    event loop, and what they report together.
+
+    ``parts`` come in the order of their first VC, each with its VCs in
+    engine order.  ``vcs`` and ``switches`` hold every part's VCs and
+    ports in engine order: the topology's, and for ports, first use.
+    """
+
+    def __init__(self, topology: Topology):
+        topology.validate()  # hand-built topologies skip ``to_topology``
+        specs = topology.vcs
+        root = list(range(len(specs)))
+
+        def find(i: int) -> int:
+            while root[i] != i:
+                root[i] = root[root[i]]
+                i = root[i]
+            return i
+
+        # two VCs share a part when a chain of shared ports links them;
+        # a port is its switch and next hop, first used in engine order
+        first_user: dict[tuple[str, str], int] = {}
+        for i, spec in enumerate(specs):
+            for port in zip(spec.path[1:-1], spec.path[2:]):
+                root[find(i)] = find(first_user.setdefault(port, i))
+        parts: dict[int, list[VcSpec]] = {}
+        for i, spec in enumerate(specs):
+            parts.setdefault(find(i), []).append(spec)
+        self.parts = [Part(topology, group) for group in parts.values()]
+        self.now: SimTime = 0
+        # the keys give the engine order; ``_gather`` fills in the values
+        self.vcs: dict[str, VcRuntime] = dict.fromkeys(spec.vc_id for spec in specs)
+        self.switches = {name: SwitchRuntime(name) for name in topology.switch_params}
+        for node, nxt in first_user:
+            self.switches[node].ports[nxt] = None
+        self._gather()
+
+    def _gather(self) -> None:
+        """Point ``vcs``, ``switches`` and ``lines`` at the parts' objects."""
+        vcs, ports = {}, {}
+        for part in self.parts:
+            vcs.update(part.vcs)
+            for name, sw in part.switches.items():
+                ports.update(((name, key), port) for key, port in sw.ports.items())
+        self.vcs = {vc_id: vcs[vc_id] for vc_id in self.vcs}
+        for name, sw in self.switches.items():
+            sw.ports = {key: ports[name, key] for key in sw.ports}
+        self.lines: tuple[DelayLine, ...] = tuple(
+            line for vc in self.vcs.values() for line in (*vc.fwd, *vc.bwd)
+        )
+
+    def run_until(self, t_end: SimTime) -> None:
+        """Run every part to ``t_end``, one after another, in this process."""
+        for part in self.parts:
+            part.run_until(t_end)
+        self.now = t_end
+
+    def run_parts(self, t_end: SimTime, processes: int) -> None:
+        """``run_until(t_end)``, with the parts in up to ``processes`` processes.
+
+        The parts are cut into that many groups of consecutive parts.  Each
+        group after the first runs in a forked worker, which sends its parts
+        back whole to take the place of this engine's own; the first group
+        runs here.  Each process runs its group with ``run_until`` on this
+        engine holding only that group, so that a wrapper of ``run_until``
+        (``perfbench/child.py`` in trace mode) still times the loop.  With
+        one group, or without ``os.fork``, this is ``run_until``.
+        """
+        parts = self.parts
+        n = min(processes, len(parts))
+        if n < 2 or not hasattr(os, "fork"):
+            self.run_until(t_end)
+            return
+        cuts = [k * len(parts) // n for k in range(n + 1)]
+        import pickle  # only a split run pays for these imports
+        import signal
+
+        workers = []  # (where its group starts, pid, the read end of its pipe)
+        try:
+            for start, stop in zip(cuts[1:], cuts[2:]):
+                read_end, write_end = os.pipe()
+                pid = os.fork()
+                if pid == 0:  # the worker: run its group, send it back, exit
+                    code = 1
+                    try:
+                        os.close(read_end)
+                        for _, _, fh in workers:
+                            fh.close()
+                        try:
+                            self.parts = parts[start:stop]
+                            self.run_until(t_end)
+                            data = pickle.dumps((None, self.parts), pickle.HIGHEST_PROTOCOL)
+                        except Exception as exc:
+                            try:
+                                data = pickle.dumps((exc, None))
+                            except Exception:
+                                data = pickle.dumps((SimulationError(f"{exc!r}"), None))
+                        with open(write_end, "wb") as fh:
+                            fh.write(data)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                os.close(write_end)
+                workers.append((start, pid, open(read_end, "rb")))
+            self.parts = parts[:cuts[1]]
+            try:
+                self.run_until(t_end)
+            finally:
+                self.parts = parts
+            for start, pid, fh in workers:
+                try:
+                    exc, group = pickle.load(fh)
+                except EOFError:
+                    raise SimulationError(
+                        f"the worker of a part group (pid {pid}) sent no result"
+                    ) from None
+                if exc is not None:
+                    raise exc
+                parts[start:start + len(group)] = group
+        except BaseException:
+            for _, pid, _ in workers:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            for _, pid, fh in workers:
+                fh.close()
+                os.waitpid(pid, 0)
+        self._gather()
+
+    # -- what the parts report together ------------------------------------
+
+    def audit(self) -> dict[str, dict[str, int]]:
+        """Every part's ``Part.audit``; the report lists the VCs in engine order."""
+        report = {}
+        for part in self.parts:
+            report.update(part.audit())
+        return {vc_id: report[vc_id] for vc_id in self.vcs}
+
+    @property
+    def recorder(self) -> Recorder:
+        """The run's traces, merged from the parts' recorders when read.
+
+        Each VC's ACR trace and delivery times are its part's own objects;
+        the rest are copies, so read this again after running on.  Per-VC
+        traces come in engine order, queue samples are summed per
+        switch (every part samples every switch at the same TICKs), and
+        deviations are ordered by the time each was first recorded, then
+        by part order.  An audit of the run audits every part, so
+        ``audits_passed`` is the count that every part passed.
+        """
+        recs = [part.recorder for part in self.parts]
+        rec_of = {vc_id: part.recorder for part in self.parts for vc_id in part.vcs}
+        rec = Recorder()
+        for vc_id in self.vcs:
+            part_rec = rec_of[vc_id]
+            rec.acr[vc_id] = part_rec.acr[vc_id]
+            rec.recv[vc_id] = part_rec.recv[vc_id]
+            if vc_id in part_rec.first_backward:
+                rec.first_backward[vc_id] = part_rec.first_backward[vc_id]
+        for name in recs[0].queues:
+            rows = zip(*(r.queues[name] for r in recs))
+            rec.queues[name] = [(row[0][0], sum(n for _, n in row)) for row in rows]
+        firsts = chain.from_iterable(r.deviations.items() for r in recs)
+        for message, t in sorted(firsts, key=itemgetter(1)):
+            rec.deviations.setdefault(message, t)
+        rec.audits_passed = min(r.audits_passed for r in recs)
+        return rec
+
+    @property
+    def events_processed(self) -> int:
+        """Events processed by every part, each shared TICK counted once."""
+        ticks = self.now // _TICK_INTERVAL  # every part has processed each of them
+        return sum(part.events for part in self.parts) - (len(self.parts) - 1) * ticks
+
+    @property
+    def _heap(self) -> list:
+        """Every part's pending entries; ``perfbench/child.py`` reads its length."""
+        return [entry for part in self.parts for entry in part.heap]

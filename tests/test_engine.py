@@ -8,6 +8,7 @@ from abrsim.engine import (
     ConfigError,
     Engine,
     LinkSpec,
+    Part,
     SimulationError,
     SwitchParams,
     Topology,
@@ -126,8 +127,8 @@ def test_first_delivery_time_is_propagation_plus_three_serializations():
 def test_first_feedback_arrives_after_one_round_trip():
     topo = one_source_topology()
     eng = Engine(topo)
-    rec = eng.recorder
     eng.run_until(ms_to_ps(560))
+    rec = eng.recorder  # merged from the parts when read
     first = ps_to_ms(rec.first_backward["fwd"])
     assert 549.0 <= first <= 551.0
     # microsecond-scale terms only, on top of 2 x 275 ms
@@ -340,8 +341,8 @@ def test_audit_by_counting_matches_a_per_cell_scan_at_every_event(seed):
     eng = Engine(to_topology(parse_scenario(text)))
     t_end = ms_to_ps(HORIZON_MS)
     checks = 0
-    while eng._heap and eng._heap[0][0] <= t_end:
-        eng.run_until(eng._heap[0][0])
+    while next_pending_time(eng) <= t_end:
+        eng.run_until(next_pending_time(eng))
         assert eng.audit() == scan_lines(eng)
         checks += 1
     assert checks > 500
@@ -351,34 +352,36 @@ def test_audit_by_counting_matches_a_per_cell_scan_at_every_event(seed):
 def test_audits_inside_the_loop_match_a_per_cell_scan(monkeypatch, seed):
     # Sink times at or before now wait for the VC's next RM cell at the
     # destination, or for ``run_until`` to return: only the TICK's audit
-    # sees them.
-    audit = Engine.audit
-    unrecorded = []
+    # sees them.  Each part audits itself at its own TICK.
+    audit = Part.audit
+    unrecorded = {}  # by TICK, summed over the parts
 
-    def checked_audit(eng):
-        report = audit(eng)
-        assert report == scan_lines(eng)
-        unrecorded.append(sum(t <= eng.now for vc in eng.vcs.values() for t in vc.sink))
+    def checked_audit(part):
+        report = audit(part)
+        assert report == scan_lines(part)
+        waiting = sum(t <= part.now for vc in part.vcs.values() for t in vc.sink)
+        unrecorded[part.now] = unrecorded.get(part.now, 0) + waiting
         return report
 
-    monkeypatch.setattr(Engine, "audit", checked_audit)
+    monkeypatch.setattr(Part, "audit", checked_audit)
     monkeypatch.setattr("abrsim.engine._AUDIT_EVERY_TICKS", 1)
     eng = Engine(to_topology(parse_scenario(scenario_text(seed))))
+    assert len(eng.parts) > 1
     eng.run_until(ms_to_ps(HORIZON_MS))
-    assert len(unrecorded) == HORIZON_MS and all(unrecorded)
+    assert len(unrecorded) == HORIZON_MS and all(unrecorded.values())
 
 
 def test_heap_holds_line_heads_not_every_cell_in_flight():
     sc = parse_scenario(bundled_config_text("fig3.cfg"))
     apply_override(sc, "crm", 6144)
     eng = Engine(to_topology(sc))
-    bound = len(eng.lines) + len(eng.vcs) + 1  # one head per line, one EMIT per VC, the TICK
     busy = 0
     for step in range(1, 301):
         eng.run_until(step * PS_PER_MS // 10)
         if sum(map(len, eng.lines)) > 1000:
             busy += 1
-            assert len(eng._heap) <= bound
+            for part in eng.parts:  # one head per line, one EMIT per VC, the TICK
+                assert len(part.heap) <= len(part.lines) + len(part.vcs) + 1
     assert busy > 200
     # the count with one heap entry per cell in flight: merging the lines
     # by their heads runs the same events
@@ -501,7 +504,7 @@ def snapshot(eng):
         "first_backward": rec.first_backward,
         "deviations": rec.deviations,
         "audits_passed": rec.audits_passed,
-        "pending": [entry[:3] for entry in sorted(eng._heap, key=lambda e: e[:2])],
+        "pending": [sorted(entry[:3] for entry in part.heap) for part in eng.parts],
         "lines": [list(line) for line in eng.lines],
         "ports": ports,
         "vcs": vcs,
@@ -522,10 +525,15 @@ def run_in_ms_slices(eng, t_end):
             return
 
 
+def next_pending_time(eng):
+    """The time of the earliest event pending in any part."""
+    return min(part.heap[0][0] for part in eng.parts)  # each part's TICK is pending
+
+
 def run_to_each_pending_time(eng, t_end):
     # every slice ends exactly at the time of the next pending event
-    while eng._heap and eng._heap[0][0] <= t_end:
-        eng.run_until(eng._heap[0][0])
+    while next_pending_time(eng) <= t_end:
+        eng.run_until(next_pending_time(eng))
     eng.run_until(t_end)
 
 
@@ -572,23 +580,30 @@ def test_each_delay_line_runs_one_way_along_its_route(text):
 def test_a_run_result_pickles_and_both_copies_run_on_alike(tmp_path):
     # Delay lines subclass ``deque``: unpickling must rebuild them, their
     # routes and the heap entries that point at them.  Each VC records its
-    # deliveries straight into the recorder's array, which must stay one
-    # object in the copy: fig3 delivers nothing before 275 ms, so the
-    # default LAN, which delivers from its first millisecond, checks that.
-    for name, text, until_ms, on_ms in (
-        ("fig3", bundled_config_text("fig3.cfg"), 20, 30),
-        ("lan", "", 3, 5),
-    ):
-        sc = parse_scenario(text)
-        sc.run.until_ms = until_ms
-        result = execute_run(sc, tmp_path / name)
-        copy = pickle.loads(pickle.dumps(result))
-        assert copy.summary == result.summary
-        assert all(line.vc is copy.engine.vcs[line.vc.vc_id] for line in copy.engine.lines)
-        assert all(vc.recv is copy.recorder.recv[vc_id] for vc_id, vc in copy.engine.vcs.items())
-        for eng in (result.engine, copy.engine):
-            eng.run_until(ms_to_ps(on_ms))
-        assert copy.engine.events_processed == result.engine.events_processed > 0
-        for vc_id, vc in copy.engine.vcs.items():
-            assert vc.delivered == result.engine.vcs[vc_id].delivered
-        assert snapshot(copy.engine) == snapshot(result.engine)  # the audits included
+    # deliveries straight into its part's recorder's array, which must
+    # stay one object in the copy: fig3 delivers nothing before 275 ms, so
+    # the default LAN, which delivers from its first millisecond, checks
+    # that.  With two processes fig3's ``rev`` part comes back from a
+    # worker already pickled once.
+    for processes in (1, 2):
+        for name, text, until_ms, on_ms in (
+            ("fig3", bundled_config_text("fig3.cfg"), 20, 30),
+            ("lan", "", 3, 5),
+        ):
+            sc = parse_scenario(text)
+            sc.run.until_ms = until_ms
+            result = execute_run(sc, tmp_path / f"{name}-{processes}", processes=processes)
+            copy = pickle.loads(pickle.dumps(result))
+            assert copy.summary == result.summary
+            lines = copy.engine.lines
+            assert all(line.vc is copy.engine.vcs[line.vc.vc_id] for line in lines)
+            for part in copy.engine.parts:
+                for vc_id, vc in part.vcs.items():
+                    assert vc.recv is part.recorder.recv[vc_id] is copy.recorder.recv[vc_id]
+                    assert vc is copy.engine.vcs[vc_id]
+            for eng in (result.engine, copy.engine):
+                eng.run_until(ms_to_ps(on_ms))
+            assert copy.engine.events_processed == result.engine.events_processed > 0
+            for vc_id, vc in copy.engine.vcs.items():
+                assert vc.delivered == result.engine.vcs[vc_id].delivered
+            assert snapshot(copy.engine) == snapshot(result.engine)  # the audits included

@@ -1,10 +1,11 @@
-"""A run split into its parts: one process per part group, outputs unchanged.
+"""A run is its parts: one process per part group, outputs unchanged.
 
-``Engine.parts`` groups the VCs that share switch ports; ``execute_run``
-runs the groups in forked workers and splices their states back into one
-engine.  These tests compare the split path (``processes=2``) with the
-serial one (``processes=1``) file by file, and a spliced engine run on
-with ``run_until`` against a serial engine.
+``Engine.parts`` holds one ``Part`` per group of VCs that share switch
+ports, each with its own event loop.  ``execute_run`` runs groups of
+parts in forked workers, which send their parts back whole.  These tests
+compare the split path (``processes=2``) with the serial one
+(``processes=1``) file by file, and an engine whose parts came back from
+a worker, run on with ``run_until``, against a serial engine.
 """
 
 import os
@@ -13,7 +14,7 @@ import pytest
 
 from abrsim import engine
 from abrsim.cli import apply_override, execute_run, main
-from abrsim.engine import Engine, SimulationError
+from abrsim.engine import Engine, Part, SimulationError
 from abrsim.scenario import bundled_config_text, parse_scenario, to_topology
 from abrsim.units import ms_to_ps
 from test_random_scenarios import HORIZON_MS, PINNED, scenario_text
@@ -29,6 +30,11 @@ def fig3(until_ms, **overrides):
     return sc
 
 
+def part_ids(eng):
+    """The VC ids of each part, in part order."""
+    return [list(part.vcs) for part in eng.parts]
+
+
 def outputs(out):
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
@@ -39,43 +45,81 @@ def assert_no_child_left():
 
 
 def test_fig3_has_one_part_per_direction_and_the_default_lan_one():
-    assert Engine(to_topology(fig3(40))).parts() == [["fwd"], ["rev"]]
-    assert len(Engine(to_topology(parse_scenario(""))).parts()) == 1
+    assert part_ids(Engine(to_topology(fig3(40)))) == [["fwd"], ["rev"]]
+    assert len(Engine(to_topology(parse_scenario(""))).parts) == 1
 
 
 def test_parts_of_the_seeded_scenarios_share_no_port():
     split = 0
     for seed in SEEDS:
         eng = Engine(to_topology(parse_scenario(scenario_text(seed))))
-        parts = eng.parts()
-        assert sorted(v for part in parts for v in part) == sorted(eng.vcs)
-        ports = [
-            {line.port for v in part for line in eng.vcs[v].fwd if line.port is not None}
-            for part in parts
-        ]
+        parts = eng.parts
+        assert sorted(v for part in parts for v in part.vcs) == sorted(eng.vcs)
+        ports = []
+        for part in parts:
+            used = {line.port for line in part.lines if line.port is not None}
+            held = {p for sw in part.switches.values() for p in sw.ports.values()}
+            assert used == held and list(part.switches) == list(eng.switches)
+            ports.append(used)
         for i, mine in enumerate(ports):
             assert not any(mine & other for other in ports[i + 1:])
         split += len(parts) > 1
     assert split == 16
 
 
-@pytest.mark.parametrize("overrides", [{"crm": 32}, {"crm": 6144}, {"cdf": 1}],
-                         ids=["crm32", "crm6144", "cdf1"])
-def test_fig3_split_and_serial_write_the_same_bytes(tmp_path, overrides):
+def two_collapsing_parts(b_nrm):
+    """Two VCs, each over its own switch, whose rates decay to zero after
+    their first ``nrm`` cells: ``va`` at 320 us, 32 cells 10 us apart, and
+    ``vb`` after ``b_nrm`` cells 20 us apart (at 320 us for 16, a tie)."""
+    lines = []
+    for src, icr, nrm in (("a", "42.4", 32), ("b", "21.2", b_nrm)):
+        lines += [f"[source.{src}]", "pcr_mbps = 42.4", f"icr_mbps = {icr}", f"nrm = {nrm}"]
+        lines += ["cdf = 1", "crm = 1"]
+    lines += ["[switch.swa]", "[switch.swb]"]
+    for name, a, b in (("a1", "a", "swa"), ("a2", "swa", "da"),
+                       ("b1", "b", "swb"), ("b2", "swb", "db")):
+        lines += [f"[link.{name}]", f"from = {a}", f"to = {b}", "rate_mbps = 155.52"]
+        lines += ["delay_ms = 50"]
+    lines += ["[vc.va]", "path = a, swa, da", "[vc.vb]", "path = b, swb, db"]
+    lines += ["[run]", "until_ms = 20"]
+    return parse_scenario("\n".join(lines) + "\n")
+
+
+# scenario, fewest events, and the VCs whose rates collapse, in the order
+# the deviations list them (by first time, then by part order), with
+# their times
+SPLIT_CASES = {
+    "crm32": (lambda: fig3(40, crm=32), 1000, None),
+    "crm6144": (lambda: fig3(40, crm=6144), 1000, None),
+    "cdf1": (lambda: fig3(40, cdf=1), 1000, (["fwd", "rev"], [3_101_966_336] * 2)),
+    "tie-across-parts": (
+        lambda: two_collapsing_parts(16), 50, (["va", "vb"], [320_000_000] * 2)
+    ),
+    "first-across-parts": (
+        lambda: two_collapsing_parts(8), 50, (["vb", "va"], [160_000_000, 320_000_000])
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SPLIT_CASES))
+def test_fig3_split_and_serial_write_the_same_bytes(tmp_path, case):
+    scenario, events, collapse = SPLIT_CASES[case]
     results = {}
     for processes in (2, 1):
         out = tmp_path / str(processes)
-        result = execute_run(fig3(40, **overrides), out, processes=processes)
+        result = execute_run(scenario(), out, processes=processes)
         results[processes] = outputs(out), result
     (split, result), (serial, _) = results[2], results[1]
     assert split == serial
-    assert result.engine.events_processed > 1000
-    if overrides == {"cdf": 1}:  # both VCs collapse at one picosecond; fwd is listed first
+    assert len(result.engine.parts) == 2
+    assert result.engine.events_processed > events
+    if collapse is not None:
+        vcs, times = collapse
         collapsed = {m: t for m, t in result.recorder.deviations.items() if "zero" in m}
         assert list(collapsed) == [
-            f"vc {v}: rate decayed to zero; keep-alive RM probing engaged" for v in ("fwd", "rev")
+            f"vc {v}: rate decayed to zero; keep-alive RM probing engaged" for v in vcs
         ]
-        assert set(collapsed.values()) == {3_101_966_336}
+        assert list(collapsed.values()) == times
 
 
 def three_part_scenario():
@@ -95,7 +139,7 @@ def three_part_scenario():
 @pytest.mark.parametrize("processes", [2, 3])
 def test_a_group_of_parts_runs_in_one_process(tmp_path, processes):
     text = three_part_scenario()
-    assert Engine(to_topology(parse_scenario(text))).parts() == [["v1"], ["v2"], ["v3"]]
+    assert part_ids(Engine(to_topology(parse_scenario(text)))) == [["v1"], ["v2"], ["v3"]]
     split, serial = tmp_path / "split", tmp_path / "serial"
     execute_run(parse_scenario(text), split, processes=processes)
     execute_run(parse_scenario(text), serial, processes=1)
@@ -104,24 +148,23 @@ def test_a_group_of_parts_runs_in_one_process(tmp_path, processes):
     assert any(not row.endswith(b",0.000000") for row in samples)  # the ports queue
 
 
-def pending_order(eng, part):
-    """The TICK and the part's EMITs and cells in flight in ``(time, seq)``
-    order, by what they are rather than by their sequence numbers."""
+def pending_order(part):
+    """The part's TICK, EMITs and cells in flight in ``(time, seq)`` order,
+    by what they are rather than by their sequence numbers."""
     entries = []
-    for time, seq, kind, payload in eng._heap:
+    for time, seq, kind, payload in part.heap:
         if kind == engine._TICK:
             entries.append((time, seq, "tick"))
-        elif kind == engine._EMIT and payload.vc_id in part:
+        elif kind == engine._EMIT:
             entries.append((time, seq, payload.vc_id, "emit"))
-    for vc_id in part:
-        vc = eng.vcs[vc_id]
+    for vc_id, vc in part.vcs.items():
         for i, line in enumerate((*vc.fwd, *vc.bwd)):
             entries += [(time, seq, vc_id, i) for time, seq, _ in line]
     return [(time, *label) for time, _, *label in sorted(entries, key=lambda e: e[:2])]
 
 
 def state(eng):
-    """Everything a run leaves behind except the values of sequence numbers."""
+    """Everything a run leaves behind, each part's sequence numbers included."""
     rec = eng.recorder
     ports = {
         p.name: (p.busy_from, p.last_departure, p.accum_cells, p.interval_start,
@@ -132,13 +175,14 @@ def state(eng):
     return {
         "events": eng.events_processed,
         "now": eng.now,
+        "parts": [(part.now, part.seq, part.events) for part in eng.parts],
         "acr": {vc: (tr.times, tr.values) for vc, tr in rec.acr.items()},
         "recv": {vc: list(times) for vc, times in rec.recv.items()},
         "queues": rec.queues,
         "first_backward": rec.first_backward,
         "deviations": list(rec.deviations.items()),
         "audits_passed": rec.audits_passed,
-        "lines": [[(t, rm) for t, _, rm in line] for line in eng.lines],
+        "lines": [list(line) for line in eng.lines],
         "sinks": {vc_id: list(vc.sink) for vc_id, vc in eng.vcs.items()},
         "vcs": {vc_id: (vc.state, vc.turned, vc.bwd_delivered) for vc_id, vc in eng.vcs.items()},
         "ports": ports,
@@ -168,28 +212,50 @@ def long_hop_scenario():
     (scenario_text(20), 1.98, HORIZON_MS),
 ], ids=["long-hop", "seed-0", "seed-20"])
 def test_a_spliced_engine_runs_on_as_a_serial_one(tmp_path, text, split_ms, until_ms):
+    # A part that comes back from a worker takes the place of the
+    # parent's copy, and the engine then runs on serially.
     sc = parse_scenario(text)
     sc.run.until_ms = split_ms
     split = execute_run(sc, tmp_path, processes=2).engine
     serial = Engine(to_topology(parse_scenario(text)))
     serial.run_until(ms_to_ps(split_ms))
-    parts = serial.parts()
-    assert len(parts) > 1
-    # Some entries of a part other than the first are due at the next
-    # TICK's time; on the long hop some of them come before it.
-    tick = next(label for label in pending_order(serial, []) if label[1] == "tick")
-    due = [label for label in pending_order(serial, parts[1]) if label[0] == tick[0]]
+    assert len(serial.parts) > 1
+    # Some entries of a part other than the first are due at its next
+    # TICK's time; on the long hop some of them come before that TICK,
+    # which each part schedules from its own counter.
+    order = pending_order(serial.parts[1])
+    tick = next(label for label in order if label[1] == "tick")
+    due = [label for label in order if label[0] == tick[0]]
     assert len(due) > 1
     if split_ms == 2.5:
         assert due[0] != tick
-    for part in parts:
-        assert pending_order(split, part) == pending_order(serial, part)
+    for mine, theirs in zip(split.parts, serial.parts, strict=True):
+        assert pending_order(mine) == pending_order(theirs)
     serial.audit()  # as ``execute_run`` did
     for eng in (split, serial):
         eng.run_until(ms_to_ps(until_ms))
     assert state(split) == state(serial)
-    for part in parts:
-        assert pending_order(split, part) == pending_order(serial, part)
+    for mine, theirs in zip(split.parts, serial.parts, strict=True):
+        assert pending_order(mine) == pending_order(theirs)
+
+
+@pytest.mark.parametrize("scenario", [
+    lambda: fig3(40, crm=6144),
+    lambda: parse_scenario(scenario_text(0)),
+    lambda: parse_scenario(scenario_text(3)),  # its sinks hold times at 5 ms
+], ids=["fig3-crm6144", "seed-0", "seed-3"])
+def test_a_split_after_a_serial_prefix_runs_as_a_serial_one(scenario):
+    # The workers start from parts that already hold cells in flight,
+    # sink times and open measurement intervals.
+    split, serial = (Engine(to_topology(scenario())) for _ in range(2))
+    split.run_until(ms_to_ps(5))
+    assert any(any(vc.fwd) for vc in split.vcs.values())
+    assert any(p.accum_cells for sw in split.switches.values() for p in sw.ports.values())
+    split.run_parts(ms_to_ps(40), 2)
+    serial.run_until(ms_to_ps(40))
+    assert len(serial.parts) > 1
+    assert state(split) == state(serial)
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("raised, code, message", [
@@ -200,15 +266,16 @@ def test_a_spliced_engine_runs_on_as_a_serial_one(tmp_path, text, split_ms, unti
 def test_a_failing_part_fails_the_run_and_leaves_no_process(
     tmp_path, monkeypatch, capsys, raised, code, message, holder
 ):
-    # ``rev`` runs in the forked worker and ``fwd`` in the parent.
-    audit = Engine.audit
+    # ``rev`` runs in the forked worker and ``fwd`` in the parent; each
+    # part audits itself at its TICKs.
+    audit = Part.audit
 
     def failing_audit(self):
         if list(self.vcs) == [holder]:
             raise raised("injected")
         return audit(self)
 
-    monkeypatch.setattr(Engine, "audit", failing_audit)
+    monkeypatch.setattr(Part, "audit", failing_audit)
     monkeypatch.setattr(engine, "_AUDIT_EVERY_TICKS", 1)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # split on any host
     argv = ["run", "fig3.cfg", "--until-ms", "3", "--out", str(tmp_path)]

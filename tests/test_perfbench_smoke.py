@@ -8,6 +8,7 @@ and an engine that stops calling ``protocol.next_cell`` or
 """
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,8 +18,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_child(tmp_path, argv, mode):
-    """Run ``perfbench/child.py`` on ``argv``; returns the process and its records."""
+def run_child(tmp_path, argv, mode, cpus=None):
+    """Run ``perfbench/child.py`` on ``argv``; returns the process and its
+    records.  ``cpus`` sets what ``os.cpu_count`` returns in the child."""
     records = tmp_path / "records"
     records.mkdir()
     spec = {
@@ -27,8 +29,14 @@ def run_child(tmp_path, argv, mode):
         "mode": mode,
         "records": str(records),
     }
+    child = [str(ROOT / "perfbench" / "child.py"), json.dumps(spec)]
+    if cpus is not None:
+        child = ["-c", (
+            f"import os, runpy, sys; os.cpu_count = lambda: {cpus}; "
+            "sys.argv = sys.argv[1:]; runpy.run_path(sys.argv[0], run_name='__main__')"
+        )] + child
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "child.py"), json.dumps(spec)],
+        [sys.executable, *child],
         cwd=tmp_path,
         capture_output=True,
         text=True,
@@ -62,3 +70,20 @@ def test_probe_mode_stops_a_sweep_without_failing_a_member(tmp_path):
     proc, loaded = run_child(tmp_path, argv, "probe")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert loaded and all(r["kind"] == "probe" for r in loaded)
+
+
+def test_run_mode_counts_one_engine_for_a_split_run(tmp_path):
+    # The mode the benchmark measures.  With two CPUs fig3's two parts run
+    # in two processes; the parent's one engine still reports the whole
+    # run, as ``meta.txt`` does.
+    argv = ["run", "fig3.cfg", "--until-ms", "300"]
+    proc, loaded = run_child(tmp_path, argv, "run", cpus=2)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    engines = [e for r in loaded for e in r["engines"]]
+    assert len(engines) == 1
+    meta = (tmp_path / "out" / "meta.txt").read_text(encoding="utf-8")
+    events = int(re.search(r"^events_processed = (\d+)$", meta, re.M)[1])
+    delivered = re.findall(r"^vc\.\w+\.cells_delivered = (\d+)$", meta, re.M)
+    assert len(delivered) == 2
+    assert engines[0]["events"] == events
+    assert engines[0]["cells"] == sum(map(int, delivered)) > 0
