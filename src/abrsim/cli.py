@@ -16,7 +16,6 @@ configuration.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -277,6 +276,8 @@ def cmd_sweep(args) -> int:
     # A member that fails as a run would (the errors ``main`` reports) loses
     # only its own row: every future is collected, the others are
     # summarized, and the failures are reported.
+    import concurrent.futures  # only a sweep pays for this import
+
     results = []
     failures = []
     with concurrent.futures.ProcessPoolExecutor(

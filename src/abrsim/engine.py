@@ -4,7 +4,11 @@ Events are ordered by (timestamp, scheduling sequence number); the
 sequence number is assigned at scheduling time from the counter of the
 event's part (below), so simultaneous events of one part run in the
 order they were scheduled and two runs of the same configuration produce
-identical traces.
+identical traces.  Both sit in one integer, the event's *key*
+``time << 64 | seq << 1 | is_rm`` (``_key``), whose low bit marks an RM
+cell.  While ``seq < 2**63`` the low 64 bits hold ``seq << 1 | is_rm``
+whole, so keys order as ``(time, seq)`` does, and no two are equal, as
+no two events share a sequence number.
 
 Node model: end systems originate VCs (persistent greedy sources) and
 turn forward RM cells around; switches queue forward-path cells on the
@@ -27,42 +31,44 @@ line* per switch port, due at ``departure + prop_delay`` (``delay`` is
 None: the port sets the departure).  The destination turns RM cells
 around onto its *backward lines* (``VcRuntime.bwd``), one per hop, each
 due at the hop delay of the link back: the forward cell's ``RmFields``
-object itself goes back.  A cell in flight is only its entry ``(time,
-seq, rm)``, where ``rm`` is its RM fields, None for a data cell: its
-line holds every other fact about it, its direction included.
+object itself goes back.  A cell in flight is only its key: its line
+holds every other fact about it, its direction included.  An RM cell's
+``RmFields`` wait in the line's own FIFO ``rms``, since the RM cells of a
+line leave it in the order they joined it.
 
 A port's FIFO service is closed-form, so a cell entering a switch port is
 scheduled straight to its delivery at the next hop.  Departures of one
 port rise and a hop's delay is fixed, so the times in a line never
 decrease and, taken from one counter, its sequence numbers rise: each
-line is sorted by ``(time, seq)``.  Splitting a port's or a link's cells
-by VC keeps that order, since a subsequence of a sorted line is still
-sorted.  The event heap holds only the head of each non-empty line as a
-DELIVER event, beside one EMIT per VC and the TICK.  A VC has one forward
-and one backward line per hop, so the heap never holds more than VCs x 2
-x hops line heads, plus the EMITs and the TICK.  A line enters the heap
-when it goes from empty to non-empty, and re-enters with its next head
-when its head is delivered.  Merging sorted lines by their heads yields
-exactly the ``(time, seq)`` order that one heap entry per cell would, so
-traces do not depend on how cells are stored.
+line is sorted by key.  Splitting a port's or a link's cells by VC keeps
+that order, since a subsequence of a sorted line is still sorted.  The
+event heap holds only the head of each non-empty line, as a DELIVER event
+under the head's own key, beside one EMIT per VC and the TICK.  A VC has
+one forward and one backward line per hop, so the heap never holds more
+than VCs x 2 x hops line heads, plus the EMITs and the TICK.  A line
+enters the heap when it goes from empty to non-empty, and re-enters with
+its next head when its head is delivered.  Merging sorted lines by their heads yields
+exactly the key order that one heap entry per cell would, so traces do
+not depend on how cells are stored.
 ``Part.run_until`` dispatches all three event kinds (EMIT, DELIVER,
 TICK) inline, and every cell it sends, whether emitted, queued at a port,
-stamped or turned around, joins its line through one append tail.  A
+stamped or turned around, joins its line in one tail, whose branches for
+an RM and a data cell differ only in the key's low bit and ``rms``.  A
 queue sample at ``now`` counts every cell whose departure is ``>= now``.
 
 The destination is a sink.  A data cell's arrival there changes nothing
 that a later event reads, so a data cell bound for the destination line
 takes no sequence number and no event: its delivery time joins the VC's
 ``sink``, a FIFO of times.  The destination line holds only RM cells,
-which keep their events because turnaround has its place in ``(time,
-seq)`` order.  Sequence numbers are only compared, so skipping some
-leaves every other event in the same order; one VC's times on one hop
-are distinct, so no data time ties an RM time.  Sink times move into
-the VC's ``recv``, the recorder's own array, in order, before an RM
-cell's delivery at that destination records its own time and when
-``run_until`` returns, up to the final ``now``.  The length of ``recv``
-is the VC's ``delivered`` count; nothing else counts deliveries.  So
-``events_processed`` counts no data cell's arrival at its destination.
+which keep their events because turnaround has its place in key order.
+Sequence numbers are only compared, so skipping some leaves every other
+event in the same order; one VC's times on one hop are distinct, so no
+data time ties an RM time.  Sink times move into the VC's ``recv``, the
+recorder's own array, in order, before an RM cell's delivery at that
+destination records its own time and when ``run_until`` returns, up to
+the final ``now``.  The length of ``recv`` is the VC's ``delivered``
+count; nothing else counts deliveries.  So ``events_processed`` counts no
+data cell's arrival at its destination.
 
 A run is made of *parts* (``Engine.parts``).  Two VCs fall in one part
 when a chain of shared switch ports on their forward paths links them.
@@ -88,7 +94,7 @@ from __future__ import annotations
 import heapq
 import os
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
@@ -168,14 +174,15 @@ class Topology:
 
 
 class DelayLine(deque):
-    """A FIFO of ``(time, seq, rm)`` entries: one VC's cells on one hop
-    in one direction, sorted by ``(time, seq)``.
+    """A FIFO of cell keys: one VC's cells on one hop in one direction,
+    sorted by key.  ``rms`` holds the ``RmFields`` of its RM cells, in the
+    same order.
 
     Unpickling calls ``DelayLine()`` with no arguments, so ``_delay_line``
     sets the slots after construction.
     """
 
-    __slots__ = ("vc", "port", "then", "delay", "back")
+    __slots__ = ("vc", "port", "then", "delay", "back", "rms")
 
 
 def _delay_line(
@@ -187,6 +194,7 @@ def _delay_line(
 ) -> DelayLine:
     line = DelayLine()
     line.vc, line.port, line.then, line.delay, line.back = vc, port, then, delay, back
+    line.rms = deque()
     return line
 
 
@@ -227,13 +235,19 @@ class SwitchRuntime:
         self.ports: dict[str, PortState] = {}  # keyed by next-hop node
 
 
-# Event kinds; payloads are never compared because sequence numbers are unique.
+# Event kinds; payloads are never compared because keys are unique.
 # A DELIVER payload is the delay line whose head is due.
 _EMIT = 0
 _DELIVER = 1
 _TICK = 2
 
-_TIME = itemgetter(0)  # a delay-line entry's delivery time
+
+def _key(time: SimTime, seq: int, rm: bool = False) -> int:
+    """The key of the event or cell due at ``time`` with sequence number
+    ``seq``; ``rm`` marks an RM cell.  ``run_until`` builds and reads keys
+    inline, with the counter kept shifted (``seq << 1``)."""
+    return time << 64 | seq << 1 | rm
+
 
 _TICK_INTERVAL = PS_PER_MS  # queue sampling cadence
 _AUDIT_EVERY_TICKS = 100  # conservation audit cadence
@@ -308,18 +322,18 @@ class Part:
 
     def _push(self, time: SimTime, kind: int, payload) -> None:
         self.seq += 1
-        heapq.heappush(self.heap, (time, self.seq, kind, payload))
+        heapq.heappush(self.heap, (_key(time, self.seq), kind, payload))
 
     def run_until(self, t_end: SimTime) -> None:
         """Process every event with timestamp <= t_end, in order.
 
         All three kinds are handled here.  Every cell sent ends in one
-        tail: it takes the next sequence number and joins its delay line,
-        which enters the heap if it was empty, except a data cell bound
-        for its destination, which only adds its delivery time to the VC's
-        sink.  EMIT and TICK re-arm in place, as their entry is still the
-        heap's first.  On return every sink's times up to ``now`` are in
-        the recorder.
+        tail: it takes the next sequence number and joins its delay line
+        as its key, and the line enters the heap if it was empty, except a
+        data cell bound for its destination, which only adds its delivery
+        time to the VC's sink.  EMIT and TICK re-arm in place, as their
+        entry is still the heap's first.  On return every sink's times up
+        to ``now`` are in the recorder.
         """
         now = self.now
         if t_end < now:
@@ -328,22 +342,26 @@ class Part:
         heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
         recorder = self.recorder
         next_cell = protocol.next_cell
-        seq = self.seq
+        seq = self.seq << 1  # shifted into place in a key
         events = self.events
+        limit = _key(t_end + 1, 0)  # every key due at or before t_end is lower
         try:
-            while heap and heap[0][0] <= t_end:
-                time, _, kind, payload = heap[0]
+            while True:  # the heap is never empty: the TICK is always pending
+                key, kind, payload = heap[0]
+                if key >= limit:
+                    break
+                time = key >> 64
                 if time < now:
                     raise SimulationError(f"event scheduled in the past: {time} < {now}")
                 now = time
                 events += 1
                 if kind == _DELIVER:  # the head of delay line ``payload`` is due
-                    rm = payload.popleft()[2]
+                    payload.popleft()
                     if payload:  # the line's next head takes its place
-                        head = payload[0]
-                        heapreplace(heap, (head[0], head[1], _DELIVER, payload))
+                        heapreplace(heap, (payload[0], _DELIVER, payload))
                     else:
                         heappop(heap)
+                    rm = payload.rms.popleft() if key & 1 else None
                     vc, port, line = payload.vc, payload.port, payload.then
                     if rm is not None and payload.back:
                         if line is None:  # feedback reaches the source
@@ -385,23 +403,31 @@ class Part:
                     if now // _TICK_INTERVAL % _AUDIT_EVERY_TICKS == 0:  # TICKs fall on the grid
                         self.now = now
                         self.audit()
-                    seq += 1
-                    heapreplace(heap, (now + _TICK_INTERVAL, seq, _TICK, None))
+                    seq += 2
+                    heapreplace(heap, ((now + _TICK_INTERVAL) << 64 | seq, _TICK, None))
                     continue
-                if rm is not None or line.port is not None:  # the tail: the cell joins ``line``
-                    seq += 1
+                if rm is not None:  # the tail: the cell joins ``line``
+                    seq += 2
+                    key = due << 64 | seq | 1
                     if not line:
-                        heappush(heap, (due, seq, _DELIVER, line))
-                    line.append((due, seq, rm))
+                        heappush(heap, (key, _DELIVER, line))
+                    line.append(key)
+                    line.rms.append(rm)
+                elif line.port is not None:
+                    seq += 2
+                    key = due << 64 | seq
+                    if not line:
+                        heappush(heap, (key, _DELIVER, line))
+                    line.append(key)
                 else:  # a data cell bound for the destination: no event
                     vc.sink.append(due)
                 if kind == _EMIT:  # the new head is due later: this entry is still first
-                    seq += 1
-                    heapreplace(heap, (state.next_departure, seq, _EMIT, vc))
+                    seq += 2
+                    heapreplace(heap, (state.next_departure << 64 | seq, _EMIT, vc))
             if t_end > now:
                 now = t_end
         finally:
-            self.now, self.seq, self.events = now, seq, events
+            self.now, self.seq, self.events = now, seq >> 1, events
         for vc in self.vcs.values():
             vc.drain(now)
 
@@ -415,7 +441,7 @@ class Part:
         delivered back to the source + in flight.  Both sides come from
         counting the entries of the VC's delay lines and sink, independently
         of the counters kept by the protocol handlers.  A served line splits at one
-        bisect on its times: a cell is still queued at the port that serves
+        bisect on its keys: a cell is still queued at the port that serves
         it (the port the VC's line before it reaches) while its departure
         (delivery time minus the port's propagation delay) is after now;
         over a zero-delay link the cell departing at now may already be
@@ -426,16 +452,16 @@ class Part:
         now, which ``PortState.pop`` reads in closed form from two integers
         and not from the lines, must match the sum of those splits over the
         VCs it serves.  Cells are not checked one by one: each non-empty line's
-        head must be in the event heap, as the only entry of its line, and a
+        key must be in the event heap, as the only entry of its line, and a
         backward line's head must be an RM cell.  The audit changes no state
         it checks.
         """
         now = self.now
-        heads = [entry for entry in self.heap if entry[2] == _DELIVER]
-        in_heap = {id(entry[3]): entry[:2] for entry in heads}
+        heads = [entry for entry in self.heap if entry[1] == _DELIVER]
+        in_heap = {id(entry[2]): entry[0] for entry in heads}
         nonempty = [line for line in self.lines if line]
         if len(heads) != len(nonempty) or any(
-            in_heap.get(id(line)) != line[0][:2] for line in nonempty
+            in_heap.get(id(line)) != line[0] for line in nonempty
         ):
             raise SimulationError(
                 f"event heap holds {len(heads)} delay-line heads for "
@@ -445,14 +471,14 @@ class Part:
         report = {}
         for vc_id, vc in self.vcs.items():
             fwd, bwd = vc.fwd, vc.bwd
-            if any(line and line[0][2] is None for line in bwd):
+            if any(line and not line[0] & 1 for line in bwd):
                 raise SimulationError(
                     f"vc {vc_id}: the head of a backward delay line is a data cell at t={now}"
                 )
             queued = 0
             for served_by, line in zip(fwd, fwd[1:]):
                 port = served_by.port
-                waiting = len(line) - bisect_right(line, now + port.prop_delay, key=_TIME)
+                waiting = len(line) - bisect_left(line, _key(now + port.prop_delay + 1, 0))
                 queued += waiting
                 backlog[port] = backlog.get(port, 0) + waiting
             sink = vc.sink

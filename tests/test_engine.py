@@ -1,5 +1,7 @@
 import hashlib
 import pickle
+import random
+import tracemalloc
 
 import pytest
 
@@ -13,6 +15,7 @@ from abrsim.engine import (
     SwitchParams,
     Topology,
     VcSpec,
+    _key,
 )
 from abrsim.protocol import SourceParams
 from abrsim.scenario import bundled_config_text, parse_scenario, to_topology
@@ -182,6 +185,76 @@ def test_single_vc_feedback_sits_at_the_target_rate():
     assert eng.vcs["fwd"].state.acr == pytest.approx(0.9 * OC3, rel=1e-9)
 
 
+# -- cell keys ------------------------------------------------------------------
+
+
+def test_keys_sort_as_time_then_sequence_number_and_decode():
+    rng = random.Random(18)
+    top = 2**63 - 1  # the highest sequence number that keeps the order
+    cells = [
+        (rng.randrange(2**52), rng.randrange(2**63), rng.random() < 0.5) for _ in range(5000)
+    ]
+    # equal times, the lowest and highest sequence numbers, either RM bit
+    cells += [
+        (time, seq, rm)
+        for time in (0, 1, 2, 10**15)
+        for seq in (0, 1, 2, top - 1, top)
+        for rm in (False, True)
+    ]
+    cells = list(dict.fromkeys(cells))
+    keys = [_key(*cell) for cell in cells]
+    assert len(set(keys)) == len(cells)
+    by_key = [cell for _, cell in sorted(zip(keys, cells))]
+    # cells with equal (time, seq) differ only in the RM bit and are listed
+    # data cell first, which the stable sort keeps
+    assert by_key == sorted(cells, key=lambda cell: cell[:2])
+    for (time, _seq, rm), key in zip(cells, keys):
+        assert key >> 64 == time and key & 1 == rm
+
+
+@pytest.mark.parametrize("text, times_ms", [
+    (bundled_config_text("fig3.cfg"), (1, 23, 150, 280, 290)),  # RM cells go back from 275 ms
+    (scenario_text(0), [k / 10 for k in range(1, 10 * HORIZON_MS + 1)]),
+], ids=["fig3", "seed-0"])
+def test_a_line_holds_keys_and_its_rm_fields_in_step(text, times_ms):
+    # Lines hold plain keys; an RM cell's fields wait in its line's
+    # ``rms``, one for each key with the RM bit, and a backward line
+    # carries only RM cells.
+    eng = Engine(to_topology(parse_scenario(text)))
+    forward_rm = backward = 0
+    for t_ms in times_ms:
+        eng.run_until(ms_to_ps(t_ms))
+        for vc in eng.vcs.values():
+            for line in vc.fwd:
+                assert all(type(key) is int for key in line)
+                assert len(line.rms) == sum(key & 1 for key in line)
+                forward_rm += len(line.rms)
+            for line in vc.bwd:
+                assert all(type(key) is int and key & 1 for key in line)
+                assert len(line.rms) == len(line)
+                backward += len(line)
+    assert forward_rm and backward
+
+
+def test_a_cell_in_flight_costs_at_most_64_traced_bytes():
+    # fig3's forward part at full rate, before any delivery: nearly all
+    # the memory a run adds is its cells in flight.  A cell held as a
+    # ``(time, seq, rm)`` tuple cost about 144 bytes here.
+    sc = parse_scenario(bundled_config_text("fig3.cfg"))
+    apply_override(sc, "crm", 6144)
+    tracemalloc.start()
+    try:
+        part = Engine(to_topology(sc)).parts[0]
+        before = tracemalloc.get_traced_memory()[0]
+        part.run_until(ms_to_ps(20))
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    cells = sum(map(len, part.lines)) + sum(len(vc.sink) for vc in part.vcs.values())
+    assert cells > 5000
+    assert grown / cells <= 64
+
+
 # -- conservation and determinism ------------------------------------------------
 
 
@@ -239,8 +312,8 @@ def test_line_head_out_of_step_with_the_heap_fails_the_audit():
         eng.audit()
 
 
-@pytest.mark.parametrize("head", [None], ids=["data cell"])
-def test_wrong_cell_at_a_line_head_fails_the_audit(head):
+@pytest.mark.parametrize("rm_bit", [0], ids=["data cell"])
+def test_wrong_cell_at_a_line_head_fails_the_audit(rm_bit):
     # The audit counts lines and checks only their heads: a data cell
     # heading a backward line must fail it although every count and the
     # heap still match.  A cell's direction is its line's, so an RM cell
@@ -250,8 +323,10 @@ def test_wrong_cell_at_a_line_head_fails_the_audit(head):
     eng.run_until(ms_to_ps(290))  # the satellite hop back carries RM cells from 275 ms
     eng.audit()
     line = max(eng.vcs["fwd"].bwd, key=len)
-    time, seq, _rm = line[0]
-    line[0] = (time, seq, head)
+    line[0] = line[0] >> 1 << 1 | rm_bit
+    (part,) = [part for part in eng.parts if "fwd" in part.vcs]
+    (i,) = [i for i, entry in enumerate(part.heap) if entry[2] is line]
+    part.heap[i] = (line[0], *part.heap[i][1:])  # keys stay unique: the heap order holds
     with pytest.raises(SimulationError, match="vc fwd: the head of a backward delay line"):
         eng.audit()
 
@@ -288,7 +363,8 @@ def scan_lines(eng):
             in_flight_bwd[vc_id] += len(line)
             continue
         port = served_by.get(id(line))
-        for time, _seq, _rm in line:
+        for key in line:
+            time = key >> 64
             if port is not None and time - port.prop_delay > now:
                 queued[vc_id] += 1
                 backlog[port] = backlog.get(port, 0) + 1
@@ -504,8 +580,9 @@ def snapshot(eng):
         "first_backward": rec.first_backward,
         "deviations": rec.deviations,
         "audits_passed": rec.audits_passed,
-        "pending": [sorted(entry[:3] for entry in part.heap) for part in eng.parts],
+        "pending": [sorted(entry[:2] for entry in part.heap) for part in eng.parts],
         "lines": [list(line) for line in eng.lines],
+        "rms": [list(line.rms) for line in eng.lines],
         "ports": ports,
         "vcs": vcs,
         "audit": eng.audit(),
@@ -527,7 +604,7 @@ def run_in_ms_slices(eng, t_end):
 
 def next_pending_time(eng):
     """The time of the earliest event pending in any part."""
-    return min(part.heap[0][0] for part in eng.parts)  # each part's TICK is pending
+    return min(part.heap[0][0] for part in eng.parts) >> 64  # each part's TICK is pending
 
 
 def run_to_each_pending_time(eng, t_end):

@@ -150,17 +150,18 @@ def test_a_group_of_parts_runs_in_one_process(tmp_path, processes):
 
 def pending_order(part):
     """The part's TICK, EMITs and cells in flight in ``(time, seq)`` order,
-    by what they are rather than by their sequence numbers."""
+    which is key order, by their times and what they are rather than by
+    their sequence numbers."""
     entries = []
-    for time, seq, kind, payload in part.heap:
+    for key, kind, payload in part.heap:
         if kind == engine._TICK:
-            entries.append((time, seq, "tick"))
+            entries.append((key, "tick"))
         elif kind == engine._EMIT:
-            entries.append((time, seq, payload.vc_id, "emit"))
+            entries.append((key, payload.vc_id, "emit"))
     for vc_id, vc in part.vcs.items():
         for i, line in enumerate((*vc.fwd, *vc.bwd)):
-            entries += [(time, seq, vc_id, i) for time, seq, _ in line]
-    return [(time, *label) for time, _, *label in sorted(entries, key=lambda e: e[:2])]
+            entries += [(key, vc_id, i) for key in line]
+    return [(key >> 64, *label) for key, *label in sorted(entries, key=lambda e: e[0])]
 
 
 def state(eng):
@@ -183,6 +184,7 @@ def state(eng):
         "deviations": list(rec.deviations.items()),
         "audits_passed": rec.audits_passed,
         "lines": [list(line) for line in eng.lines],
+        "rms": [list(line.rms) for line in eng.lines],
         "sinks": {vc_id: list(vc.sink) for vc_id, vc in eng.vcs.items()},
         "vcs": {vc_id: (vc.state, vc.turned, vc.bwd_delivered) for vc_id, vc in eng.vcs.items()},
         "ports": ports,
