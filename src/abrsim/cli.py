@@ -24,7 +24,7 @@ from operator import itemgetter, truediv
 from pathlib import Path
 
 from . import analysis, metrics
-from .engine import ConfigError, Engine, SimulationError
+from .engine import ConfigError, Engine, SimulationError, Workers
 from .metrics import Recorder
 from .scenario import (
     Scenario,
@@ -39,6 +39,7 @@ from .scenario import (
 from .units import PS_PER_MS, cps_to_mbps, mbps_to_cps, ms_to_ps, ps_to_ms
 
 SWEEPABLE = ("crm", "cdf", "icr", "rif")
+_RUN_ERRORS = (ScenarioError, ConfigError, ValueError, SimulationError)  # what ``main`` reports
 
 
 @dataclass
@@ -246,8 +247,8 @@ def cmd_run(args) -> int:
 
 
 def _sweep_worker(sc: Scenario, overrides: dict[str, str], out_dir: str) -> dict[str, float]:
-    """Run one checked sweep member in this process, as the pool holds the
-    CPUs; returns its steady-state Mbps per VC."""
+    """Run one checked sweep member in this process, as the sweep's workers
+    hold the CPUs; returns its steady-state Mbps per VC."""
     return steady_state_mbps(execute_run(sc, Path(out_dir), overrides, processes=1))
 
 
@@ -273,25 +274,35 @@ def cmd_sweep(args) -> int:
         members[name] = (value_text, sc)
     out_root = _out_root(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
-    # A member that fails as a run would (the errors ``main`` reports) loses
-    # only its own row: every future is collected, the others are
-    # summarized, and the failures are reported.
-    import concurrent.futures  # only a sweep pays for this import
-
-    results = []
-    failures = []
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=min(len(members), os.cpu_count() or 1)
-    ) as pool:
-        futures = [
-            pool.submit(_sweep_worker, sc, {args.param: value_text}, str(out_root / name))
-            for name, (value_text, sc) in members.items()
-        ]
-        for (value_text, sc), future in zip(members.values(), futures):
+    # Each member runs in a forked worker, at most one per CPU at a time.
+    # A member that fails as a run would (the errors ``main`` reports)
+    # loses only its own row: the others are summarized and the failures
+    # reported.  Any other exception is raised once every worker is reaped.
+    jobs = [(sc, {args.param: v}, str(out_root / name)) for name, (v, sc) in members.items()]
+    outcomes: list = [None] * len(jobs)  # each member's (exception, steady Mbps per VC)
+    if not hasattr(os, "fork"):
+        for i, job in enumerate(jobs):
             try:
-                results.append((value_text, sc.run.steady_window(), future.result()))
-            except (ScenarioError, ConfigError, ValueError, SimulationError) as exc:
-                failures.append((value_text, exc))
+                outcomes[i] = None, _sweep_worker(*job)
+            except _RUN_ERRORS as exc:
+                outcomes[i] = exc, None
+    else:
+        cap = min(len(jobs), os.cpu_count() or 1)
+        with Workers() as workers:
+            for i, job in enumerate(jobs):
+                workers.start(i, _sweep_worker, *job)
+                # wait for members while at the cap, and after the last start for all
+                while workers and (len(workers) == cap or i == len(jobs) - 1):
+                    done, outcome = workers.next_outcome()
+                    outcomes[done] = outcome
+    results, failures = [], []
+    for (value_text, sc), (exc, steady) in zip(members.values(), outcomes):
+        if exc is None:
+            results.append((value_text, sc.run.steady_window(), steady))
+        elif isinstance(exc, _RUN_ERRORS):
+            failures.append((value_text, exc))
+        else:
+            raise exc
 
     summary_path = out_root / "sweep_summary.csv"
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:

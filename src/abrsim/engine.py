@@ -522,6 +522,77 @@ class Part:
         return report
 
 
+class Workers(dict):
+    """Forked workers, each of which runs one job and sends back what it
+    returned or raised, pickled whole through its own pipe.  Each is held
+    as ``key: (pid, the read end of its pipe)`` until ``next_outcome``
+    reaps it; leaving the ``with`` block reaps the rest, killing them
+    first on an exception.
+    """
+
+    def __enter__(self) -> Workers:
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        import signal
+
+        for pid, fh in self.values():
+            if exc_type is not None:
+                os.kill(pid, signal.SIGKILL)
+            fh.close()
+            os.waitpid(pid, 0)
+
+    def start(self, key, job, *args) -> None:
+        """Fork a worker, held by ``key``, that runs ``job(*args)``."""
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if pid == 0:  # the worker: run the job, send what came of it, exit
+            try:
+                os.close(read_end)
+                for _, fh in self.values():
+                    fh.close()
+                try:
+                    sent = None, job(*args)
+                except Exception as exc:
+                    sent = exc, None
+                import pickle  # imported after the job, so that the job does not wait for it
+
+                try:
+                    data = pickle.dumps(sent, pickle.HIGHEST_PROTOCOL)
+                except Exception as exc:  # what the job returned or raised will not pickle
+                    data = pickle.dumps((SimulationError(f"{sent[0] or exc!r}"), None))
+                with open(write_end, "wb") as fh:
+                    fh.write(data)
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(write_end)
+        self[key] = pid, open(read_end, "rb")
+
+    def next_outcome(self) -> tuple:
+        """Wait until a worker has sent what came of its job, or died; reap
+        it and return its key and ``(exception, result)``."""
+        import pickle  # only a process that forks pays for these imports
+        import select
+
+        readable = select.select([fh for _, fh in self.values()], [], [])[0]
+        key = next(key for key, (_, fh) in self.items() if fh in readable)
+        pid, fh = self[key]
+        try:
+            sent = pickle.load(fh)
+        except (EOFError, pickle.UnpicklingError):  # it exited without sending them
+            sent = SimulationError(f"worker process {pid} sent no result"), None
+        del self[key]
+        fh.close()
+        os.waitpid(pid, 0)
+        return key, sent
+
+
 class Engine:
     """A run over one topology: its parts (``Part``), each running its own
     event loop, and what they report together.
@@ -597,60 +668,25 @@ class Engine:
             self.run_until(t_end)
             return
         cuts = [k * len(parts) // n for k in range(n + 1)]
-        import pickle  # only a split run pays for these imports
-        import signal
-
-        workers = []  # (where its group starts, pid, the read end of its pipe)
-        try:
+        with Workers() as workers:
             for start, stop in zip(cuts[1:], cuts[2:]):
-                read_end, write_end = os.pipe()
-                pid = os.fork()
-                if pid == 0:  # the worker: run its group, send it back, exit
-                    code = 1
-                    try:
-                        os.close(read_end)
-                        for _, _, fh in workers:
-                            fh.close()
-                        try:
-                            self.parts = parts[start:stop]
-                            self.run_until(t_end)
-                            data = pickle.dumps((None, self.parts), pickle.HIGHEST_PROTOCOL)
-                        except Exception as exc:
-                            try:
-                                data = pickle.dumps((exc, None))
-                            except Exception:
-                                data = pickle.dumps((SimulationError(f"{exc!r}"), None))
-                        with open(write_end, "wb") as fh:
-                            fh.write(data)
-                        code = 0
-                    finally:
-                        os._exit(code)
-                os.close(write_end)
-                workers.append((start, pid, open(read_end, "rb")))
-            self.parts = parts[:cuts[1]]
+                workers.start(start, self._run_group, parts[start:stop], t_end)
             try:
-                self.run_until(t_end)
+                self._run_group(parts[:cuts[1]], t_end)
             finally:
                 self.parts = parts
-            for start, pid, fh in workers:
-                try:
-                    exc, group = pickle.load(fh)
-                except EOFError:
-                    raise SimulationError(
-                        f"the worker of a part group (pid {pid}) sent no result"
-                    ) from None
+            while workers:
+                start, (exc, group) = workers.next_outcome()
                 if exc is not None:
                     raise exc
                 parts[start:start + len(group)] = group
-        except BaseException:
-            for _, pid, _ in workers:
-                os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            for _, pid, fh in workers:
-                fh.close()
-                os.waitpid(pid, 0)
         self._gather()
+
+    def _run_group(self, group: list[Part], t_end: SimTime) -> list[Part]:
+        """Run ``group`` alone on this engine with ``run_until``; returns it."""
+        self.parts = group
+        self.run_until(t_end)
+        return self.parts
 
     # -- what the parts report together ------------------------------------
 

@@ -1,6 +1,10 @@
 import functools
 import os
+import pickle
+import re
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -9,6 +13,9 @@ from abrsim import cli
 from abrsim.cli import apply_override, main
 from abrsim.engine import Engine, SimulationError
 from abrsim.scenario import ScenarioError, parse_scenario, bundled_config_text
+from test_parts import assert_no_child_left
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TINY = """
 [source.s1]
@@ -199,7 +206,7 @@ def test_sweep_writes_one_directory_per_value(tiny_cfg, tmp_path):
 def test_a_failed_sweep_member_keeps_the_others_results(tiny_cfg, tmp_path, capsys, monkeypatch):
     worker = cli._sweep_worker
 
-    @functools.wraps(worker)  # the pool pickles the worker by this name; forked workers see it
+    @functools.wraps(worker)  # the sweep's forked workers call the worker by this name
     def fail_at_64(sc, overrides, out_dir):
         if overrides == {"crm": "64"}:
             raise SimulationError("injected member failure")
@@ -215,6 +222,159 @@ def test_a_failed_sweep_member_keeps_the_others_results(tiny_cfg, tmp_path, caps
     rows = read(out / "sweep_summary.csv").splitlines()[1:]
     assert [row.split(",")[1] for row in rows] == ["32", "128"]
     assert (out / "crm=128" / "summary.csv").is_file()
+
+
+def wrap_sweep_worker(monkeypatch, member):
+    """Make ``member(worker, sc, overrides, out_dir)`` run each sweep member."""
+    worker = cli._sweep_worker
+
+    @functools.wraps(worker)  # the sweep's forked workers call the worker by this name
+    def wrapped(sc, overrides, out_dir):
+        return member(worker, sc, overrides, out_dir)
+
+    monkeypatch.setattr(cli, "_sweep_worker", wrapped)
+
+
+def tree(out):
+    """Every file under ``out``, by its path relative to ``out``."""
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_a_sweep_member_that_sends_no_result_fails_alone(tiny_cfg, tmp_path, capsys, monkeypatch):
+    def die_at_64(worker, sc, overrides, out_dir):
+        if overrides == {"crm": "64"}:
+            os._exit(3)  # the worker process ends before it sends anything
+        return worker(sc, overrides, out_dir)
+
+    wrap_sweep_worker(monkeypatch, die_at_64)
+    out = tmp_path / "sweep_crm"
+    argv = ["sweep", str(tiny_cfg), "--param", "crm", "--values", "32,64,128"]
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"error: crm=64: worker process \d+ sent no result\n", captured.err)
+    assert "sweep complete: 2 of 3 runs" in captured.out
+    rows = read(out / "sweep_summary.csv").splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["32", "128"]
+    assert (out / "crm=32" / "summary.csv").is_file()
+    assert (out / "crm=128" / "summary.csv").is_file()
+    assert not (out / "crm=64").exists()
+    assert_no_child_left()
+
+
+class MemberInterrupt(Exception):
+    """Not a run error, as perfbench's ``ProbeDone`` is not: a sweep raises it."""
+
+
+def test_a_non_run_exception_is_raised_once_every_member_is_reaped(tiny_cfg, tmp_path, monkeypatch):
+    def interrupt_at_32(worker, sc, overrides, out_dir):
+        if overrides == {"crm": "32"}:
+            raise MemberInterrupt("stop")
+        time.sleep(0.2)  # still running when crm=32 has sent its exception
+        return worker(sc, overrides, out_dir)
+
+    wrap_sweep_worker(monkeypatch, interrupt_at_32)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # every member starts at once
+    out = tmp_path / "sweep_crm"
+    argv = ["sweep", str(tiny_cfg), "--param", "crm", "--values", "32,64,128"]
+    with pytest.raises(MemberInterrupt, match="stop"):
+        main([*argv, "--out", str(out)])
+    # the other members ran to their end rather than being killed
+    assert (out / "crm=64" / "summary.csv").is_file()
+    assert (out / "crm=128" / "summary.csv").is_file()
+    assert not (out / "sweep_summary.csv").exists()
+    assert_no_child_left()
+
+
+def test_one_cpu_runs_one_member_at_a_time_with_the_same_outputs(tiny_cfg, tmp_path, monkeypatch):
+    stamps = tmp_path / "stamps"
+    stamps.mkdir()
+
+    def stamped(worker, sc, overrides, out_dir):
+        start = time.monotonic()  # CLOCK_MONOTONIC: comparable across processes
+        time.sleep(0.05)  # long enough that members started together would overlap
+        result = worker(sc, overrides, out_dir)
+        name = f"{Path(out_dir).parent.name} {Path(out_dir).name}"
+        (stamps / name).write_text(f"{start} {time.monotonic()}", encoding="utf-8")
+        return result
+
+    wrap_sweep_worker(monkeypatch, stamped)
+    argv = ["sweep", str(tiny_cfg), "--param", "cdf", "--values", "1/64,1/16,1"]
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
+        assert main([*argv, "--out", str(tmp_path / f"cpus{cpus}")]) == 0
+    spans = sorted(
+        tuple(map(float, read(p).split())) for p in stamps.iterdir() if p.name.startswith("cpus1 ")
+    )
+    assert len(spans) == 3
+    for (_, end), (start, _) in zip(spans, spans[1:]):
+        assert end <= start
+    one, two = tree(tmp_path / "cpus1"), tree(tmp_path / "cpus2")
+    assert len(one) == 1 + 3 * 5  # the sweep summary and each member's five files
+    assert one == two
+    assert_no_child_left()
+
+
+def test_without_fork_a_sweep_runs_its_members_here_alike(tiny_cfg, tmp_path, capsys, monkeypatch):
+    def fail_at_1_16(worker, sc, overrides, out_dir):
+        if overrides == {"cdf": "1/16"}:
+            raise SimulationError("injected member failure")
+        return worker(sc, overrides, out_dir)
+
+    wrap_sweep_worker(monkeypatch, fail_at_1_16)
+    argv = ["sweep", str(tiny_cfg), "--param", "cdf", "--values", "1/64,1/16,1"]
+    assert main([*argv, "--out", str(tmp_path / "forked")]) == 1
+    forked = capsys.readouterr()
+    monkeypatch.delattr(os, "fork")
+    assert main([*argv, "--out", str(tmp_path / "here")]) == 1
+    here = capsys.readouterr()
+    assert here.out == forked.out.replace("forked", "here")
+    assert here.err == forked.err == "error: cdf=1/16: injected member failure\n"
+    assert tree(tmp_path / "here") == tree(tmp_path / "forked")
+    assert len(tree(tmp_path / "here")) == 1 + 2 * 5
+
+
+def run_python(tmp_path, code):
+    """Run ``code`` in a fresh interpreter that imports abrsim from ``src``."""
+    return subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(SRC)!r})\n{code}"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+BIG = 20_000  # VCs in each member's result: its pickle is far larger than a pipe's buffer
+
+
+def test_members_sending_results_larger_than_a_pipe_buffer_both_finish(tiny_cfg, tmp_path):
+    assert len(pickle.dumps({f"vc{i}": float(i) for i in range(BIG)})) > 64 * 1024
+    proc = run_python(tmp_path, f"""
+import os
+from abrsim import cli
+os.cpu_count = lambda: 2  # both members run at once
+def big(sc, overrides, out_dir):
+    return {{f"vc{{i}}": float(i) for i in range({BIG})}}
+cli._sweep_worker = big
+argv = ["sweep", {str(tiny_cfg)!r}, "--param", "crm", "--values", "32,64", "--out", "out"]
+sys.exit(cli.main(argv))
+""")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = read(tmp_path / "out" / "sweep_summary.csv").splitlines()
+    assert len(rows) == 1 + 2 * BIG
+
+
+def test_a_sweep_imports_no_process_pool_and_starts_no_thread(tiny_cfg, tmp_path):
+    proc = run_python(tmp_path, f"""
+import threading
+from abrsim import cli
+argv = ["sweep", {str(tiny_cfg)!r}, "--param", "crm", "--values", "32,64,128", "--out", "out"]
+code = cli.main(argv)
+pools = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
+print(code, pools, threading.active_count())
+""")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 [] 1"
 
 
 def test_sweep_rejects_a_value_given_twice(tiny_cfg, tmp_path, capsys):

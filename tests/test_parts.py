@@ -14,7 +14,7 @@ import pytest
 
 from abrsim import engine
 from abrsim.cli import apply_override, execute_run, main
-from abrsim.engine import Engine, Part, SimulationError
+from abrsim.engine import Engine, Part, SimulationError, Workers
 from abrsim.scenario import bundled_config_text, parse_scenario, to_topology
 from abrsim.units import ms_to_ps
 from test_random_scenarios import HORIZON_MS, PINNED, scenario_text
@@ -288,4 +288,22 @@ def test_a_failing_part_fails_the_run_and_leaves_no_process(
 
 def test_a_split_run_leaves_no_process(tmp_path):
     execute_run(fig3(3), tmp_path, processes=2)
+    assert_no_child_left()
+
+
+def test_a_worker_sends_what_will_not_pickle_as_a_simulation_error():
+    def raise_unpicklable():
+        raise ValueError(lambda: 0)
+
+    with Workers() as workers:
+        workers.start("raised", raise_unpicklable)
+        workers.start("returned", lambda: lambda: 0)
+        workers.start("sent", lambda: [7] * 3)
+        outcomes = dict(workers.next_outcome() for _ in range(3))
+    assert outcomes["sent"] == (None, [7, 7, 7])
+    raised, returned = outcomes["raised"], outcomes["returned"]
+    assert isinstance(raised[0], SimulationError) and raised[1] is None
+    assert str(raised[0]).startswith("ValueError(<function")
+    assert isinstance(returned[0], SimulationError) and returned[1] is None
+    assert "pickle" in str(returned[0])
     assert_no_child_left()
