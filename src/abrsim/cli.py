@@ -24,7 +24,7 @@ from operator import itemgetter, truediv
 from pathlib import Path
 
 from . import analysis, metrics
-from .engine import ConfigError, Engine, SimulationError, Workers
+from .engine import ConfigError, Engine, SimulationError, forked
 from .metrics import Recorder
 from .scenario import (
     Scenario,
@@ -39,7 +39,7 @@ from .scenario import (
 from .units import PS_PER_MS, cps_to_mbps, mbps_to_cps, ms_to_ps, ps_to_ms
 
 SWEEPABLE = ("crm", "cdf", "icr", "rif")
-_RUN_ERRORS = (ScenarioError, ConfigError, ValueError, SimulationError)  # what ``main`` reports
+_RUN_ERRORS = (ScenarioError, ConfigError, ValueError, OSError, SimulationError)
 
 
 @dataclass
@@ -101,7 +101,6 @@ def _write_csv(path: Path, times, values, row: str = "%.6f,%.6f\n") -> None:
 
 def _write_outputs(result: RunResult, overrides: dict[str, str]) -> None:
     out = result.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     rec = result.recorder
     for vc_id, trace in rec.acr.items():
         _write_csv(out / f"acr_{vc_id}.csv", trace.times, map(cps_to_mbps, trace.values))
@@ -183,7 +182,9 @@ def execute_run(
     processes, by default as many as there are CPUs; the outputs do not
     depend on it.
     """
-    engine = Engine(to_topology(sc))
+    topology = to_topology(sc)  # checked before the output directory is made
+    out_dir.mkdir(parents=True, exist_ok=True)
+    engine = Engine(topology)
     if processes is None:
         processes = os.cpu_count() or 1
     engine.run_parts(ms_to_ps(sc.run.until_ms), processes)
@@ -274,27 +275,11 @@ def cmd_sweep(args) -> int:
         members[name] = (value_text, sc)
     out_root = _out_root(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
-    # Each member runs in a forked worker, at most one per CPU at a time.
-    # A member that fails as a run would (the errors ``main`` reports)
-    # loses only its own row: the others are summarized and the failures
-    # reported.  Any other exception is raised once every worker is reaped.
-    jobs = [(sc, {args.param: v}, str(out_root / name)) for name, (v, sc) in members.items()]
-    outcomes: list = [None] * len(jobs)  # each member's (exception, steady Mbps per VC)
-    if not hasattr(os, "fork"):
-        for i, job in enumerate(jobs):
-            try:
-                outcomes[i] = None, _sweep_worker(*job)
-            except _RUN_ERRORS as exc:
-                outcomes[i] = exc, None
-    else:
-        cap = min(len(jobs), os.cpu_count() or 1)
-        with Workers() as workers:
-            for i, job in enumerate(jobs):
-                workers.start(i, _sweep_worker, *job)
-                # wait for members while at the cap, and after the last start for all
-                while workers and (len(workers) == cap or i == len(jobs) - 1):
-                    done, outcome = workers.next_outcome()
-                    outcomes[done] = outcome
+    # Members run in forked workers, at most one per CPU at a time.  A run
+    # error fails only its member; any other is raised once all have run.
+    jobs = [(_sweep_worker, sc, {args.param: v}, str(out_root / name))
+            for name, (v, sc) in members.items()]
+    _, outcomes = forked(jobs, os.cpu_count() or 1)
     results, failures = [], []
     for (value_text, sc), (exc, steady) in zip(members.values(), outcomes):
         if exc is None:
@@ -467,12 +452,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SimulationError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return 1
+    except _RUN_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

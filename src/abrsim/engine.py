@@ -79,14 +79,16 @@ counter, its TICK and its ``Recorder``, and runs the event loop on them
 alone; its TICK samples every switch, counting only its own ports.  A
 part's events read and write only its own state, so their order does not
 depend on the other parts: ``Engine.run_until`` runs the parts one after
-another, and ``Engine.run_parts`` runs groups of consecutive parts in
-forked workers, each of which sends its parts back whole; both leave
-every part in the same state.  What the run reports is merged from its
-parts in one place (``Engine.recorder``): per-VC traces in engine order,
-queue samples summed per switch, and deviations ordered by the time each
-was first recorded, then by part order.  ``events_processed`` and
-``audits_passed`` count the TICKs and their audits, which every part
-takes, once.
+another, and ``Engine.run_parts`` runs the first group of consecutive
+parts here and each other one in a forked worker (``forked``) that sends
+its parts back whole; both leave every part in the same state.  A split
+run fails with its first failing part in part order once every worker has
+ended, or at once if that part runs here.  What the run reports is merged
+from its parts in one place (``Engine.recorder``): per-VC traces in
+engine order, queue samples summed per switch, and deviations ordered by
+the time each was first recorded, then by part order.
+``events_processed`` and ``audits_passed`` count the TICKs and their
+audits, which every part takes, once.
 """
 
 from __future__ import annotations
@@ -522,28 +524,29 @@ class Part:
         return report
 
 
-class Workers(dict):
-    """Forked workers, each of which runs one job and sends back what it
-    returned or raised, pickled whole through its own pipe.  Each is held
-    as ``key: (pid, the read end of its pipe)`` until ``next_outcome``
-    reaps it; leaving the ``with`` block reaps the rest, killing them
-    first on an exception.
-    """
+def _outcome(job, *args) -> tuple:
+    """``(None, job(*args))``, or ``(the exception it raised, None)``."""
+    try:
+        return None, job(*args)
+    except Exception as exc:
+        return exc, None
 
-    def __enter__(self) -> Workers:
-        return self
 
-    def __exit__(self, exc_type, *_) -> None:
-        import signal
+def forked(jobs, cap: int, here=None) -> tuple:
+    """Run each job ``(function, *args)`` in a forked worker, at most ``cap``
+    at once, and ``here()``, if given, in this process once the first have
+    started; return what ``here`` returned and each job's ``_outcome``, in
+    job order, once every worker is reaped.  A worker pickles its outcome
+    through its own pipe; one that will not pickle, or none at all, comes
+    as a ``SimulationError``.  Every worker runs to its end, unless ``here``
+    or this process raises: the rest are then killed.  Without ``os.fork``
+    the jobs run in this process, after ``here``."""
+    if not hasattr(os, "fork"):
+        return (here() if here else None), [_outcome(*job) for job in jobs]
+    outcomes: list = [None] * len(jobs)
+    workers: dict[int, tuple] = {}  # job index: (pid, the read end of its pipe)
 
-        for pid, fh in self.values():
-            if exc_type is not None:
-                os.kill(pid, signal.SIGKILL)
-            fh.close()
-            os.waitpid(pid, 0)
-
-    def start(self, key, job, *args) -> None:
-        """Fork a worker, held by ``key``, that runs ``job(*args)``."""
+    def start(i: int) -> None:
         read_end, write_end = os.pipe()
         try:
             pid = os.fork()
@@ -551,15 +554,12 @@ class Workers(dict):
             os.close(read_end)
             os.close(write_end)
             raise
-        if pid == 0:  # the worker: run the job, send what came of it, exit
+        if pid == 0:  # the worker: run the job, send its outcome, exit
             try:
                 os.close(read_end)
-                for _, fh in self.values():
+                for _, fh in workers.values():
                     fh.close()
-                try:
-                    sent = None, job(*args)
-                except Exception as exc:
-                    sent = exc, None
+                sent = _outcome(*jobs[i])
                 import pickle  # imported after the job, so that the job does not wait for it
 
                 try:
@@ -572,25 +572,40 @@ class Workers(dict):
             finally:
                 os._exit(1)
         os.close(write_end)
-        self[key] = pid, open(read_end, "rb")
+        workers[i] = pid, open(read_end, "rb")
 
-    def next_outcome(self) -> tuple:
-        """Wait until a worker has sent what came of its job, or died; reap
-        it and return its key and ``(exception, result)``."""
-        import pickle  # only a process that forks pays for these imports
-        import select
+    started = min(cap, len(jobs))
+    try:
+        for i in range(started):
+            start(i)
+        mine = here() if here else None
+        while workers:
+            import pickle  # only a process that forks pays for these imports
+            import select
 
-        readable = select.select([fh for _, fh in self.values()], [], [])[0]
-        key = next(key for key, (_, fh) in self.items() if fh in readable)
-        pid, fh = self[key]
-        try:
-            sent = pickle.load(fh)
-        except (EOFError, pickle.UnpicklingError):  # it exited without sending them
-            sent = SimulationError(f"worker process {pid} sent no result"), None
-        del self[key]
-        fh.close()
-        os.waitpid(pid, 0)
-        return key, sent
+            readable = select.select([fh for _, fh in workers.values()], [], [])[0]
+            i = next(i for i, (_, fh) in workers.items() if fh in readable)
+            pid, fh = workers[i]
+            with fh:
+                try:
+                    outcomes[i] = pickle.load(fh)
+                except (EOFError, pickle.UnpicklingError):  # it exited without sending one
+                    outcomes[i] = SimulationError(f"worker process {pid} sent no result"), None
+            os.waitpid(workers.pop(i)[0], 0)
+            if started < len(jobs):
+                start(started)
+                started += 1
+    except BaseException:
+        import signal
+
+        for pid, _ in workers.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, fh in workers.values():
+            fh.close()
+            os.waitpid(pid, 0)
+    return mine, outcomes
 
 
 class Engine:
@@ -652,34 +667,24 @@ class Engine:
         self.now = t_end
 
     def run_parts(self, t_end: SimTime, processes: int) -> None:
-        """``run_until(t_end)``, with the parts in up to ``processes`` processes.
-
-        The parts are cut into that many groups of consecutive parts.  Each
-        group after the first runs in a forked worker, which sends its parts
-        back whole to take the place of this engine's own; the first group
-        runs here.  Each process runs its group with ``run_until`` on this
-        engine holding only that group, so that a wrapper of ``run_until``
-        (``perfbench/child.py`` in trace mode) still times the loop.  With
-        one group, or without ``os.fork``, this is ``run_until``.
+        """``run_until(t_end)``, with the parts cut into up to ``processes``
+        groups of consecutive parts, each run in its own process (``forked``)
+        by ``run_until`` on this engine holding only that group, so that a
+        wrapper of ``run_until`` (``perfbench/child.py``'s trace mode) still
+        times the loop.
         """
         parts = self.parts
-        n = min(processes, len(parts))
-        if n < 2 or not hasattr(os, "fork"):
-            self.run_until(t_end)
-            return
+        n = max(1, min(processes, len(parts)))
         cuts = [k * len(parts) // n for k in range(n + 1)]
-        with Workers() as workers:
-            for start, stop in zip(cuts[1:], cuts[2:]):
-                workers.start(start, self._run_group, parts[start:stop], t_end)
-            try:
-                self._run_group(parts[:cuts[1]], t_end)
-            finally:
-                self.parts = parts
-            while workers:
-                start, (exc, group) = workers.next_outcome()
-                if exc is not None:
-                    raise exc
-                parts[start:start + len(group)] = group
+        jobs = [(self._run_group, parts[a:b], t_end) for a, b in zip(cuts[1:], cuts[2:])]
+        try:
+            _, outcomes = forked(jobs, len(jobs), lambda: self._run_group(parts[:cuts[1]], t_end))
+        finally:
+            self.parts = parts
+        for start, (exc, group) in zip(cuts[1:], outcomes):
+            if exc is not None:
+                raise exc
+            parts[start:start + len(group)] = group
         self._gather()
 
     def _run_group(self, group: list[Part], t_end: SimTime) -> list[Part]:

@@ -377,6 +377,51 @@ print(code, pools, threading.active_count())
     assert proc.stdout.splitlines()[-1] == "0 [] 1"
 
 
+def test_a_run_imports_nothing_that_only_forking_needs_until_it_forks(tmp_path):
+    proc = run_python(tmp_path, """
+from abrsim import cli
+from abrsim.scenario import bundled_config_text, parse_scenario, to_topology
+engine = cli.Engine(to_topology(parse_scenario(bundled_config_text("fig3.cfg"))))
+print([m for m in ("pickle", "select", "signal") if m in sys.modules])
+engine.run_parts(10**9, 1)  # 1 ms in one process
+print([m for m in ("pickle", "select", "signal") if m in sys.modules])
+""")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_output_path_that_is_a_file_fails_before_any_run(
+    tiny_cfg, tmp_path, capsys, monkeypatch, command
+):
+    built = []
+    monkeypatch.setattr(cli, "Engine", lambda *args: built.append(args))
+    blocker = tmp_path / "taken"
+    blocker.write_text("", encoding="utf-8")
+    argv = [command, str(tiny_cfg), "--out", str(blocker)]
+    if command == "sweep":
+        argv += ["--param", "crm", "--values", "32,64"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(blocker) in err and "Traceback" not in err
+    assert built == []
+
+
+def test_a_sweep_member_whose_directory_cannot_be_made_fails_alone(tiny_cfg, tmp_path, capsys):
+    out = tmp_path / "sweep_crm"
+    out.mkdir()
+    (out / "crm=64").write_text("", encoding="utf-8")
+    argv = ["sweep", str(tiny_cfg), "--param", "crm", "--values", "32,64", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"error: crm=64: \[Errno \d+\] .*crm=64'\n", captured.err)
+    assert "sweep complete: 1 of 2 runs" in captured.out
+    rows = read(out / "sweep_summary.csv").splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["32"]
+    assert_no_child_left()
+
+
 def test_sweep_rejects_a_value_given_twice(tiny_cfg, tmp_path, capsys):
     out = tmp_path / "sweep_twice"
     argv = ["sweep", str(tiny_cfg), "--param", "cdf", "--values", "1/64,1/16,1/64"]

@@ -9,12 +9,14 @@ a worker, run on with ``run_until``, against a serial engine.
 """
 
 import os
+import re
+import time
 
 import pytest
 
 from abrsim import engine
 from abrsim.cli import apply_override, execute_run, main
-from abrsim.engine import Engine, Part, SimulationError, Workers
+from abrsim.engine import Engine, Part, SimulationError, forked
 from abrsim.scenario import bundled_config_text, parse_scenario, to_topology
 from abrsim.units import ms_to_ps
 from test_random_scenarios import HORIZON_MS, PINNED, scenario_text
@@ -286,8 +288,74 @@ def test_a_failing_part_fails_the_run_and_leaves_no_process(
     assert_no_child_left()
 
 
+def test_a_worker_that_sends_no_result_fails_the_run(tmp_path, monkeypatch, capsys):
+    audit, parent = Part.audit, os.getpid()
+
+    def dying_audit(self):
+        if list(self.vcs) == ["rev"] and os.getpid() != parent:
+            os._exit(3)  # the worker ends before it sends its parts
+        return audit(self)
+
+    monkeypatch.setattr(Part, "audit", dying_audit)
+    monkeypatch.setattr(engine, "_AUDIT_EVERY_TICKS", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert main(["run", "fig3.cfg", "--until-ms", "3", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"internal invariant failure: worker process \d+ sent no result\n", err)
+    assert_no_child_left()
+
+
+def test_of_two_failing_workers_the_earlier_part_is_reported(tmp_path, monkeypatch):
+    # v2 fails after v3 has: the run reports v2's failure, not the first to arrive.
+    audit, parent = Part.audit, os.getpid()
+
+    def failing_audit(self):
+        if os.getpid() != parent:
+            (vc,) = self.vcs
+            if vc == "v2":
+                time.sleep(0.3)
+            raise SimulationError(f"injected in {vc}")
+        return audit(self)
+
+    monkeypatch.setattr(Part, "audit", failing_audit)
+    monkeypatch.setattr(engine, "_AUDIT_EVERY_TICKS", 1)
+    with pytest.raises(SimulationError, match="^injected in v2$"):
+        execute_run(parse_scenario(three_part_scenario()), tmp_path, processes=3)
+    assert_no_child_left()
+
+
+def test_without_fork_a_run_writes_what_a_split_run_writes(tmp_path, monkeypatch):
+    argv = ["run", "fig3.cfg", "--until-ms", "40", "--out"]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert main([*argv, str(tmp_path / "split")]) == 0
+    monkeypatch.delattr(os, "fork")
+    assert main([*argv, str(tmp_path / "here")]) == 0
+    assert outputs(tmp_path / "here") == outputs(tmp_path / "split")
+
+
 def test_a_split_run_leaves_no_process(tmp_path):
     execute_run(fig3(3), tmp_path, processes=2)
+    assert_no_child_left()
+
+
+def test_a_failed_fork_kills_the_started_workers_and_closes_every_pipe(monkeypatch):
+    fork, pipe, pipes = os.fork, os.pipe, []
+
+    def fork_once():
+        if len(pipes) > 1:  # the second worker's fork fails
+            raise BlockingIOError("injected")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+    start = time.monotonic()
+    with pytest.raises(BlockingIOError, match="injected"):
+        forked([(time.sleep, 30), (time.sleep, 30)], 2)
+    assert time.monotonic() - start < 10  # the first worker was killed, not waited for
+    assert len(pipes) == 2
+    for fd in (fd for ends in pipes for fd in ends):
+        with pytest.raises(OSError):
+            os.fstat(fd)
     assert_no_child_left()
 
 
@@ -295,11 +363,9 @@ def test_a_worker_sends_what_will_not_pickle_as_a_simulation_error():
     def raise_unpicklable():
         raise ValueError(lambda: 0)
 
-    with Workers() as workers:
-        workers.start("raised", raise_unpicklable)
-        workers.start("returned", lambda: lambda: 0)
-        workers.start("sent", lambda: [7] * 3)
-        outcomes = dict(workers.next_outcome() for _ in range(3))
+    jobs = {"raised": (raise_unpicklable,), "returned": (lambda: lambda: 0,),
+            "sent": (lambda: [7] * 3,)}
+    outcomes = dict(zip(jobs, forked(list(jobs.values()), 3)[1]))
     assert outcomes["sent"] == (None, [7, 7, 7])
     raised, returned = outcomes["raised"], outcomes["returned"]
     assert isinstance(raised[0], SimulationError) and raised[1] is None
