@@ -33,12 +33,13 @@ from .scenario import (
     error_context,
     parse_number,
     parse_scenario,
+    parse_source_value,
     render_scenario,
     to_topology,
 )
 from .units import PS_PER_MS, cps_to_mbps, mbps_to_cps, ms_to_ps, ps_to_ms
 
-SWEEPABLE = ("crm", "cdf", "icr", "rif")
+SWEEPABLE = {"crm": "crm", "cdf": "cdf", "icr": "icr_mbps", "rif": "rif"}  # the key each sets
 _RUN_ERRORS = (ScenarioError, ConfigError, ValueError, OSError, SimulationError)
 
 
@@ -70,13 +71,10 @@ def apply_override(sc: Scenario, param: str, value: float) -> None:
     A crm override clears tbe, so that resolving rederives it as crm * nrm.
     """
     if param not in SWEEPABLE:
-        raise ScenarioError(f"cannot override {param!r}; choose one of {SWEEPABLE}")
+        raise ScenarioError(f"cannot override {param!r}; choose one of {tuple(SWEEPABLE)}")
+    changes = {SWEEPABLE[param]: value}
     if param == "crm":
-        if value != int(value):
-            raise ScenarioError(f"crm must be an integer, got {value}")
-        changes = {"crm": int(value), "tbe": None}
-    else:
-        changes = {"icr_mbps" if param == "icr" else param: value}
+        changes["tbe"] = None
     for name, cfg in sc.sources.items():
         with error_context(f"source {name}"):
             sc.sources[name] = replace(cfg, **changes).resolved()
@@ -218,26 +216,26 @@ def _out_root(arg_out: str | None) -> Path:
     return Path(os.environ.get("ABRSIM_OUT", "out"))
 
 
-def _apply_args(sc: Scenario, args) -> dict[str, str]:
-    """Apply the run flags to ``sc``; returns them as text for ``meta.txt``."""
+def _scenario_with(cfg_text: str, flags: list, until_ms: float | None) -> tuple[Scenario, dict]:
+    """``cfg_text``'s scenario with each ``(flag, param, text)`` override, read as a file
+    reads its key (errors name the flag), then ``until_ms``; returns it and its overrides."""
+    sc = parse_scenario(cfg_text)
     overrides = {}
-    if args.crm is not None:
-        overrides["crm"] = str(args.crm)
-        apply_override(sc, "crm", args.crm)
-    if args.cdf is not None:
-        overrides["cdf"] = args.cdf
-        with error_context("--cdf"):
-            apply_override(sc, "cdf", parse_number(args.cdf))
-    if args.until_ms is not None:
-        overrides["until_ms"] = repr(args.until_ms)
-        sc.run.until_ms = args.until_ms
+    for flag, param, text in flags:
+        overrides[param] = text = text.strip()
+        with error_context(flag):
+            value = parse_source_value(SWEEPABLE[param], text)
+        apply_override(sc, param, value)
+    if until_ms is not None:
+        overrides["until_ms"] = repr(until_ms)
+        sc.run.until_ms = until_ms
         sc.run.check()
-    return overrides
+    return sc, overrides
 
 
 def cmd_run(args) -> int:
-    sc = parse_scenario(load_scenario_text(args.config))
-    overrides = _apply_args(sc, args)
+    flags = [(f"--{p}", p, text) for p in ("crm", "cdf") if (text := getattr(args, p)) is not None]
+    sc, overrides = _scenario_with(load_scenario_text(args.config), flags, args.until_ms)
     out_dir = _out_root(args.out)
     result = execute_run(sc, out_dir, overrides)
     print(f"run complete: {result.engine.events_processed} events, output in {out_dir}")
@@ -260,28 +258,23 @@ def cmd_sweep(args) -> int:
         raise ScenarioError("sweep needs at least one value")
     # Build and check every member's scenario with the runs' own rules
     # before any run starts; the members run exactly these scenarios.
-    members: dict[str, tuple[str, Scenario]] = {}  # by output directory name
-    for value_text in values:
-        name = f"{args.param}={value_text.replace('/', '_')}"
+    members: dict[str, tuple[str, Scenario, dict[str, str]]] = {}  # by output directory name
+    for text in values:
+        name = f"{args.param}={text.replace('/', '_')}"
         if name in members:
-            raise ScenarioError(f"--values: {value_text} is given twice (both would write {name})")
-        sc = parse_scenario(cfg_text)
-        with error_context("--values"):
-            apply_override(sc, args.param, parse_number(value_text))
-        if args.until_ms is not None:
-            sc.run.until_ms = args.until_ms
-            sc.run.check()
+            raise ScenarioError(f"--values: {text} is given twice (both would write {name})")
+        sc, overrides = _scenario_with(cfg_text, [("--values", args.param, text)], args.until_ms)
         to_topology(sc)
-        members[name] = (value_text, sc)
+        members[name] = (text, sc, overrides)
     out_root = _out_root(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
     # Members run in forked workers, at most one per CPU at a time.  A run
     # error fails only its member; any other is raised once all have run.
-    jobs = [(_sweep_worker, sc, {args.param: v}, str(out_root / name))
-            for name, (v, sc) in members.items()]
-    _, outcomes = forked(jobs, os.cpu_count() or 1)
+    jobs = [(_sweep_worker, sc, overrides, str(out_root / name))
+            for name, (_, sc, overrides) in members.items()]
+    outcomes = forked(jobs, os.cpu_count() or 1)
     results, failures = [], []
-    for (value_text, sc), (exc, steady) in zip(members.values(), outcomes):
+    for (value_text, sc, _), (exc, steady) in zip(members.values(), outcomes):
         if exc is None:
             results.append((value_text, sc.run.steady_window(), steady))
         elif isinstance(exc, _RUN_ERRORS):
@@ -410,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one scenario and write CSV traces")
     run_p.add_argument("config", help="scenario file (bundled name or path)")
-    run_p.add_argument("--crm", type=int, help="override crm on every source")
+    run_p.add_argument("--crm", help="override crm on every source")
     run_p.add_argument("--cdf", help="override cdf on every source (e.g. 1/16)")
     run_p.add_argument("--until-ms", type=milliseconds, dest="until_ms", help="simulation horizon")
     run_p.add_argument("--out", help="output directory (default $ABRSIM_OUT or ./out)")

@@ -532,17 +532,18 @@ def _outcome(job, *args) -> tuple:
         return exc, None
 
 
-def forked(jobs, cap: int, here=None) -> tuple:
+def forked(jobs, cap: int, here=lambda: None) -> list:
     """Run each job ``(function, *args)`` in a forked worker, at most ``cap``
-    at once, and ``here()``, if given, in this process once the first have
-    started; return what ``here`` returned and each job's ``_outcome``, in
-    job order, once every worker is reaped.  A worker pickles its outcome
-    through its own pipe; one that will not pickle, or none at all, comes
-    as a ``SimulationError``.  Every worker runs to its end, unless ``here``
-    or this process raises: the rest are then killed.  Without ``os.fork``
-    the jobs run in this process, after ``here``."""
+    at once, and ``here()`` in this process once the first have started;
+    return each job's ``_outcome``, in job order, once every worker is
+    reaped.  A worker pickles its outcome through its own pipe; one that
+    will not pickle, or none at all, comes as a ``SimulationError``.  Every
+    worker runs to its end, unless ``here`` or this process raises: the
+    rest are then killed.  Without ``os.fork`` the jobs run in this
+    process, after ``here``."""
     if not hasattr(os, "fork"):
-        return (here() if here else None), [_outcome(*job) for job in jobs]
+        here()
+        return [_outcome(*job) for job in jobs]
     outcomes: list = [None] * len(jobs)
     workers: dict[int, tuple] = {}  # job index: (pid, the read end of its pipe)
 
@@ -578,7 +579,7 @@ def forked(jobs, cap: int, here=None) -> tuple:
     try:
         for i in range(started):
             start(i)
-        mine = here() if here else None
+        here()
         while workers:
             import pickle  # only a process that forks pays for these imports
             import select
@@ -605,7 +606,7 @@ def forked(jobs, cap: int, here=None) -> tuple:
         for pid, fh in workers.values():
             fh.close()
             os.waitpid(pid, 0)
-    return mine, outcomes
+    return outcomes
 
 
 class Engine:
@@ -678,7 +679,7 @@ class Engine:
         cuts = [k * len(parts) // n for k in range(n + 1)]
         jobs = [(self._run_group, parts[a:b], t_end) for a, b in zip(cuts[1:], cuts[2:])]
         try:
-            _, outcomes = forked(jobs, len(jobs), lambda: self._run_group(parts[:cuts[1]], t_end))
+            outcomes = forked(jobs, len(jobs), lambda: self._run_group(parts[:cuts[1]], t_end))
         finally:
             self.parts = parts
         for start, (exc, group) in zip(cuts[1:], outcomes):

@@ -71,6 +71,9 @@ class SourceParams:
         for rate, key in ((self.icr, "icr_mbps"), (self.mcr, "mcr_mbps")):
             if rate > 0:  # 0 is allowed (the source probes); any other rate is timed
                 cell_tx_time(rate, key)
+        for key in ("nrm", "crm", "tbe"):
+            if not isinstance(getattr(self, key), int):
+                raise ValueError(f"{key} must be an integer, got {getattr(self, key)}")
         if self.nrm < 1:
             raise ValueError(f"nrm must be >= 1, got {self.nrm}")
         if not 0.0 < self.rif <= 1.0:

@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import Field, dataclass, field, fields, replace
 
 from .analysis import crm_from_tbe
-from .engine import LinkSpec, SwitchParams, Topology, VcSpec
+from .engine import ConfigError, LinkSpec, SwitchParams, Topology, VcSpec
 from .protocol import SourceParams
 from .switch import INTERVAL_RULE
 from .units import mbps_to_cps, ms_to_ps, us_to_ps
@@ -34,10 +34,10 @@ class ScenarioError(Exception):
 
 @contextmanager
 def error_context(label: str):
-    """Report a ValueError raised in the block as ``ScenarioError("<label>: ...")``."""
+    """Report a ValueError or ConfigError in the block as ``ScenarioError("<label>: ...")``."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, ConfigError) as exc:
         raise ScenarioError(f"{label}: {exc}") from None
 
 
@@ -205,28 +205,17 @@ def default_scenario() -> Scenario:
 def parse_number(text: str) -> float:
     """Parse a finite number or a fraction like ``1/16``; ValueError otherwise."""
     num, slash, den = text.partition("/")
-    divisor = float(den) if slash else 1.0
-    value = float(num) / divisor if divisor else math.inf
-    if not (math.isfinite(value) and math.isfinite(divisor)):
-        raise ValueError(f"expected a finite number, got {text.strip()!r}")
-    return value
-
-
-def _parse_int(text: str, line_no: int) -> int:
     try:
-        return int(text, 10)
+        divisor = float(den) if slash else 1.0
+        value = float(num) / divisor if divisor else math.inf
+        if math.isfinite(value) and math.isfinite(divisor):
+            return value
     except ValueError:
-        raise ScenarioError(f"line {line_no}: expected an integer, got {text!r}") from None
+        pass
+    raise ValueError(f"expected a finite number, got {text!r}")
 
 
-def _parse_float(text: str, line_no: int) -> float:
-    try:
-        return parse_number(text)
-    except ValueError:
-        raise ScenarioError(f"line {line_no}: expected a finite number, got {text!r}") from None
-
-
-def _parse_windows(text: str, line_no: int) -> tuple[tuple[float, float], ...]:
+def _parse_windows(text: str) -> tuple[tuple[float, float], ...]:
     windows = []
     for part in text.split(","):
         part = part.strip()
@@ -234,8 +223,8 @@ def _parse_windows(text: str, line_no: int) -> tuple[tuple[float, float], ...]:
             continue
         lo, sep, hi = part.partition(":")
         if not sep:
-            raise ScenarioError(f"line {line_no}: window must be 'start:end', got {part!r}")
-        windows.append((_parse_float(lo, line_no), _parse_float(hi, line_no)))
+            raise ValueError(f"window must be 'start:end', got {part!r}")
+        windows.append((parse_number(lo), parse_number(hi)))
     return tuple(windows)
 
 
@@ -252,17 +241,25 @@ def _section_keys(cfg_type) -> dict[str, Field]:
     return keys
 
 
-def _parse_value(f: Field, text: str, line_no: int):
+def _parse_value(f: Field, text: str):
     """Parse ``text`` as a value of field ``f``."""
     if f.name == "path":
         return tuple(n.strip() for n in text.split(",") if n.strip())
     if f.name == "windows_ms":
-        return _parse_windows(text, line_no)
+        return _parse_windows(text)
     if f.type == "str":
         return text
-    if f.type.startswith("int"):
-        return _parse_int(text, line_no)
-    return _parse_float(text, line_no)
+    if not f.type.startswith("int"):
+        return parse_number(text)
+    try:
+        return int(text, 10)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+
+
+def parse_source_value(key: str, text: str):
+    """Parse ``text`` as the value of ``key`` in a ``[source.*]`` section."""
+    return _parse_value(_section_keys(SourceCfg)[key], text)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -278,40 +275,45 @@ def parse_scenario(text: str) -> Scenario:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ScenarioError(f"line {line_no}: malformed section header {line!r}")
-            section = line[1:-1].strip()
-            kind, _, name = section.partition(".")
-            if section == "run":
-                current = scenario.run
-            elif kind in _SECTIONS and name:
-                attr, cfg_type = _SECTIONS[kind]
-                current = getattr(scenario, attr).setdefault(name, cfg_type())
-            else:
-                raise ScenarioError(f"line {line_no}: unknown section {section!r}")
-            if section in seen_sections:
-                raise ScenarioError(f"line {line_no}: duplicate section [{section}]")
-            seen_sections.add(section)
-            keys = _section_keys(type(current))
-            continue
+        try:
+            if line.startswith("["):
+                if not line.endswith("]"):
+                    raise ValueError(f"malformed section header {line!r}")
+                section = line[1:-1].strip()
+                kind, _, name = section.partition(".")
+                if section == "run":
+                    current = scenario.run
+                elif kind in _SECTIONS and name:
+                    if kind in ("switch", "vc") and any(c in name for c in "/\\\0"):
+                        raise ValueError(f"{kind} name {name!r} must not contain '/', '\\' or NUL")
+                    attr, cfg_type = _SECTIONS[kind]
+                    current = getattr(scenario, attr).setdefault(name, cfg_type())
+                else:
+                    raise ValueError(f"unknown section {section!r}")
+                if section in seen_sections:
+                    raise ValueError(f"duplicate section [{section}]")
+                seen_sections.add(section)
+                keys = _section_keys(type(current))
+                continue
 
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ScenarioError(f"line {line_no}: expected 'key = value', got {line!r}")
-        key = key.strip()
-        if current is None:
-            raise ScenarioError(f"line {line_no}: key outside of any section")
-        f = keys.get(key)
-        if f is None:
-            raise ScenarioError(f"line {line_no}: unknown {kind} key {key!r}")
-        slot = (section, f.name)
-        if slot in seen_keys:
-            if seen_keys[slot] == key:
-                raise ScenarioError(f"line {line_no}: duplicate key {key!r}")
-            raise ScenarioError(f"line {line_no}: give {seen_keys[slot]} or {key}, not both")
-        seen_keys[slot] = key
-        parsed = _parse_value(f, value.strip(), line_no)
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ValueError(f"expected 'key = value', got {line!r}")
+            key = key.strip()
+            if current is None:
+                raise ValueError("key outside of any section")
+            f = keys.get(key)
+            if f is None:
+                raise ValueError(f"unknown {kind} key {key!r}")
+            slot = (section, f.name)
+            if slot in seen_keys:
+                if seen_keys[slot] == key:
+                    raise ValueError(f"duplicate key {key!r}")
+                raise ValueError(f"give {seen_keys[slot]} or {key}, not both")
+            seen_keys[slot] = key
+            parsed = _parse_value(f, value.strip())
+        except ValueError as exc:  # the one place a line's number is given
+            raise ScenarioError(f"line {line_no}: {exc}") from None
         if key == "delay_ms":  # kept in us: checked here, so that errors quote the ms
             if parsed < 0:
                 raise ScenarioError(f"link {name}: delay_ms must be >= 0, got {parsed:g}")
@@ -388,7 +390,7 @@ def to_topology(scenario: Scenario) -> Topology:
                 rate=_converted(cfg, "rate_mbps"),
                 prop_delay=_converted(cfg, "delay_us", us_to_ps),
             )
-        topo.add_duplex_link(cfg.from_node, cfg.to_node, spec)
+            topo.add_duplex_link(cfg.from_node, cfg.to_node, spec)
     topo.vcs = tuple(VcSpec(vc_id=name, path=cfg.path) for name, cfg in scenario.vcs.items())
     topo.validate()
     return topo

@@ -492,8 +492,82 @@ def test_non_integer_crm_is_rejected(tiny_cfg, tmp_path, capsys):
     out = tmp_path / "sweep_crm"
     argv = ["sweep", str(tiny_cfg), "--param", "crm", "--values", "2.7", "--out", str(out)]
     assert main(argv) == 2
-    assert "crm must be an integer" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --values: expected an integer, got '2.7'\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("param, text, message", [
+    ("crm", "32.0", "expected an integer, got '32.0'"),
+    ("crm", "1e3", "expected an integer, got '1e3'"),
+    ("crm", "2.7", "expected an integer, got '2.7'"),
+    ("crm", "abc", "expected an integer, got 'abc'"),
+    ("cdf", "abc", "expected a finite number, got 'abc'"),
+    ("cdf", "1/0", "expected a finite number, got '1/0'"),
+    ("cdf", "0.05", "source s1: cdf must be 0 or a power of two in [1/64, 1], got 0.05"),
+], ids=["crm-32.0", "crm-1e3", "crm-2.7", "crm-abc", "cdf-abc", "cdf-1_0", "cdf-0.05"])
+def test_a_bad_source_value_fails_alike_in_a_file_a_run_flag_and_a_sweep(
+    tiny_cfg, tmp_path, capsys, monkeypatch, param, text, message
+):
+    # One parser per key: the three ways differ only in their first label.
+    # A value the parser takes but the source rule rejects names its source.
+    built = []
+    monkeypatch.setattr(cli, "Engine", lambda *args: built.append(args))
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_text(TINY.replace("crm = 32", f"{param} = {text}"), encoding="utf-8")
+    out = tmp_path / "o"
+    ways = {
+        "line 3": ["run", str(bad_cfg)],
+        f"--{param}": ["run", str(tiny_cfg), f"--{param}", text],
+        "--values": ["sweep", str(tiny_cfg), "--param", param, "--values", text],
+    }
+    for label, argv in ways.items():
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        labelled = not message.startswith("source ")
+        assert err == f"error: {label + ': ' if labelled else ''}{message}\n", argv
+        assert not out.exists()
+    assert built == []
+
+
+def test_analyze_decay_rejects_a_malformed_cdf_as_a_run_does(capsys):
+    assert main(["analyze", "decay", "--icr-mbps", "140", "--cdf", "abc"]) == 2
+    assert capsys.readouterr().err == "error: --cdf: expected a finite number, got 'abc'\n"
+
+
+@pytest.mark.parametrize("name", ["a/b", "a\\b", "a\0b"], ids=["slash", "backslash", "nul"])
+@pytest.mark.parametrize("kind", ["vc", "switch"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_vc_or_switch_name_that_cannot_be_in_a_file_name_is_rejected_when_parsed(
+    tmp_path, capsys, monkeypatch, command, kind, name
+):
+    # Its traces would be written to ``acr_<vc>.csv`` and ``queues_<switch>.csv``.
+    built = []
+    monkeypatch.setattr(cli, "Engine", lambda *args: built.append(args))
+    text = TINY.replace("main", name) if kind == "vc" else TINY.replace("sw1", name)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    line = text[:text.index(f"[{kind}.")].count("\n") + 1
+    out = tmp_path / "o"
+    argv = [command, str(cfg), "--out", str(out)]
+    if command == "sweep":
+        argv += ["--param", "crm", "--values", "32,64"]
+    assert main(argv) == 2
+    rule = f"{kind} name {name!r} must not contain '/', '\\' or NUL"
+    assert capsys.readouterr().err == f"error: line {line}: {rule}\n"
+    assert not out.exists()
+    assert built == []
+
+
+def test_a_sweep_member_lists_its_overrides_as_a_run_does(tiny_cfg, tmp_path):
+    # Each flag's text as given, then the horizon.
+    run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
+    assert main(["run", str(tiny_cfg), "--crm", "064", "--until-ms", "3",
+                 "--out", str(run_out)]) == 0
+    assert main(["sweep", str(tiny_cfg), "--param", "crm", "--values", "064", "--until-ms", "3",
+                 "--out", str(sweep_out)]) == 0
+    meta = read(run_out / "meta.txt")
+    assert "\n[overrides]\ncrm = 064\nuntil_ms = 3.0\n\n" in meta
+    assert read(sweep_out / "crm=064" / "meta.txt") == meta
 
 
 def test_crm_override_rederives_an_explicit_tbe():
@@ -558,9 +632,14 @@ def test_until_ms_must_be_finite_and_non_negative(tiny_cfg, capsys, command, hor
             "switch sw1: interval_us: must fit the picosecond clock, got 1e+303 us",
         ),
         ("until_ms = 5", "until_ms = 1e300", "run: until_ms: must fit the picosecond clock"),
+        (
+            "[vc.main]",
+            "[link.a2]\nfrom = sw1\nto = s1\n\n[vc.main]",
+            "link a2: duplicate link between sw1 and s1",
+        ),
     ],
     ids=["zero-rate", "negative-rate", "negative-delay", "one-node-path", "bad-switch",
-         "huge-delay", "huge-interval", "huge-horizon"],
+         "huge-delay", "huge-interval", "huge-horizon", "duplicate-link"],
 )
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_topology_errors_name_the_link_vc_or_switch(tmp_path, capsys, command, old, new, message):

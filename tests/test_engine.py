@@ -20,6 +20,7 @@ from abrsim.engine import (
 from abrsim.protocol import SourceParams
 from abrsim.scenario import bundled_config_text, parse_scenario, to_topology
 from abrsim.units import PS_PER_MS, cell_tx_time, mbps_to_cps, ms_to_ps, ps_to_ms, us_to_ps
+from conftest import snapshot
 from test_random_scenarios import HORIZON_MS, scenario_text
 
 OC3 = mbps_to_cps(155.52)
@@ -557,38 +558,6 @@ def test_interval_deadline_tie_rule_holds_end_to_end(tmp_path):
 # -- slicing the loop --------------------------------------------------------
 
 
-def snapshot(eng):
-    """Everything a run leaves behind, for comparing two ways of driving it."""
-    rec = eng.recorder
-    ports = {
-        p.name: (p.busy_from, p.last_departure, p.accum_cells, p.interval_start,
-                 sorted(p.active_vcs), p.ccr_table, p.fair_share, p.load_factor,
-                 p.max_queue)
-        for sw in eng.switches.values()
-        for p in sw.ports.values()
-    }
-    vcs = {
-        vc_id: (vc.state, vc.delivered, vc.turned, vc.bwd_delivered, list(vc.sink))
-        for vc_id, vc in eng.vcs.items()
-    }
-    return {
-        "events": eng.events_processed,
-        "now": eng.now,
-        "acr": {vc: (tr.times, tr.values) for vc, tr in rec.acr.items()},
-        "recv": {vc: list(times) for vc, times in rec.recv.items()},
-        "queues": rec.queues,
-        "first_backward": rec.first_backward,
-        "deviations": rec.deviations,
-        "audits_passed": rec.audits_passed,
-        "pending": [sorted(entry[:2] for entry in part.heap) for part in eng.parts],
-        "lines": [list(line) for line in eng.lines],
-        "rms": [list(line.rms) for line in eng.lines],
-        "ports": ports,
-        "vcs": vcs,
-        "audit": eng.audit(),
-    }
-
-
 def run_whole(eng, t_end):
     eng.run_until(t_end)
 
@@ -630,6 +599,28 @@ def test_slicing_run_until_changes_nothing(text, until_ms):
     assert whole["events"] > 1000 and whole["audit"]
     for other in sliced:
         assert other == whole
+
+
+@pytest.mark.parametrize("text, short_ms, long_ms", [
+    (bundled_config_text("fig3.cfg"), 20, 40),  # crm = 32: rule-6 cuts from the start
+    *((scenario_text(seed), HORIZON_MS / 2, HORIZON_MS) for seed in (0, 3, 6)),
+], ids=["fig3", "seed-0", "seed-3", "seed-6"])
+def test_a_shorter_horizon_writes_a_prefix_of_each_trace(tmp_path, text, short_ms, long_ms):
+    # Nothing a run does before its horizon depends on where that horizon is.
+    outs = []
+    for until_ms in (short_ms, long_ms):
+        sc = parse_scenario(text)
+        sc.run.until_ms = until_ms
+        outs.append(tmp_path / f"{until_ms}ms")
+        execute_run(sc, outs[-1], processes=1)
+    traces = [sorted(p.name for p in out.glob("*.csv") if p.name != "summary.csv") for out in outs]
+    assert traces[0] == traces[1] and traces[0]
+    grown = 0
+    for name in traces[0]:
+        short, long = ((out / name).read_bytes() for out in outs)
+        assert long.startswith(short), name
+        grown += len(long) > len(short)
+    assert grown >= 2  # the ACR and queue traces, at least, go on
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from abrsim.cli import apply_override, execute_run, main
 from abrsim.engine import Engine, Part, SimulationError, forked
 from abrsim.scenario import bundled_config_text, parse_scenario, to_topology
 from abrsim.units import ms_to_ps
+from conftest import snapshot
 from test_random_scenarios import HORIZON_MS, PINNED, scenario_text
 
 SEEDS = range(len(PINNED))
@@ -166,34 +167,6 @@ def pending_order(part):
     return [(key >> 64, *label) for key, *label in sorted(entries, key=lambda e: e[0])]
 
 
-def state(eng):
-    """Everything a run leaves behind, each part's sequence numbers included."""
-    rec = eng.recorder
-    ports = {
-        p.name: (p.busy_from, p.last_departure, p.accum_cells, p.interval_start,
-                 sorted(p.active_vcs), p.ccr_table, p.fair_share, p.load_factor, p.max_queue)
-        for sw in eng.switches.values()
-        for p in sw.ports.values()
-    }
-    return {
-        "events": eng.events_processed,
-        "now": eng.now,
-        "parts": [(part.now, part.seq, part.events) for part in eng.parts],
-        "acr": {vc: (tr.times, tr.values) for vc, tr in rec.acr.items()},
-        "recv": {vc: list(times) for vc, times in rec.recv.items()},
-        "queues": rec.queues,
-        "first_backward": rec.first_backward,
-        "deviations": list(rec.deviations.items()),
-        "audits_passed": rec.audits_passed,
-        "lines": [list(line) for line in eng.lines],
-        "rms": [list(line.rms) for line in eng.lines],
-        "sinks": {vc_id: list(vc.sink) for vc_id, vc in eng.vcs.items()},
-        "vcs": {vc_id: (vc.state, vc.turned, vc.bwd_delivered) for vc_id, vc in eng.vcs.items()},
-        "ports": ports,
-        "audit": eng.audit(),
-    }
-
-
 def long_hop_scenario():
     """fig3's two VCs over a 2 ms hop, with every time on a 5 us grid: a
     cell emitted at a whole millisecond is due two milliseconds later,
@@ -238,7 +211,7 @@ def test_a_spliced_engine_runs_on_as_a_serial_one(tmp_path, text, split_ms, unti
     serial.audit()  # as ``execute_run`` did
     for eng in (split, serial):
         eng.run_until(ms_to_ps(until_ms))
-    assert state(split) == state(serial)
+    assert snapshot(split) == snapshot(serial)
     for mine, theirs in zip(split.parts, serial.parts, strict=True):
         assert pending_order(mine) == pending_order(theirs)
 
@@ -258,7 +231,7 @@ def test_a_split_after_a_serial_prefix_runs_as_a_serial_one(scenario):
     split.run_parts(ms_to_ps(40), 2)
     serial.run_until(ms_to_ps(40))
     assert len(serial.parts) > 1
-    assert state(split) == state(serial)
+    assert snapshot(split) == snapshot(serial)
     assert_no_child_left()
 
 
@@ -365,7 +338,7 @@ def test_a_worker_sends_what_will_not_pickle_as_a_simulation_error():
 
     jobs = {"raised": (raise_unpicklable,), "returned": (lambda: lambda: 0,),
             "sent": (lambda: [7] * 3,)}
-    outcomes = dict(zip(jobs, forked(list(jobs.values()), 3)[1]))
+    outcomes = dict(zip(jobs, forked(list(jobs.values()), 3)))
     assert outcomes["sent"] == (None, [7, 7, 7])
     raised, returned = outcomes["raised"], outcomes["returned"]
     assert isinstance(raised[0], SimulationError) and raised[1] is None

@@ -63,6 +63,12 @@ def test_params_allow_large_crm():
     make_params(crm=2**19, tbe=(2**19) * 32)
 
 
+@pytest.mark.parametrize("key, value", [("nrm", 32.0), ("crm", 2.7), ("tbe", 1024.0)])
+def test_params_reject_a_count_that_is_not_an_integer(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value}$"):
+        make_params(**{key: value})
+
+
 def test_params_reject_bad_rif():
     with pytest.raises(ValueError):
         make_params(rif=0.0)
