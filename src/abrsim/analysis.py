@@ -16,9 +16,18 @@ they are intentionally independent routes to the same number.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .units import CellRate, SimTime, ps_to_s
+
+
+def _check_count(key: str, value: int, low: int) -> None:
+    """A count from ``low`` up to the largest float: the calculators mix counts with rates."""
+    if value < low:
+        raise ValueError(f"{key} must be >= {low}, got {value}")
+    if value > sys.float_info.max:
+        raise ValueError(f"{key} must be at most {sys.float_info.max:g}")
 
 
 @dataclass(frozen=True)
@@ -42,20 +51,21 @@ class PathSpec:
             raise ValueError(f"link_rate must be > 0 and finite, got {self.link_rate}")
         if ps_to_s(self.rtt) * self.link_rate == math.inf:
             raise ValueError("the cell count overflows: the round trip is too long at this rate")
-        if self.nrm < 1 or self.hops < 1:
-            raise ValueError(f"nrm and hops must be >= 1, got {self.nrm}, {self.hops}")
+        _check_count("nrm", self.nrm, 1)
+        _check_count("hops", self.hops, 1)
 
 
 def crm_from_tbe(tbe: int, nrm: int) -> int:
     """Cutoff threshold implied by a transient buffer exposure of ``tbe`` cells.
 
     One RM cell is sent per ``nrm`` cells, so the threshold is the ceiling
-    of ``tbe / nrm``.
+    of ``tbe / nrm``.  Both must be integers >= 1, checked before dividing.
     """
-    if tbe < 1:
-        raise ValueError(f"tbe must be >= 1, got {tbe}")
-    if nrm < 1:
-        raise ValueError(f"nrm must be >= 1, got {nrm}")
+    for key, value in (("tbe", tbe), ("nrm", nrm)):
+        if not isinstance(value, int):
+            raise ValueError(f"{key} must be an integer, got {value}")
+        if value < 1:
+            raise ValueError(f"{key} must be >= 1, got {value}")
     return -(-tbe // nrm)
 
 
@@ -90,8 +100,7 @@ def _check_decay(icr: CellRate, cdf: float, mcr: CellRate, k: int) -> None:
     check_cdf(cdf)
     if mcr > icr:
         raise ValueError(f"mcr must be <= icr, got mcr={mcr:g} icr={icr:g} cells/s")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    _check_count("k", k, 0)
 
 
 def decay_after(icr: CellRate, cdf: float, mcr: CellRate, k: int) -> CellRate:
@@ -129,6 +138,5 @@ def trigger_predicate(fwd_rate: CellRate, bwd_rate: CellRate, crm: int) -> bool:
     """
     if fwd_rate <= 0:
         raise ValueError(f"forward rate must be > 0, got {fwd_rate}")
-    if crm < 1:
-        raise ValueError(f"crm must be >= 1, got {crm}")
+    _check_count("crm", crm, 1)
     return fwd_rate >= crm * bwd_rate

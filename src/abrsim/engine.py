@@ -74,19 +74,22 @@ A run is made of *parts* (``Engine.parts``).  Two VCs fall in one part
 when a chain of shared switch ports on their forward paths links them.
 Backward RM cells are stamped only at their own VC's forward ports, so no
 two parts share a port, a line, a source or a per-VC trace.  Each part
-(``Part``) owns its VCs, lines and ports, its event heap, its sequence
-counter, its TICK and its ``Recorder``, and runs the event loop on them
-alone; its TICK samples every switch, counting only its own ports.  A
+(``Part``) owns its VCs, their lines, the ports they use, its event heap,
+its sequence counter, its TICK and its ``Recorder``, and runs the event
+loop on them alone; its TICK samples only the switches it crosses.  A
 part's events read and write only its own state, so their order does not
 depend on the other parts: ``Engine.run_until`` runs the parts one after
 another, and ``Engine.run_parts`` runs the first group of consecutive
 parts here and each other one in a forked worker (``forked``) that sends
 its parts back whole; both leave every part in the same state.  A split
 run fails with its first failing part in part order once every worker has
-ended, or at once if that part runs here.  What the run reports is merged
-from its parts in one place (``Engine.recorder``): per-VC traces in
-engine order, queue samples summed per switch, and deviations ordered by
-the time each was first recorded, then by part order.
+ended, or at once if that part runs here.  The engine keeps no copy of
+their state: ``Engine.vcs`` and ``Engine.switches`` are read from the
+parts, and what the run reports is merged from them in one place
+(``Engine.recorder``): per-VC traces in engine order, queue samples
+summed per switch over the parts that cross it, the bypass deviation
+above once, then the parts' deviations ordered by the time each was
+first recorded, then by part order.
 ``events_processed`` and ``audits_passed`` count the TICKs and their
 audits, which every part takes, once.
 """
@@ -99,7 +102,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 
 from . import protocol
@@ -178,26 +181,17 @@ class Topology:
 class DelayLine(deque):
     """A FIFO of cell keys: one VC's cells on one hop in one direction,
     sorted by key.  ``rms`` holds the ``RmFields`` of its RM cells, in the
-    same order.
-
-    Unpickling calls ``DelayLine()`` with no arguments, so ``_delay_line``
-    sets the slots after construction.
-    """
+    same order.  Unpickling builds a line with no arguments, then sets its
+    slots and cells."""
 
     __slots__ = ("vc", "port", "then", "delay", "back", "rms")
 
-
-def _delay_line(
-    vc: VcRuntime,
-    port: PortState | None,
-    then: DelayLine | None,
-    delay: SimTime | None,
-    back: bool,
-) -> DelayLine:
-    line = DelayLine()
-    line.vc, line.port, line.then, line.delay, line.back = vc, port, then, delay, back
-    line.rms = deque()
-    return line
+    def __init__(self, vc: VcRuntime | None = None, port: PortState | None = None,
+                 then: DelayLine | None = None, delay: SimTime | None = None,
+                 back: bool = False):
+        super().__init__()
+        self.vc, self.port, self.then, self.delay, self.back = vc, port, then, delay, back
+        self.rms: deque = deque()
 
 
 class VcRuntime:
@@ -256,10 +250,10 @@ _AUDIT_EVERY_TICKS = 100  # conservation audit cadence
 
 
 class Part:
-    """One part of a run, simulated on its own: its VCs, their delay lines
-    and ports, its event heap, sequence counter and TICK, and the
-    ``recorder`` of its traces.  ``switches`` holds every switch of the
-    topology, each with only this part's ports."""
+    """One part of a run, simulated on its own: its VCs, their delay lines,
+    the ports they use (``ports``, by switch and next hop, in first use),
+    its event heap, sequence counter and TICK, and the ``recorder`` of its
+    traces, which samples only the switches this part crosses."""
 
     def __init__(self, topology: Topology, specs: list[VcSpec]):
         self.recorder = recorder = Recorder()
@@ -273,7 +267,7 @@ class Part:
             link = topology.links[(a, b)]
             return cell_tx_time(link.rate) + link.prop_delay
 
-        self.switches = {name: SwitchRuntime(name) for name in topology.switch_params}
+        self.ports: dict[tuple[str, str], PortState] = {}
         self.vcs: dict[str, VcRuntime] = {}
         for spec in specs:
             path = spec.path
@@ -283,38 +277,29 @@ class Part:
             # ports[k] serves path position k toward k + 1; None at both ends
             ports: list[PortState | None] = [None]
             for node, nxt in zip(path[1:-1], path[2:]):
-                sw_ports = self.switches[node].ports
-                if nxt not in sw_ports:
+                if (node, nxt) not in self.ports:
                     link = topology.links[(node, nxt)]
-                    sw_ports[nxt] = PortState(
+                    self.ports[node, nxt] = PortState(
                         name=f"{node}->{nxt}",
                         link_rate=link.rate,
                         prop_delay=link.prop_delay,
                         params=topology.switch_params[node],
                     )
-                ports.append(sw_ports[nxt])
+                ports.append(self.ports[node, nxt])
             ports.append(None)
             then = None  # backward lines, from the source out
             bwd = []
             for k, (a, b) in enumerate(zip(path, path[1:])):
-                then = _delay_line(vc, ports[k], then, hop(b, a), True)
+                then = DelayLine(vc, ports[k], then, hop(b, a), True)
                 bwd.append(then)
             fwd = []  # forward lines, from the destination back; RM cells turn onto bwd[-1]
             for k in range(len(path) - 1, 0, -1):
                 delay = hop(path[0], path[1]) if k == 1 else None
-                then = _delay_line(vc, ports[k], then, delay, False)
+                then = DelayLine(vc, ports[k], then, delay, False)
                 fwd.append(then)
             vc.fwd, vc.bwd = tuple(reversed(fwd)), tuple(bwd)
-        for name in self.switches:
+        for name in dict.fromkeys(node for node, _ in self.ports):
             recorder.start_switch(name)
-        self.lines: tuple[DelayLine, ...] = tuple(
-            line for vc in self.vcs.values() for line in (*vc.fwd, *vc.bwd)
-        )
-        recorder.deviation(
-            "backward RM cells bypass port queues (stamped and re-emitted "
-            "immediately, ahead of reverse-direction data)",
-            0,
-        )
         self._push(_TICK_INTERVAL, _TICK, None)
 
         for vc in self.vcs.values():
@@ -398,10 +383,12 @@ class Part:
                         )
                     line = vc.fwd[0]
                     due = now + line.delay
-                else:  # TICK: sample every switch's backlog, audit now and then
-                    for sw in self.switches.values():
-                        backlog = sum(p.pop(now) for p in sw.ports.values())
-                        recorder.queue_sample(sw.name, now, backlog)
+                else:  # TICK: sample the switches crossed, audit now and then
+                    backlog = dict.fromkeys(recorder.queues, 0)
+                    for (name, _), port in self.ports.items():
+                        backlog[name] += port.pop(now)
+                    for name, cells in backlog.items():
+                        recorder.queue_sample(name, now, cells)
                     if now // _TICK_INTERVAL % _AUDIT_EVERY_TICKS == 0:  # TICKs fall on the grid
                         self.now = now
                         self.audit()
@@ -461,7 +448,7 @@ class Part:
         now = self.now
         heads = [entry for entry in self.heap if entry[1] == _DELIVER]
         in_heap = {id(entry[2]): entry[0] for entry in heads}
-        nonempty = [line for line in self.lines if line]
+        nonempty = [line for vc in self.vcs.values() for line in (*vc.fwd, *vc.bwd) if line]
         if len(heads) != len(nonempty) or any(
             in_heap.get(id(line)) != line[0] for line in nonempty
         ):
@@ -512,14 +499,13 @@ class Part:
                 "queued": queued,
                 "in_flight": in_flight,
             }
-        for sw in self.switches.values():
-            for port in sw.ports.values():
-                pending = port.pop(now + 1)
-                if pending != backlog.get(port, 0):
-                    raise SimulationError(
-                        f"port {port.name}: backlog {pending} != {backlog.get(port, 0)} "
-                        f"cells awaiting departure at t={now}"
-                    )
+        for port in self.ports.values():
+            pending = port.pop(now + 1)
+            if pending != backlog.get(port, 0):
+                raise SimulationError(
+                    f"port {port.name}: backlog {pending} != {backlog.get(port, 0)} "
+                    f"cells awaiting departure at t={now}"
+                )
         self.recorder.audits_passed += 1
         return report
 
@@ -614,12 +600,14 @@ class Engine:
     event loop, and what they report together.
 
     ``parts`` come in the order of their first VC, each with its VCs in
-    engine order.  ``vcs`` and ``switches`` hold every part's VCs and
-    ports in engine order: the topology's, and for ports, first use.
+    engine order.  The parts own every VC and port; ``vcs`` and
+    ``switches`` are read from them in engine order: the ``topology``'s,
+    and for ports, first use.
     """
 
     def __init__(self, topology: Topology):
         topology.validate()  # hand-built topologies skip ``to_topology``
+        self.topology = topology
         specs = topology.vcs
         root = list(range(len(specs)))
 
@@ -640,26 +628,22 @@ class Engine:
             parts.setdefault(find(i), []).append(spec)
         self.parts = [Part(topology, group) for group in parts.values()]
         self.now: SimTime = 0
-        # the keys give the engine order; ``_gather`` fills in the values
-        self.vcs: dict[str, VcRuntime] = dict.fromkeys(spec.vc_id for spec in specs)
-        self.switches = {name: SwitchRuntime(name) for name in topology.switch_params}
-        for node, nxt in first_user:
-            self.switches[node].ports[nxt] = None
-        self._gather()
 
-    def _gather(self) -> None:
-        """Point ``vcs``, ``switches`` and ``lines`` at the parts' objects."""
-        vcs, ports = {}, {}
-        for part in self.parts:
-            vcs.update(part.vcs)
-            for name, sw in part.switches.items():
-                ports.update(((name, key), port) for key, port in sw.ports.items())
-        self.vcs = {vc_id: vcs[vc_id] for vc_id in self.vcs}
-        for name, sw in self.switches.items():
-            sw.ports = {key: ports[name, key] for key in sw.ports}
-        self.lines: tuple[DelayLine, ...] = tuple(
-            line for vc in self.vcs.values() for line in (*vc.fwd, *vc.bwd)
-        )
+    @property
+    def vcs(self) -> dict[str, VcRuntime]:
+        """Every part's VCs, read from the parts, in topology order."""
+        vcs = {vc_id: vc for part in self.parts for vc_id, vc in part.vcs.items()}
+        return {spec.vc_id: vcs[spec.vc_id] for spec in self.topology.vcs}
+
+    @property
+    def switches(self) -> dict[str, SwitchRuntime]:
+        """Every switch of the topology, with the parts' ports on it in first use."""
+        ports = {key: port for part in self.parts for key, port in part.ports.items()}
+        switches = {name: SwitchRuntime(name) for name in self.topology.switch_params}
+        for spec in self.topology.vcs:
+            for node, nxt in zip(spec.path[1:-1], spec.path[2:]):
+                switches[node].ports.setdefault(nxt, ports[node, nxt])
+        return switches
 
     def run_until(self, t_end: SimTime) -> None:
         """Run every part to ``t_end``, one after another, in this process."""
@@ -686,7 +670,6 @@ class Engine:
             if exc is not None:
                 raise exc
             parts[start:start + len(group)] = group
-        self._gather()
 
     def _run_group(self, group: list[Part], t_end: SimTime) -> list[Part]:
         """Run ``group`` alone on this engine with ``run_until``; returns it."""
@@ -698,9 +681,7 @@ class Engine:
 
     def audit(self) -> dict[str, dict[str, int]]:
         """Every part's ``Part.audit``; the report lists the VCs in engine order."""
-        report = {}
-        for part in self.parts:
-            report.update(part.audit())
+        report = {vc_id: counts for part in self.parts for vc_id, counts in part.audit().items()}
         return {vc_id: report[vc_id] for vc_id in self.vcs}
 
     @property
@@ -709,11 +690,13 @@ class Engine:
 
         Each VC's ACR trace and delivery times are its part's own objects;
         the rest are copies, so read this again after running on.  Per-VC
-        traces come in engine order, queue samples are summed per
-        switch (every part samples every switch at the same TICKs), and
-        deviations are ordered by the time each was first recorded, then
-        by part order.  An audit of the run audits every part, so
-        ``audits_passed`` is the count that every part passed.
+        traces come in engine order.  Each switch's queue samples are summed
+        over the parts that cross it on the TICK grid up to ``now`` (0 where
+        no VC crosses it).  The deviation of every run, that backward RM
+        cells bypass the ports, comes first at time 0; the parts' follow by
+        the time each was first recorded, then by part order.  An audit of
+        the run audits every part, so ``audits_passed`` is the count that
+        every part passed.
         """
         recs = [part.recorder for part in self.parts]
         rec_of = {vc_id: part.recorder for part in self.parts for vc_id in part.vcs}
@@ -724,9 +707,12 @@ class Engine:
             rec.recv[vc_id] = part_rec.recv[vc_id]
             if vc_id in part_rec.first_backward:
                 rec.first_backward[vc_id] = part_rec.first_backward[vc_id]
-        for name in recs[0].queues:
-            rows = zip(*(r.queues[name] for r in recs))
-            rec.queues[name] = [(row[0][0], sum(n for _, n in row)) for row in rows]
+        ticks = range(_TICK_INTERVAL, self.now + 1, _TICK_INTERVAL)
+        for name in self.topology.switch_params:
+            counts = [map(itemgetter(1), r.queues[name]) for r in recs if name in r.queues]
+            rec.queues[name] = list(zip(ticks, map(sum, zip(repeat(0), *counts))))
+        rec.deviation("backward RM cells bypass port queues (stamped and re-emitted "
+                      "immediately, ahead of reverse-direction data)", 0)
         firsts = chain.from_iterable(r.deviations.items() for r in recs)
         for message, t in sorted(firsts, key=itemgetter(1)):
             rec.deviations.setdefault(message, t)

@@ -286,6 +286,10 @@ def parse_scenario(text: str) -> Scenario:
                 elif kind in _SECTIONS and name:
                     if kind in ("switch", "vc") and any(c in name for c in "/\\\0"):
                         raise ValueError(f"{kind} name {name!r} must not contain '/', '\\' or NUL")
+                    prefix = {"switch": "queues_", "vc": "recv_"}.get(kind)  # longest output file
+                    if prefix and len(f"{prefix}{name}.csv".encode()) > 255:  # NAME_MAX on Linux
+                        raise ValueError(f"{kind} name is too long: {prefix}<name>.csv must fit "
+                                         "in 255 bytes of UTF-8")
                     attr, cfg_type = _SECTIONS[kind]
                     current = getattr(scenario, attr).setdefault(name, cfg_type())
                 else:

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import sys
 
 import pytest
 
@@ -12,6 +14,7 @@ from abrsim.analysis import (
     min_crm,
     trigger_predicate,
 )
+from abrsim.scenario import SourceCfg
 from abrsim.units import mbps_to_cps, ms_to_ps
 
 OC3 = mbps_to_cps(155.52)
@@ -38,6 +41,17 @@ def test_crm_from_tbe_rejects_nonpositive():
         crm_from_tbe(0, 32)
     with pytest.raises(ValueError):
         crm_from_tbe(100, 0)
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (SourceCfg(tbe=100.5), "tbe must be an integer, got 100.5"),
+    (SourceCfg(nrm=32.5, tbe=1024), "nrm must be an integer, got 32.5"),
+])
+def test_a_non_integer_tbe_or_nrm_is_named_before_crm_is_derived(cfg, message):
+    # crm is derived from tbe and nrm when only tbe is given: a float crm
+    # must not be what the error names
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cfg.resolved()
 
 
 def test_crm_from_tbe_ceiling_properties():
@@ -117,6 +131,20 @@ def test_path_spec_rejects_bad_values():
         PathSpec(rtt=0, link_rate=OC3, nrm=0)
     with pytest.raises(ValueError):
         PathSpec(rtt=0, link_rate=OC3, hops=0)
+
+
+@pytest.mark.parametrize("call, key", [
+    (lambda: min_crm(PathSpec(rtt=ms_to_ps(550), link_rate=OC3, nrm=10**400)), "nrm"),
+    (lambda: PathSpec(rtt=0, link_rate=OC3, hops=10**400), "hops"),
+    (lambda: decay_closed_form(OC3, 1 / 16, 0.0, 10**400), "k"),
+    (lambda: decay_after(OC3, 1 / 16, 0.0, 10**400), "k"),
+    (lambda: trigger_predicate(1e5, 1.0, 10**400), "crm"),
+], ids=["min-crm-nrm", "hops", "decay-closed-form-k", "decay-after-k", "trigger-crm"])
+def test_a_count_beyond_the_largest_float_is_named(call, key):
+    # the calculators mix counts with rates: such a count would overflow a float
+    message = f"{key} must be at most {sys.float_info.max:g}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # -- decay ---------------------------------------------------------------

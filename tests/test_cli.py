@@ -71,6 +71,16 @@ def test_zero_horizon_gives_header_only_csvs(tiny_cfg, tmp_path):
     assert read(out / "summary.csv") == "vc,metric,t0_ms,t1_ms,value\n"
 
 
+def test_a_zero_horizon_sweep_writes_rows_of_zero_mbps(tiny_cfg, tmp_path):
+    # ``steady_state_mbps`` has no steady-state row to read at a zero horizon
+    out = tmp_path / "sweep0"
+    argv = ["sweep", str(tiny_cfg), "--param", "crm", "--values", "32,64", "--until-ms", "0"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert read(out / "sweep_summary.csv").splitlines()[1:] == [
+        f"crm,{crm},main,0.000000,0.000000,0.000000" for crm in (32, 64)
+    ]
+
+
 def test_overrides_apply_and_echo_into_meta(tiny_cfg, tmp_path):
     out = tmp_path / "out_ovr"
     assert main(
@@ -534,13 +544,18 @@ def test_analyze_decay_rejects_a_malformed_cdf_as_a_run_does(capsys):
     assert capsys.readouterr().err == "error: --cdf: expected a finite number, got 'abc'\n"
 
 
-@pytest.mark.parametrize("name", ["a/b", "a\\b", "a\0b"], ids=["slash", "backslash", "nul"])
+@pytest.mark.parametrize(
+    "name", ["a/b", "a\\b", "a\0b", "v" * 247, "\u00e9" * 124],
+    ids=["slash", "backslash", "nul", "too-long", "too-long-in-utf-8"],
+)
 @pytest.mark.parametrize("kind", ["vc", "switch"])
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_a_vc_or_switch_name_that_cannot_be_in_a_file_name_is_rejected_when_parsed(
     tmp_path, capsys, monkeypatch, command, kind, name
 ):
-    # Its traces would be written to ``acr_<vc>.csv`` and ``queues_<switch>.csv``.
+    # Its traces would be written to ``acr_<vc>.csv``, ``recv_<vc>.csv`` and
+    # ``queues_<switch>.csv``; the longest must fit in 255 bytes of UTF-8,
+    # and the run must not be simulated only to fail on writing them.
     built = []
     monkeypatch.setattr(cli, "Engine", lambda *args: built.append(args))
     text = TINY.replace("main", name) if kind == "vc" else TINY.replace("sw1", name)
@@ -553,9 +568,22 @@ def test_a_vc_or_switch_name_that_cannot_be_in_a_file_name_is_rejected_when_pars
         argv += ["--param", "crm", "--values", "32,64"]
     assert main(argv) == 2
     rule = f"{kind} name {name!r} must not contain '/', '\\' or NUL"
+    if len(name) > 3:  # at least one byte too many for the longest file name
+        longest = "recv_" if kind == "vc" else "queues_"
+        rule = f"{kind} name is too long: {longest}<name>.csv must fit in 255 bytes of UTF-8"
     assert capsys.readouterr().err == f"error: line {line}: {rule}\n"
     assert not out.exists()
     assert built == []
+
+
+def test_the_longest_vc_and_switch_names_that_fit_are_written(tmp_path):
+    vc, switch = "v" * 246, "s" * 244
+    cfg = tmp_path / "longest.cfg"
+    cfg.write_text(TINY.replace("main", vc).replace("sw1", switch), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--until-ms", "3", "--out", str(out)]) == 0
+    for file in (f"acr_{vc}.csv", f"recv_{vc}.csv", f"queues_{switch}.csv"):
+        assert (out / file).stat().st_size > 0
 
 
 def test_a_sweep_member_lists_its_overrides_as_a_run_does(tiny_cfg, tmp_path):

@@ -20,7 +20,7 @@ from abrsim.engine import (
 from abrsim.protocol import SourceParams
 from abrsim.scenario import bundled_config_text, parse_scenario, to_topology
 from abrsim.units import PS_PER_MS, cell_tx_time, mbps_to_cps, ms_to_ps, ps_to_ms, us_to_ps
-from conftest import snapshot
+from conftest import delay_lines, snapshot
 from test_random_scenarios import HORIZON_MS, scenario_text
 
 OC3 = mbps_to_cps(155.52)
@@ -251,7 +251,7 @@ def test_a_cell_in_flight_costs_at_most_64_traced_bytes():
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    cells = sum(map(len, part.lines)) + sum(len(vc.sink) for vc in part.vcs.values())
+    cells = sum(map(len, delay_lines(part))) + sum(len(vc.sink) for vc in part.vcs.values())
     assert cells > 5000
     assert grown / cells <= 64
 
@@ -343,7 +343,8 @@ def scan_lines(eng):
     departure (delivery time minus the port's propagation delay) is after
     now.  A sink entry is delivered once its time is at or before now, and
     before that is queued or in flight like a cell of the VC's destination
-    line.  The backward counts and the ports' backlogs must hold too.
+    line.  The backward counts and the backlogs of the ports that the
+    lines reach must hold too.
     """
     now = eng.now
     delivered = {vc_id: vc.delivered for vc_id, vc in eng.vcs.items()}
@@ -358,7 +359,7 @@ def scan_lines(eng):
         if line.port is not None
     }
     backward = {id(line) for vc in eng.vcs.values() for line in vc.bwd}
-    for line in eng.lines:
+    for line in delay_lines(eng):
         vc_id = line.vc.vc_id
         if id(line) in backward:
             in_flight_bwd[vc_id] += len(line)
@@ -381,9 +382,8 @@ def scan_lines(eng):
                 backlog[port] = backlog.get(port, 0) + 1
             else:
                 in_flight[vc_id] += 1
-    for sw in eng.switches.values():
-        for port in sw.ports.values():
-            assert port.pop(now + 1) == backlog.get(port, 0)
+    for port in {line.port for line in delay_lines(eng)} - {None}:
+        assert port.pop(now + 1) == backlog.get(port, 0)
     for vc_id, vc in eng.vcs.items():
         assert vc.turned == vc.bwd_delivered + in_flight_bwd[vc_id]
     return {
@@ -455,10 +455,10 @@ def test_heap_holds_line_heads_not_every_cell_in_flight():
     busy = 0
     for step in range(1, 301):
         eng.run_until(step * PS_PER_MS // 10)
-        if sum(map(len, eng.lines)) > 1000:
+        if sum(map(len, delay_lines(eng))) > 1000:
             busy += 1
             for part in eng.parts:  # one head per line, one EMIT per VC, the TICK
-                assert len(part.heap) <= len(part.lines) + len(part.vcs) + 1
+                assert len(part.heap) <= len(delay_lines(part)) + len(part.vcs) + 1
     assert busy > 200
     # the count with one heap entry per cell in flight: merging the lines
     # by their heads runs the same events
@@ -663,8 +663,8 @@ def test_a_run_result_pickles_and_both_copies_run_on_alike(tmp_path):
             result = execute_run(sc, tmp_path / f"{name}-{processes}", processes=processes)
             copy = pickle.loads(pickle.dumps(result))
             assert copy.summary == result.summary
-            lines = copy.engine.lines
-            assert all(line.vc is copy.engine.vcs[line.vc.vc_id] for line in lines)
+            vcs = copy.engine.vcs
+            assert all(line.vc is vcs[line.vc.vc_id] for line in delay_lines(copy.engine))
             for part in copy.engine.parts:
                 for vc_id, vc in part.vcs.items():
                     assert vc.recv is part.recorder.recv[vc_id] is copy.recorder.recv[vc_id]

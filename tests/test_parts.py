@@ -19,7 +19,7 @@ from abrsim.cli import apply_override, execute_run, main
 from abrsim.engine import Engine, Part, SimulationError, forked
 from abrsim.scenario import bundled_config_text, parse_scenario, to_topology
 from abrsim.units import ms_to_ps
-from conftest import snapshot
+from conftest import delay_lines, snapshot
 from test_random_scenarios import HORIZON_MS, PINNED, scenario_text
 
 SEEDS = range(len(PINNED))
@@ -60,10 +60,11 @@ def test_parts_of_the_seeded_scenarios_share_no_port():
         assert sorted(v for part in parts for v in part.vcs) == sorted(eng.vcs)
         ports = []
         for part in parts:
-            used = {line.port for line in part.lines if line.port is not None}
-            held = {p for sw in part.switches.values() for p in sw.ports.values()}
-            assert used == held and list(part.switches) == list(eng.switches)
-            ports.append(used)
+            # a part holds exactly the ports its lines use, in first use
+            used = list(dict.fromkeys(line.port for line in delay_lines(part) if line.port))
+            assert used == list(part.ports.values())
+            assert all(p.name == "->".join(key) for key, p in part.ports.items())
+            ports.append(set(used))
         for i, mine in enumerate(ports):
             assert not any(mine & other for other in ports[i + 1:])
         split += len(parts) > 1
@@ -149,6 +150,93 @@ def test_a_group_of_parts_runs_in_one_process(tmp_path, processes):
     assert outputs(split) == outputs(serial)
     samples = outputs(serial)["queues_sw1.csv"].splitlines()[1:]
     assert any(not row.endswith(b",0.000000") for row in samples)  # the ports queue
+
+
+def idle_switch_scenario():
+    """A switch that no VC crosses, a VC whose path has no switch (a part
+    that samples no switch), and a VC through a switch."""
+    lines = ["[source.s1]", "[source.s2]", "[switch.sw1]", "[switch.idle]"]
+    for name, a, b in (("a", "s1", "d1"), ("b", "s2", "sw1"), ("c", "sw1", "d2")):
+        lines += [f"[link.{name}]", f"from = {a}", f"to = {b}"]
+    lines += ["[vc.direct]", "path = s1, d1", "[vc.via]", "path = s2, sw1, d2"]
+    lines += ["[run]", "until_ms = 20"]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_switch_that_no_vc_crosses_samples_zero_with_any_cpu_count_or_no_fork(
+    tmp_path, monkeypatch
+):
+    cfg = tmp_path / "idle.cfg"
+    cfg.write_text(idle_switch_scenario(), encoding="utf-8")
+    assert part_ids(Engine(to_topology(parse_scenario(cfg.read_text())))) == [["direct"], ["via"]]
+    runs = {}
+    for way in ("1", "2", "no-fork"):
+        with monkeypatch.context() as patch:
+            if way == "no-fork":
+                patch.delattr(os, "fork")
+            else:
+                patch.setattr(os, "cpu_count", lambda: int(way))
+            assert main(["run", str(cfg), "--out", str(tmp_path / way)]) == 0
+        runs[way] = outputs(tmp_path / way)
+    assert runs["1"] == runs["2"] == runs["no-fork"]
+    zeros = "".join(f"{ms}.000000,0.000000\n" for ms in range(1, 21))
+    assert runs["1"]["queues_idle.csv"] == f"time_ms,value\n{zeros}".encode()
+    assert runs["1"]["queues_sw1.csv"] != runs["1"]["queues_idle.csv"]  # via queues at sw1
+
+
+# fig3 runs that part independence and equal parts are checked on: crm 32
+# past the first feedback (at about 550 ms), crm 6144 past the first
+# delivery (at 275 ms; before it, neither trace has a row) and cdf = 1 to
+# 40 ms, by when its rate has decayed to zero
+FIG3_PROPERTY_RUNS = {"crm32": (600, {"crm": 32}), "crm6144": (300, {"crm": 6144}),
+                      "cdf1": (40, {"cdf": 1})}
+
+
+@pytest.fixture(scope="module")
+def fig3_runs(tmp_path_factory):
+    """Each fig3 property run's outputs, in full and with ``[vc.rev]`` deleted."""
+    root = tmp_path_factory.mktemp("fig3-properties")
+    runs = {}
+    for case, (until_ms, overrides) in FIG3_PROPERTY_RUNS.items():
+        for label, dropped in (("full", ()), ("fwd-alone", ("rev",))):
+            sc = fig3(until_ms, **overrides)
+            for vc_id in dropped:
+                del sc.vcs[vc_id]
+            execute_run(sc, root / case / label, processes=2)
+            runs[case, label] = outputs(root / case / label)
+    return runs
+
+
+@pytest.mark.parametrize("case", list(FIG3_PROPERTY_RUNS))
+def test_deleting_fig3s_rev_part_leaves_fwds_traces_byte_identical(fig3_runs, case):
+    full, alone = fig3_runs[case, "full"], fig3_runs[case, "fwd-alone"]
+    assert "acr_rev.csv" not in alone
+    for name in ("acr_fwd.csv", "recv_fwd.csv"):
+        assert alone[name] == full[name], name
+    assert any(full[name].count(b"\n") > 1 for name in ("acr_fwd.csv", "recv_fwd.csv"))
+    if case == "crm32":  # feedback has reached the source
+        assert b"vc.fwd.first_backward_rm_ms = -" not in full["meta.txt"]
+
+
+@pytest.mark.parametrize("case", list(FIG3_PROPERTY_RUNS))
+def test_fig3s_mirror_image_parts_write_equal_bytes(fig3_runs, case):
+    full = fig3_runs[case, "full"]
+    for trace in ("acr", "recv"):
+        assert full[f"{trace}_fwd.csv"] == full[f"{trace}_rev.csv"], trace
+
+
+@pytest.mark.parametrize("seed", [3, 4, 20])
+def test_deleting_a_part_leaves_every_other_vcs_traces_byte_identical(tmp_path, seed):
+    sc = parse_scenario(scenario_text(seed))
+    dropped, *kept = part_ids(Engine(to_topology(sc)))
+    full = outputs(execute_run(sc, tmp_path / "full", processes=1).out_dir)
+    for vc_id in dropped:
+        del sc.vcs[vc_id]
+    rest = outputs(execute_run(sc, tmp_path / "rest", processes=1).out_dir)
+    names = [f"{trace}_{vc_id}.csv" for part in kept for vc_id in part
+             for trace in ("acr", "recv")]
+    assert kept and all(rest[name] == full[name] for name in names)
+    assert not any(f"recv_{vc_id}.csv" in rest for vc_id in dropped)
 
 
 def pending_order(part):
