@@ -59,9 +59,10 @@ def crm_from_tbe(tbe: int, nrm: int) -> int:
     """Cutoff threshold implied by a transient buffer exposure of ``tbe`` cells.
 
     One RM cell is sent per ``nrm`` cells, so the threshold is the ceiling
-    of ``tbe / nrm``.  Both must be integers >= 1, checked before dividing.
+    of ``tbe / nrm``.  Both must be integers >= 1, checked before dividing,
+    nrm first: a tbe derived as crm * nrm is 0 when nrm is.
     """
-    for key, value in (("tbe", tbe), ("nrm", nrm)):
+    for key, value in (("nrm", nrm), ("tbe", tbe)):
         if not isinstance(value, int):
             raise ValueError(f"{key} must be an integer, got {value}")
         if value < 1:

@@ -168,29 +168,21 @@ def _summarize(sc: Scenario, recorder: Recorder) -> list[tuple[str, str, float, 
     return rows
 
 
-def execute_run(
-    sc: Scenario,
-    out_dir: Path,
-    overrides: dict[str, str] | None = None,
-    processes: int | None = None,
-) -> RunResult:
-    """Build, run and persist one scenario; raises on invariant failures.
+def execute_run(sc: Scenario, out_dir: Path, overrides: dict[str, str] | None = None) -> RunResult:
+    """Build, run and persist one scenario, its parts in up to one process
+    per CPU (no output depends on that); raises on invariant failures."""
+    return _run_and_write(sc, out_dir, overrides or {}, lambda engine, t: engine.run_parts(t))
 
-    The run's parts (``Engine.parts``) run in up to ``processes``
-    processes, by default as many as there are CPUs; the outputs do not
-    depend on it.
-    """
+
+def _run_and_write(sc: Scenario, out_dir: Path, overrides: dict[str, str], run) -> RunResult:
+    """Build ``sc``, run it to its horizon by ``run(engine, t_end)``, audit it, write it."""
     topology = to_topology(sc)  # checked before the output directory is made
     out_dir.mkdir(parents=True, exist_ok=True)
     engine = Engine(topology)
-    if processes is None:
-        processes = os.cpu_count() or 1
-    engine.run_parts(ms_to_ps(sc.run.until_ms), processes)
+    run(engine, ms_to_ps(sc.run.until_ms))
     engine.audit()
-    result = RunResult(
-        out_dir=out_dir, scenario=sc, engine=engine, summary=_summarize(sc, engine.recorder)
-    )
-    _write_outputs(result, overrides or {})
+    result = RunResult(out_dir, sc, engine, _summarize(sc, engine.recorder))
+    _write_outputs(result, overrides)
     return result
 
 
@@ -246,9 +238,8 @@ def cmd_run(args) -> int:
 
 
 def _sweep_worker(sc: Scenario, overrides: dict[str, str], out_dir: str) -> dict[str, float]:
-    """Run one checked sweep member in this process, as the sweep's workers
-    hold the CPUs; returns its steady-state Mbps per VC."""
-    return steady_state_mbps(execute_run(sc, Path(out_dir), overrides, processes=1))
+    """Run one checked sweep member, its parts one after another; returns each VC's steady Mbps."""
+    return steady_state_mbps(_run_and_write(sc, Path(out_dir), overrides, Engine.run_until))
 
 
 def cmd_sweep(args) -> int:
@@ -272,7 +263,7 @@ def cmd_sweep(args) -> int:
     # error fails only its member; any other is raised once all have run.
     jobs = [(_sweep_worker, sc, overrides, str(out_root / name))
             for name, (_, sc, overrides) in members.items()]
-    outcomes = forked(jobs, os.cpu_count() or 1)
+    outcomes = forked(jobs)
     results, failures = [], []
     for (value_text, sc, _), (exc, steady) in zip(members.values(), outcomes):
         if exc is None:

@@ -79,12 +79,13 @@ its sequence counter, its TICK and its ``Recorder``, and runs the event
 loop on them alone; its TICK samples only the switches it crosses.  A
 part's events read and write only its own state, so their order does not
 depend on the other parts: ``Engine.run_until`` runs the parts one after
-another, and ``Engine.run_parts`` runs the first group of consecutive
-parts here and each other one in a forked worker (``forked``) that sends
-its parts back whole; both leave every part in the same state.  A split
-run fails with its first failing part in part order once every worker has
-ended, or at once if that part runs here.  The engine keeps no copy of
-their state: ``Engine.vcs`` and ``Engine.switches`` are read from the
+another, and ``Engine.run_parts`` cuts them into at most one group of
+consecutive parts per CPU, runs the first group here and each other one
+in a forked worker (``forked``) that sends its parts back whole; both
+leave every part in the same state.  A split run fails with its first
+failing part in part order once every worker has ended, or at once if
+that part runs here.  The engine keeps no copy of their state:
+``Engine.vcs``, ``Engine.switches`` and ``Engine.now`` are read from the
 parts, and what the run reports is merged from them in one place
 (``Engine.recorder``): per-VC traces in engine order, queue samples
 summed per switch over the parts that cross it, the bypass deviation
@@ -96,6 +97,7 @@ audits, which every part takes, once.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import os
 from array import array
@@ -518,15 +520,15 @@ def _outcome(job, *args) -> tuple:
         return exc, None
 
 
-def forked(jobs, cap: int, here=lambda: None) -> list:
-    """Run each job ``(function, *args)`` in a forked worker, at most ``cap``
-    at once, and ``here()`` in this process once the first have started;
-    return each job's ``_outcome``, in job order, once every worker is
-    reaped.  A worker pickles its outcome through its own pipe; one that
-    will not pickle, or none at all, comes as a ``SimulationError``.  Every
-    worker runs to its end, unless ``here`` or this process raises: the
-    rest are then killed.  Without ``os.fork`` the jobs run in this
-    process, after ``here``."""
+def forked(jobs, here=lambda: None) -> list:
+    """Run each job ``(function, *args)`` in a forked worker, at most one
+    per CPU (``os.cpu_count()``) at once, and ``here()`` in this process
+    once the first have started; return each job's ``_outcome``, in job
+    order, once every worker is reaped.  A worker pickles its outcome
+    through its own pipe; one that will not pickle, or none at all, comes
+    as a ``SimulationError``.  Every worker runs to its end, unless
+    ``here`` or this process raises: the rest are then killed.  Without
+    ``os.fork`` the jobs run in this process, after ``here``."""
     if not hasattr(os, "fork"):
         here()
         return [_outcome(*job) for job in jobs]
@@ -561,7 +563,7 @@ def forked(jobs, cap: int, here=lambda: None) -> list:
         os.close(write_end)
         workers[i] = pid, open(read_end, "rb")
 
-    started = min(cap, len(jobs))
+    started = min(os.cpu_count() or 1, len(jobs))
     try:
         for i in range(started):
             start(i)
@@ -600,9 +602,10 @@ class Engine:
     event loop, and what they report together.
 
     ``parts`` come in the order of their first VC, each with its VCs in
-    engine order.  The parts own every VC and port; ``vcs`` and
-    ``switches`` are read from them in engine order: the ``topology``'s,
-    and for ports, first use.
+    engine order.  The parts own every VC, port and clock, and the engine
+    holds only its ``topology`` and ``parts``: ``vcs``, ``switches`` and
+    ``now`` are read from the parts, in engine order (the ``topology``'s,
+    and for ports, first use).
     """
 
     def __init__(self, topology: Topology):
@@ -627,7 +630,6 @@ class Engine:
         for i, spec in enumerate(specs):
             parts.setdefault(find(i), []).append(spec)
         self.parts = [Part(topology, group) for group in parts.values()]
-        self.now: SimTime = 0
 
     @property
     def vcs(self) -> dict[str, VcRuntime]:
@@ -645,37 +647,39 @@ class Engine:
                 switches[node].ports.setdefault(nxt, ports[node, nxt])
         return switches
 
+    @property
+    def now(self) -> SimTime:
+        """The time every part has run to."""
+        return min(part.now for part in self.parts)
+
     def run_until(self, t_end: SimTime) -> None:
         """Run every part to ``t_end``, one after another, in this process."""
         for part in self.parts:
             part.run_until(t_end)
-        self.now = t_end
 
-    def run_parts(self, t_end: SimTime, processes: int) -> None:
-        """``run_until(t_end)``, with the parts cut into up to ``processes``
-        groups of consecutive parts, each run in its own process (``forked``)
-        by ``run_until`` on this engine holding only that group, so that a
-        wrapper of ``run_until`` (``perfbench/child.py``'s trace mode) still
-        times the loop.
+    def run_parts(self, t_end: SimTime) -> None:
+        """``run_until(t_end)``, with the parts cut into at most one group
+        of consecutive parts per CPU, each run in its own process
+        (``forked``) by ``_run_group``; no output depends on the CPU count.
         """
         parts = self.parts
-        n = max(1, min(processes, len(parts)))
+        n = min(os.cpu_count() or 1, len(parts))
         cuts = [k * len(parts) // n for k in range(n + 1)]
         jobs = [(self._run_group, parts[a:b], t_end) for a, b in zip(cuts[1:], cuts[2:])]
-        try:
-            outcomes = forked(jobs, len(jobs), lambda: self._run_group(parts[:cuts[1]], t_end))
-        finally:
-            self.parts = parts
+        outcomes = forked(jobs, lambda: self._run_group(parts[:cuts[1]], t_end))
         for start, (exc, group) in zip(cuts[1:], outcomes):
             if exc is not None:
                 raise exc
             parts[start:start + len(group)] = group
 
     def _run_group(self, group: list[Part], t_end: SimTime) -> list[Part]:
-        """Run ``group`` alone on this engine with ``run_until``; returns it."""
-        self.parts = group
-        self.run_until(t_end)
-        return self.parts
+        """Run ``group`` with ``run_until`` on a copy of this engine that holds
+        only it, so that a wrapper of ``run_until`` (``perfbench/child.py``'s
+        trace mode) still times the loop; returns it."""
+        alone = copy.copy(self)  # a shallow copy: ``Engine.__init__`` would build new parts
+        alone.parts = group
+        alone.run_until(t_end)
+        return group
 
     # -- what the parts report together ------------------------------------
 

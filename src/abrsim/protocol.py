@@ -71,17 +71,14 @@ class SourceParams:
         for rate, key in ((self.icr, "icr_mbps"), (self.mcr, "mcr_mbps")):
             if rate > 0:  # 0 is allowed (the source probes); any other rate is timed
                 cell_tx_time(rate, key)
-        for key in ("nrm", "crm", "tbe"):
-            if not isinstance(getattr(self, key), int):
-                raise ValueError(f"{key} must be an integer, got {getattr(self, key)}")
-        if self.nrm < 1:
-            raise ValueError(f"nrm must be >= 1, got {self.nrm}")
         if not 0.0 < self.rif <= 1.0:
             raise ValueError(f"rif must be in (0, 1], got {self.rif}")
         check_cdf(self.cdf)
-        if self.crm < 1 or self.tbe < 1:
-            raise ValueError(f"crm and tbe must be >= 1, got crm={self.crm} tbe={self.tbe}")
-        implied = crm_from_tbe(self.tbe, self.nrm)
+        if not isinstance(self.crm, int):
+            raise ValueError(f"crm must be an integer, got {self.crm}")
+        if self.crm < 1:
+            raise ValueError(f"crm must be >= 1, got {self.crm}")
+        implied = crm_from_tbe(self.tbe, self.nrm)  # the nrm and tbe rules
         if self.crm != implied:
             raise ValueError(
                 f"crm ({self.crm}) inconsistent with ceil(tbe/nrm) = "

@@ -1,5 +1,17 @@
 """Helpers shared by the engine and parts tests."""
 
+import os
+from contextlib import contextmanager
+from unittest import mock
+
+
+@contextmanager
+def cpus(n):
+    """Run the block as on a host with ``n`` CPUs: ``os.cpu_count()`` is the
+    only input that decides how a run or a sweep forks."""
+    with mock.patch.object(os, "cpu_count", lambda: n):
+        yield
+
 
 def delay_lines(holder):
     """Every delay line of an engine's or a part's VCs: each VC's forward

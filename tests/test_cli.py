@@ -11,8 +11,9 @@ import pytest
 
 from abrsim import cli
 from abrsim.cli import apply_override, main
-from abrsim.engine import Engine, SimulationError
+from abrsim.engine import Engine, Part, SimulationError
 from abrsim.scenario import ScenarioError, parse_scenario, bundled_config_text
+from conftest import cpus
 from test_parts import assert_no_child_left
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -283,10 +284,9 @@ def test_a_non_run_exception_is_raised_once_every_member_is_reaped(tiny_cfg, tmp
         return worker(sc, overrides, out_dir)
 
     wrap_sweep_worker(monkeypatch, interrupt_at_32)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # every member starts at once
     out = tmp_path / "sweep_crm"
     argv = ["sweep", str(tiny_cfg), "--param", "crm", "--values", "32,64,128"]
-    with pytest.raises(MemberInterrupt, match="stop"):
+    with pytest.raises(MemberInterrupt, match="stop"), cpus(3):  # every member starts at once
         main([*argv, "--out", str(out)])
     # the other members ran to their end rather than being killed
     assert (out / "crm=64" / "summary.csv").is_file()
@@ -309,9 +309,9 @@ def test_one_cpu_runs_one_member_at_a_time_with_the_same_outputs(tiny_cfg, tmp_p
 
     wrap_sweep_worker(monkeypatch, stamped)
     argv = ["sweep", str(tiny_cfg), "--param", "cdf", "--values", "1/64,1/16,1"]
-    for cpus in (1, 2):
-        monkeypatch.setattr(os, "cpu_count", lambda n=cpus: n)
-        assert main([*argv, "--out", str(tmp_path / f"cpus{cpus}")]) == 0
+    for n in (1, 2):
+        with cpus(n):
+            assert main([*argv, "--out", str(tmp_path / f"cpus{n}")]) == 0
     spans = sorted(
         tuple(map(float, read(p).split())) for p in stamps.iterdir() if p.name.startswith("cpus1 ")
     )
@@ -321,6 +321,28 @@ def test_one_cpu_runs_one_member_at_a_time_with_the_same_outputs(tiny_cfg, tmp_p
     one, two = tree(tmp_path / "cpus1"), tree(tmp_path / "cpus2")
     assert len(one) == 1 + 3 * 5  # the sweep summary and each member's five files
     assert one == two
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_sweep_member_runs_its_parts_in_its_own_worker(tmp_path, monkeypatch, n):
+    # fig3's two parts, with one CPU or two: both in the member's worker,
+    # not in the sweep's process
+    stamps = tmp_path / "stamps"
+    stamps.mkdir()
+    run_until = Part.run_until
+
+    def stamped(part, t_end):
+        (stamps / ",".join(part.vcs)).write_text(str(os.getpid()), encoding="utf-8")
+        return run_until(part, t_end)
+
+    monkeypatch.setattr(Part, "run_until", stamped)
+    argv = ["sweep", "fig3.cfg", "--param", "crm", "--values", "32", "--until-ms", "3"]
+    with cpus(n):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    pids = {p.name: int(read(p)) for p in stamps.iterdir()}
+    assert sorted(pids) == ["fwd", "rev"]
+    assert len(set(pids.values())) == 1 and os.getpid() not in pids.values()
     assert_no_child_left()
 
 
@@ -389,11 +411,13 @@ print(code, pools, threading.active_count())
 
 def test_a_run_imports_nothing_that_only_forking_needs_until_it_forks(tmp_path):
     proc = run_python(tmp_path, """
+import os
 from abrsim import cli
 from abrsim.scenario import bundled_config_text, parse_scenario, to_topology
 engine = cli.Engine(to_topology(parse_scenario(bundled_config_text("fig3.cfg"))))
 print([m for m in ("pickle", "select", "signal") if m in sys.modules])
-engine.run_parts(10**9, 1)  # 1 ms in one process
+os.cpu_count = lambda: 1
+engine.run_parts(10**9)  # 1 ms in one process
 print([m for m in ("pickle", "select", "signal") if m in sys.modules])
 """)
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -20,7 +20,7 @@ from abrsim.engine import (
 from abrsim.protocol import SourceParams
 from abrsim.scenario import bundled_config_text, parse_scenario, to_topology
 from abrsim.units import PS_PER_MS, cell_tx_time, mbps_to_cps, ms_to_ps, ps_to_ms, us_to_ps
-from conftest import delay_lines, snapshot
+from conftest import cpus, delay_lines, snapshot
 from test_random_scenarios import HORIZON_MS, scenario_text
 
 OC3 = mbps_to_cps(155.52)
@@ -99,6 +99,14 @@ def test_intermediate_node_must_be_a_switch():
     topo.vcs = (VcSpec("fwd", ("s1", "sw1", "d9", "sw2", "d1")),)
     with pytest.raises(ConfigError):
         Engine(topo)
+
+
+def test_a_sender_without_source_parameters_is_rejected():
+    topo = one_source_topology()
+    del topo.source_params["s1"]
+    with pytest.raises(ConfigError) as exc:
+        Engine(topo)
+    assert str(exc.value) == "vc fwd: no source parameters for s1"
 
 
 def test_duplicate_link_is_rejected():
@@ -329,6 +337,21 @@ def test_wrong_cell_at_a_line_head_fails_the_audit(rm_bit):
     (i,) = [i for i, entry in enumerate(part.heap) if entry[2] is line]
     part.heap[i] = (line[0], *part.heap[i][1:])  # keys stay unique: the heap order holds
     with pytest.raises(SimulationError, match="vc fwd: the head of a backward delay line"):
+        eng.audit()
+
+
+def test_rm_cell_missing_from_a_backward_line_fails_the_audit():
+    # The tail goes, so the line's head, and the heap entry that holds it,
+    # still match: only the backward count can catch it.
+    topo = to_topology(parse_scenario(bundled_config_text("fig3.cfg")))
+    eng = Engine(topo)
+    eng.run_until(ms_to_ps(290))  # the satellite hop back carries RM cells from 275 ms
+    eng.audit()
+    line = max(eng.vcs["fwd"].bwd, key=len)
+    assert len(line) >= 2
+    line.pop()
+    line.rms.pop()
+    with pytest.raises(SimulationError, match="^vc fwd: backward RM conservation violated"):
         eng.audit()
 
 
@@ -601,20 +624,32 @@ def test_slicing_run_until_changes_nothing(text, until_ms):
         assert other == whole
 
 
-@pytest.mark.parametrize("text, short_ms, long_ms", [
-    (bundled_config_text("fig3.cfg"), 20, 40),  # crm = 32: rule-6 cuts from the start
-    *((scenario_text(seed), HORIZON_MS / 2, HORIZON_MS) for seed in (0, 3, 6)),
-], ids=["fig3", "seed-0", "seed-3", "seed-6"])
-def test_a_shorter_horizon_writes_a_prefix_of_each_trace(tmp_path, text, short_ms, long_ms):
+FIG3 = bundled_config_text("fig3.cfg")  # crm = 32, cdf = 1/16
+
+
+@pytest.mark.parametrize("text, short_ms, long_ms, traced", [
+    (FIG3, 20, 40, ("acr",)),  # rule-6 cuts from the start
+    # past the first delivery at 275 ms; ACR is constant until feedback
+    (FIG3.replace("crm = 32", "crm = 6144"), 280, 300, ("recv",)),
+    (FIG3.replace("cdf = 1/16", "cdf = 1"), 280, 300, ("acr", "recv")),  # ACR has hit zero
+    *((scenario_text(seed), HORIZON_MS / 2, HORIZON_MS, ("recv",)) for seed in (0, 3, 6)),
+], ids=["fig3", "fig3-crm6144", "fig3-cdf1", "seed-0", "seed-3", "seed-6"])
+def test_a_shorter_horizon_writes_a_prefix_of_each_trace(
+    tmp_path, text, short_ms, long_ms, traced
+):
     # Nothing a run does before its horizon depends on where that horizon is.
     outs = []
     for until_ms in (short_ms, long_ms):
         sc = parse_scenario(text)
         sc.run.until_ms = until_ms
         outs.append(tmp_path / f"{until_ms}ms")
-        execute_run(sc, outs[-1], processes=1)
+        with cpus(1):
+            execute_run(sc, outs[-1])
     traces = [sorted(p.name for p in out.glob("*.csv") if p.name != "summary.csv") for out in outs]
     assert traces[0] == traces[1] and traces[0]
+    for trace in traced:  # the shorter run has rows of its own to keep
+        assert all((outs[0] / name).read_bytes().count(b"\n") > 1
+                   for name in traces[0] if name.startswith(f"{trace}_")), trace
     grown = 0
     for name in traces[0]:
         short, long = ((out / name).read_bytes() for out in outs)
@@ -653,14 +688,15 @@ def test_a_run_result_pickles_and_both_copies_run_on_alike(tmp_path):
     # the default LAN, which delivers from its first millisecond, checks
     # that.  With two processes fig3's ``rev`` part comes back from a
     # worker already pickled once.
-    for processes in (1, 2):
+    for n in (1, 2):
         for name, text, until_ms, on_ms in (
             ("fig3", bundled_config_text("fig3.cfg"), 20, 30),
             ("lan", "", 3, 5),
         ):
             sc = parse_scenario(text)
             sc.run.until_ms = until_ms
-            result = execute_run(sc, tmp_path / f"{name}-{processes}", processes=processes)
+            with cpus(n):
+                result = execute_run(sc, tmp_path / f"{name}-{n}")
             copy = pickle.loads(pickle.dumps(result))
             assert copy.summary == result.summary
             vcs = copy.engine.vcs

@@ -2,24 +2,25 @@
 
 ``Engine.parts`` holds one ``Part`` per group of VCs that share switch
 ports, each with its own event loop.  ``execute_run`` runs groups of
-parts in forked workers, which send their parts back whole.  These tests
-compare the split path (``processes=2``) with the serial one
-(``processes=1``) file by file, and an engine whose parts came back from
-a worker, run on with ``run_until``, against a serial engine.
+parts in forked workers, up to one per CPU, which send their parts back
+whole.  These tests compare the split path (on two or three CPUs) with
+the serial one (on one CPU) file by file, and an engine whose parts came
+back from a worker, run on with ``run_until``, against a serial engine.
 """
 
 import os
 import re
 import time
+from dataclasses import replace
 
 import pytest
 
 from abrsim import engine
 from abrsim.cli import apply_override, execute_run, main
 from abrsim.engine import Engine, Part, SimulationError, forked
-from abrsim.scenario import bundled_config_text, parse_scenario, to_topology
+from abrsim.scenario import Scenario, bundled_config_text, parse_scenario, to_topology
 from abrsim.units import ms_to_ps
-from conftest import delay_lines, snapshot
+from conftest import cpus, delay_lines, snapshot
 from test_random_scenarios import HORIZON_MS, PINNED, scenario_text
 
 SEEDS = range(len(PINNED))
@@ -109,10 +110,11 @@ SPLIT_CASES = {
 def test_fig3_split_and_serial_write_the_same_bytes(tmp_path, case):
     scenario, events, collapse = SPLIT_CASES[case]
     results = {}
-    for processes in (2, 1):
-        out = tmp_path / str(processes)
-        result = execute_run(scenario(), out, processes=processes)
-        results[processes] = outputs(out), result
+    for n in (2, 1):
+        out = tmp_path / str(n)
+        with cpus(n):
+            result = execute_run(scenario(), out)
+        results[n] = outputs(out), result
     (split, result), (serial, _) = results[2], results[1]
     assert split == serial
     assert len(result.engine.parts) == 2
@@ -140,13 +142,15 @@ def three_part_scenario():
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("processes", [2, 3])
-def test_a_group_of_parts_runs_in_one_process(tmp_path, processes):
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_group_of_parts_runs_in_one_process(tmp_path, n):
     text = three_part_scenario()
     assert part_ids(Engine(to_topology(parse_scenario(text)))) == [["v1"], ["v2"], ["v3"]]
     split, serial = tmp_path / "split", tmp_path / "serial"
-    execute_run(parse_scenario(text), split, processes=processes)
-    execute_run(parse_scenario(text), serial, processes=1)
+    with cpus(n):
+        execute_run(parse_scenario(text), split)
+    with cpus(1):
+        execute_run(parse_scenario(text), serial)
     assert outputs(split) == outputs(serial)
     samples = outputs(serial)["queues_sw1.csv"].splitlines()[1:]
     assert any(not row.endswith(b",0.000000") for row in samples)  # the ports queue
@@ -170,12 +174,10 @@ def test_a_switch_that_no_vc_crosses_samples_zero_with_any_cpu_count_or_no_fork(
     cfg.write_text(idle_switch_scenario(), encoding="utf-8")
     assert part_ids(Engine(to_topology(parse_scenario(cfg.read_text())))) == [["direct"], ["via"]]
     runs = {}
-    for way in ("1", "2", "no-fork"):
-        with monkeypatch.context() as patch:
+    for way, n in (("1", 1), ("2", 2), ("no-fork", 2)):
+        with monkeypatch.context() as patch, cpus(n):
             if way == "no-fork":
                 patch.delattr(os, "fork")
-            else:
-                patch.setattr(os, "cpu_count", lambda: int(way))
             assert main(["run", str(cfg), "--out", str(tmp_path / way)]) == 0
         runs[way] = outputs(tmp_path / way)
     assert runs["1"] == runs["2"] == runs["no-fork"]
@@ -202,7 +204,8 @@ def fig3_runs(tmp_path_factory):
             sc = fig3(until_ms, **overrides)
             for vc_id in dropped:
                 del sc.vcs[vc_id]
-            execute_run(sc, root / case / label, processes=2)
+            with cpus(2):
+                execute_run(sc, root / case / label)
             runs[case, label] = outputs(root / case / label)
     return runs
 
@@ -229,14 +232,60 @@ def test_fig3s_mirror_image_parts_write_equal_bytes(fig3_runs, case):
 def test_deleting_a_part_leaves_every_other_vcs_traces_byte_identical(tmp_path, seed):
     sc = parse_scenario(scenario_text(seed))
     dropped, *kept = part_ids(Engine(to_topology(sc)))
-    full = outputs(execute_run(sc, tmp_path / "full", processes=1).out_dir)
-    for vc_id in dropped:
-        del sc.vcs[vc_id]
-    rest = outputs(execute_run(sc, tmp_path / "rest", processes=1).out_dir)
+    with cpus(1):
+        full = outputs(execute_run(sc, tmp_path / "full").out_dir)
+        for vc_id in dropped:
+            del sc.vcs[vc_id]
+        rest = outputs(execute_run(sc, tmp_path / "rest").out_dir)
     names = [f"{trace}_{vc_id}.csv" for part in kept for vc_id in part
              for trace in ("acr", "recv")]
     assert kept and all(rest[name] == full[name] for name in names)
     assert not any(f"recv_{vc_id}.csv" in rest for vc_id in dropped)
+
+
+def renamed(sc):
+    """``sc`` with every node, switch, link and VC renamed ``N<k>N``, the new
+    names sorting in the reverse order of the old ones, and the map back."""
+    names = {*sc.sources, *sc.switches, *sc.links, *sc.vcs}
+    names |= {node for link in sc.links.values() for node in (link.from_node, link.to_node)}
+    names |= {node for vc in sc.vcs.values() for node in vc.path}
+    new = {name: f"N{k:04d}N" for k, name in enumerate(sorted(names, reverse=True))}
+    links = {new[name]: replace(link, from_node=new[link.from_node], to_node=new[link.to_node])
+             for name, link in sc.links.items()}
+    vcs = {new[name]: replace(vc, path=tuple(map(new.get, vc.path))) for name, vc in sc.vcs.items()}
+    sources = {new[name]: cfg for name, cfg in sc.sources.items()}
+    switches = {new[name]: cfg for name, cfg in sc.switches.items()}
+    return Scenario(sources, switches, links, vcs, sc.run), {v: k for k, v in new.items()}
+
+
+def assert_names_do_not_matter(sc, full, out):
+    """A run of ``sc`` renamed writes ``full``, the outputs of ``sc``: each
+    trace's bytes under its renamed file, and ``summary.csv`` and
+    ``meta.txt`` once the names are mapped back."""
+    sc, back = renamed(sc)
+    with cpus(2):
+        execute_run(sc, out)
+    runs = outputs(out)
+    assert not set(runs) & {name for name in full if name.startswith(("acr_", "recv_"))}
+    named_back = {}
+    for name, data in runs.items():
+        name = re.sub(r"N\d{4}N", lambda m: back[m[0]], name)
+        if name in ("summary.csv", "meta.txt"):
+            data = re.sub(rb"N\d{4}N", lambda m: back[m[0].decode()].encode(), data)
+        named_back[name] = data
+    assert named_back == full
+
+
+def test_renaming_fig3_changes_only_names(fig3_runs, tmp_path):
+    assert_names_do_not_matter(fig3(600, crm=32), fig3_runs["crm32", "full"], tmp_path)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 20])
+def test_renaming_a_seeded_scenario_changes_only_names(tmp_path, seed):
+    sc = parse_scenario(scenario_text(seed))
+    with cpus(2):
+        full = outputs(execute_run(sc, tmp_path / "full").out_dir)
+    assert_names_do_not_matter(parse_scenario(scenario_text(seed)), full, tmp_path / "renamed")
 
 
 def pending_order(part):
@@ -281,7 +330,8 @@ def test_a_spliced_engine_runs_on_as_a_serial_one(tmp_path, text, split_ms, unti
     # parent's copy, and the engine then runs on serially.
     sc = parse_scenario(text)
     sc.run.until_ms = split_ms
-    split = execute_run(sc, tmp_path, processes=2).engine
+    with cpus(2):
+        split = execute_run(sc, tmp_path).engine
     serial = Engine(to_topology(parse_scenario(text)))
     serial.run_until(ms_to_ps(split_ms))
     assert len(serial.parts) > 1
@@ -316,11 +366,29 @@ def test_a_split_after_a_serial_prefix_runs_as_a_serial_one(scenario):
     split.run_until(ms_to_ps(5))
     assert any(any(vc.fwd) for vc in split.vcs.values())
     assert any(p.accum_cells for sw in split.switches.values() for p in sw.ports.values())
-    split.run_parts(ms_to_ps(40), 2)
+    with cpus(2):
+        split.run_parts(ms_to_ps(40))
     serial.run_until(ms_to_ps(40))
     assert len(serial.parts) > 1
     assert snapshot(split) == snapshot(serial)
     assert_no_child_left()
+
+
+def test_the_engine_holds_only_its_topology_and_parts(monkeypatch):
+    eng = Engine(to_topology(fig3(3)))
+    parts, seen = eng.parts, []
+    run_until = Part.run_until
+
+    def watched(part, t_end):
+        seen.append(eng.parts is parts and len(parts) == 2)  # never swapped for a group
+        return run_until(part, t_end)
+
+    monkeypatch.setattr(Part, "run_until", watched)
+    with cpus(1):
+        eng.run_parts(ms_to_ps(3))
+    assert seen == [True, True]
+    assert sorted(vars(eng)) == ["parts", "topology"]
+    assert eng.now == ms_to_ps(3)
 
 
 @pytest.mark.parametrize("raised, code, message", [
@@ -342,9 +410,9 @@ def test_a_failing_part_fails_the_run_and_leaves_no_process(
 
     monkeypatch.setattr(Part, "audit", failing_audit)
     monkeypatch.setattr(engine, "_AUDIT_EVERY_TICKS", 1)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # split on any host
     argv = ["run", "fig3.cfg", "--until-ms", "3", "--out", str(tmp_path)]
-    assert main(argv) == code
+    with cpus(2):  # split on any host
+        assert main(argv) == code
     assert capsys.readouterr().err.startswith(message)
     assert_no_child_left()
 
@@ -359,8 +427,8 @@ def test_a_worker_that_sends_no_result_fails_the_run(tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(Part, "audit", dying_audit)
     monkeypatch.setattr(engine, "_AUDIT_EVERY_TICKS", 1)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert main(["run", "fig3.cfg", "--until-ms", "3", "--out", str(tmp_path)]) == 1
+    with cpus(2):
+        assert main(["run", "fig3.cfg", "--until-ms", "3", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert re.fullmatch(r"internal invariant failure: worker process \d+ sent no result\n", err)
     assert_no_child_left()
@@ -381,21 +449,23 @@ def test_of_two_failing_workers_the_earlier_part_is_reported(tmp_path, monkeypat
     monkeypatch.setattr(Part, "audit", failing_audit)
     monkeypatch.setattr(engine, "_AUDIT_EVERY_TICKS", 1)
     with pytest.raises(SimulationError, match="^injected in v2$"):
-        execute_run(parse_scenario(three_part_scenario()), tmp_path, processes=3)
+        with cpus(3):
+            execute_run(parse_scenario(three_part_scenario()), tmp_path)
     assert_no_child_left()
 
 
 def test_without_fork_a_run_writes_what_a_split_run_writes(tmp_path, monkeypatch):
     argv = ["run", "fig3.cfg", "--until-ms", "40", "--out"]
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert main([*argv, str(tmp_path / "split")]) == 0
+    with cpus(2):
+        assert main([*argv, str(tmp_path / "split")]) == 0
     monkeypatch.delattr(os, "fork")
     assert main([*argv, str(tmp_path / "here")]) == 0
     assert outputs(tmp_path / "here") == outputs(tmp_path / "split")
 
 
 def test_a_split_run_leaves_no_process(tmp_path):
-    execute_run(fig3(3), tmp_path, processes=2)
+    with cpus(2):
+        execute_run(fig3(3), tmp_path)
     assert_no_child_left()
 
 
@@ -411,7 +481,8 @@ def test_a_failed_fork_kills_the_started_workers_and_closes_every_pipe(monkeypat
     monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
     start = time.monotonic()
     with pytest.raises(BlockingIOError, match="injected"):
-        forked([(time.sleep, 30), (time.sleep, 30)], 2)
+        with cpus(2):
+            forked([(time.sleep, 30), (time.sleep, 30)])
     assert time.monotonic() - start < 10  # the first worker was killed, not waited for
     assert len(pipes) == 2
     for fd in (fd for ends in pipes for fd in ends):
@@ -426,7 +497,8 @@ def test_a_worker_sends_what_will_not_pickle_as_a_simulation_error():
 
     jobs = {"raised": (raise_unpicklable,), "returned": (lambda: lambda: 0,),
             "sent": (lambda: [7] * 3,)}
-    outcomes = dict(zip(jobs, forked(list(jobs.values()), 3)))
+    with cpus(3):
+        outcomes = dict(zip(jobs, forked(list(jobs.values()))))
     assert outcomes["sent"] == (None, [7, 7, 7])
     raised, returned = outcomes["raised"], outcomes["returned"]
     assert isinstance(raised[0], SimulationError) and raised[1] is None

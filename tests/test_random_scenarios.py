@@ -27,6 +27,7 @@ from abrsim.cli import execute_run
 from abrsim.scenario import parse_scenario
 from abrsim.switch import PortState
 from abrsim.units import PS_PER_US, cell_tx_time, ms_to_ps
+from conftest import cpus
 
 HORIZON_MS = 3
 CELL_US = 5  # one cell at LINK_MBPS
@@ -117,10 +118,11 @@ def test_random_scenario(tmp_path, monkeypatch, seed):
     # The run split into its parts, then the serial one.  A forked part's
     # stamps never reach ``stamps``, so only the serial run, which holds
     # every part in this process, is observed.
-    for processes in (2, 1):
-        out = tmp_path / str(processes)
+    for n in (2, 1):
+        out = tmp_path / str(n)
         stamps.clear()
-        result = execute_run(parse_scenario(text), out, processes=processes)
+        with cpus(n):
+            result = execute_run(parse_scenario(text), out)
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         runs.append(files)
     assert runs[0] == runs[1]  # byte-identical, meta.txt included

@@ -166,6 +166,21 @@ def test_bad_window_rejected():
         parse_scenario("[run]\nwindows_ms = 100:50\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[source.s1\n", "line 1: malformed section header '[source.s1'"),
+    ("[run]\nwindows_ms = 5\n", "line 2: window must be 'start:end', got '5'"),
+    ("[run]\nuntil_ms = -1\n", "run: until_ms must be >= 0, got -1.0"),
+], ids=["unclosed-header", "window-without-colon", "negative-horizon"])
+def test_malformed_values_are_reported_exactly(text, message):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text)
+    assert str(exc.value) == message
+
+
+def test_an_empty_window_piece_is_skipped():
+    assert parse_scenario("[run]\nwindows_ms = 1:2,\n").run.windows_ms == ((1.0, 2.0),)
+
+
 @pytest.mark.parametrize(
     "body, message",
     [
@@ -248,6 +263,27 @@ def test_render_parse_round_trip_with_unusual_values():
 def test_source_errors_name_the_source_and_the_key(body, pattern):
     with pytest.raises(ScenarioError, match=pattern):
         parse_scenario(f"[source.s1]\n{body}\n")
+
+
+@pytest.mark.parametrize("body, message", [
+    ("crm = 0", "crm must be >= 1, got 0"),
+    ("crm = 32\ntbe = 0", "tbe must be >= 1, got 0"),
+    ("crm = -3\ntbe = 7", "crm must be >= 1, got -3"),
+    ("nrm = 0\ncrm = 4", "nrm must be >= 1, got 0"),  # not the tbe = 4 * 0 it implies
+    # of two wrong values the first checked is named: rif, cdf, crm, then nrm and tbe
+    ("crm = 0\nrif = 2", "rif must be in (0, 1], got 2.0"),
+    ("crm = 0\ncdf = 3", "cdf must be 0 or a power of two in [1/64, 1], got 3.0"),
+    ("nrm = 0\nrif = 2", "rif must be in (0, 1], got 2.0"),
+    ("nrm = 0\ncdf = 3", "cdf must be 0 or a power of two in [1/64, 1], got 3.0"),
+    ("nrm = 0\ncrm = 0", "crm must be >= 1, got 0"),
+    ("nrm = 0\ntbe = 0", "nrm must be >= 1, got 0"),
+    ("crm = 0\ntbe = 0", "crm must be >= 1, got 0"),
+], ids=["crm-0", "tbe-0-beside-crm", "crm-negative", "nrm-0-beside-crm",
+        "crm-rif", "crm-cdf", "nrm-rif", "nrm-cdf", "nrm-crm", "nrm-tbe", "crm-tbe"])
+def test_crm_tbe_and_nrm_each_name_their_own_bound(body, message):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(f"[source.s1]\n{body}\n")
+    assert str(exc.value) == f"source s1: {message}"
 
 
 @pytest.mark.parametrize(
