@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .units import CellRate, SimTime, ps_to_s
+from .units import CELL_BITS, CellRate, SimTime, ps_to_ms, ps_to_s
 
 
 def _check_count(key: str, value: int, low: int) -> None:
@@ -50,7 +50,10 @@ class PathSpec:
         if not 0 < self.link_rate < math.inf:
             raise ValueError(f"link_rate must be > 0 and finite, got {self.link_rate}")
         if ps_to_s(self.rtt) * self.link_rate == math.inf:
-            raise ValueError("the cell count overflows: the round trip is too long at this rate")
+            raise ValueError(
+                "the cell count overflows: the round trip is too long at this rate, got "
+                f"rtt = {ps_to_ms(self.rtt):g} ms at {self.link_rate * CELL_BITS / 1e6:g} Mbps"
+            )
         _check_count("nrm", self.nrm, 1)
         _check_count("hops", self.hops, 1)
 
@@ -90,17 +93,19 @@ def min_crm(path: PathSpec) -> int:
 
     The threshold must cover a full round trip of RM cells,
     ``RTT * rate / nrm``, rounded up (rounding down would allow spurious
-    rate cuts), and scales with the number of bottleneck hops.
+    rate cuts), and at least 1, the crm rule; it scales with the number
+    of bottleneck hops.
     """
     per_hop = math.ceil(ps_to_s(path.rtt) * path.link_rate / path.nrm)
-    return per_hop * path.hops
+    return max(1, per_hop) * path.hops
 
 
 def _check_decay(icr: CellRate, cdf: float, mcr: CellRate, k: int) -> None:
     """Inputs a source could have: a valid cdf, mcr <= icr; and k >= 0."""
     check_cdf(cdf)
     if mcr > icr:
-        raise ValueError(f"mcr must be <= icr, got mcr={mcr:g} icr={icr:g} cells/s")
+        mcr, icr = (f"{r * CELL_BITS / 1e6:g}" for r in (mcr, icr))
+        raise ValueError(f"mcr must be <= icr, got mcr={mcr} icr={icr} Mbps")
     _check_count("k", k, 0)
 
 

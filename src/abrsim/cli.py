@@ -27,17 +27,20 @@ from . import analysis, metrics
 from .engine import ConfigError, Engine, SimulationError, forked
 from .metrics import Recorder
 from .scenario import (
+    RunCfg,
     Scenario,
     ScenarioError,
+    SourceCfg,
     bundled_config_text,
     error_context,
+    parse_integer,
+    parse_key,
     parse_number,
     parse_scenario,
-    parse_source_value,
     render_scenario,
     to_topology,
 )
-from .units import PS_PER_MS, cps_to_mbps, mbps_to_cps, ms_to_ps, ps_to_ms
+from .units import PS_PER_MS, cell_tx_time, cps_to_mbps, mbps_to_cps, ms_to_ps, ps_to_ms
 
 SWEEPABLE = {"crm": "crm", "cdf": "cdf", "icr": "icr_mbps", "rif": "rif"}  # the key each sets
 _RUN_ERRORS = (ScenarioError, ConfigError, ValueError, OSError, SimulationError)
@@ -208,32 +211,36 @@ def _out_root(arg_out: str | None) -> Path:
     return Path(os.environ.get("ABRSIM_OUT", "out"))
 
 
-def _scenario_with(cfg_text: str, flags: list, until_ms: float | None) -> tuple[Scenario, dict]:
-    """``cfg_text``'s scenario with each ``(flag, param, text)`` override, read as a file
-    reads its key (errors name the flag), then ``until_ms``; returns it and its overrides."""
+def _scenario_with(cfg_text: str, flags: list) -> tuple[Scenario, dict]:
+    """``cfg_text``'s scenario with each ``(flag, param, text)`` override, read and checked
+    as a file reads and checks the key it sets (a reading error names the flag); returns
+    it and its overrides, a source value's text as given and the horizon as read."""
     sc = parse_scenario(cfg_text)
     overrides = {}
     for flag, param, text in flags:
         overrides[param] = text = text.strip()
-        with error_context(flag):
-            value = parse_source_value(SWEEPABLE[param], text)
-        apply_override(sc, param, value)
-    if until_ms is not None:
-        overrides["until_ms"] = repr(until_ms)
-        sc.run.until_ms = until_ms
-        sc.run.check()
+        if param == "until_ms":
+            with error_context(flag):
+                sc.run.until_ms = parse_key(RunCfg, param, text)
+            overrides[param] = repr(sc.run.until_ms)
+            sc.run.check()
+        else:
+            with error_context(flag):
+                value = parse_key(SourceCfg, SWEEPABLE[param], text)
+            apply_override(sc, param, value)
     return sc, overrides
 
 
 def cmd_run(args) -> int:
-    flags = [(f"--{p}", p, text) for p in ("crm", "cdf") if (text := getattr(args, p)) is not None]
-    sc, overrides = _scenario_with(load_scenario_text(args.config), flags, args.until_ms)
+    flags = [(f"--{p.replace('_', '-')}", p, text) for p in ("crm", "cdf", "until_ms")
+             if (text := getattr(args, p)) is not None]
+    sc, overrides = _scenario_with(load_scenario_text(args.config), flags)
     out_dir = _out_root(args.out)
     result = execute_run(sc, out_dir, overrides)
     print(f"run complete: {result.engine.events_processed} events, output in {out_dir}")
     for vc, metric, t0, t1, value in result.summary:
-        if metric == "throughput_mbps":
-            print(f"  {vc}: [{t0:.0f}, {t1:.0f}] ms -> {value:.2f} Mbps")
+        if metric == "throughput_mbps":  # a whole-ms bound prints as an integer
+            print(f"  {vc}: [{t0:.15g}, {t1:.15g}] ms -> {value:.2f} Mbps")
     return 0
 
 
@@ -250,11 +257,12 @@ def cmd_sweep(args) -> int:
     # Build and check every member's scenario with the runs' own rules
     # before any run starts; the members run exactly these scenarios.
     members: dict[str, tuple[str, Scenario, dict[str, str]]] = {}  # by output directory name
+    horizon = [] if args.until_ms is None else [("--until-ms", "until_ms", args.until_ms)]
     for text in values:
         name = f"{args.param}={text.replace('/', '_')}"
         if name in members:
             raise ScenarioError(f"--values: {text} is given twice (both would write {name})")
-        sc, overrides = _scenario_with(cfg_text, [("--values", args.param, text)], args.until_ms)
+        sc, overrides = _scenario_with(cfg_text, [("--values", args.param, text), *horizon])
         to_topology(sc)
         members[name] = (text, sc, overrides)
     out_root = _out_root(args.out)
@@ -290,99 +298,47 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.tool == "min-crm":
-        path = analysis.PathSpec(
-            rtt=ms_to_ps(args.rtt_ms),
-            link_rate=mbps_to_cps(args.mbps),
-            nrm=args.nrm,
-            hops=args.hops,
-        )
-        flight = analysis.flight_capacity(path)
-        crm = analysis.min_crm(path)
-        print(f"rtt = {args.rtt_ms} ms, link = {args.mbps} Mbps "
-              f"({path.link_rate:.2f} cells/s), nrm = {args.nrm}, hops = {args.hops}")
-        print(f"cells in flight over the round trip: {flight}")
-        print(f"minimum crm: {crm} RM cells  (tbe >= {crm * args.nrm} cells)")
-    elif args.tool == "decay":
-        if args.mcr_mbps > args.icr_mbps:  # ``decay_after`` says it in cells/s
-            raise ScenarioError(f"--mcr-mbps: must be <= --icr-mbps, got {args.mcr_mbps}")
-        icr = mbps_to_cps(args.icr_mbps)
-        mcr = mbps_to_cps(args.mcr_mbps)
-        with error_context("--cdf"):
-            cdf = parse_number(args.cdf)
-        rate = analysis.decay_after(icr, cdf, mcr, args.k)
-        print(f"icr = {args.icr_mbps} Mbps, cdf = {args.cdf}, mcr = {args.mcr_mbps} Mbps")
-        print(f"rate after {args.k + 1} consecutive cuts: "
+    def read(flag, convert=None, parse=parse_number):
+        """``flag``'s text read as a file reads a value of its kind, then, with
+        ``convert``, the value and its engine units; an error names the flag."""
+        with error_context(flag):
+            value = parse(getattr(args, flag[2:].replace("-", "_")).strip())
+            return (value, convert(value)) if convert else value
+
+    if args.tool == "decay":
+        icr_mbps, icr = read("--icr-mbps", mbps_to_cps)
+        mcr_mbps, mcr = read("--mcr-mbps", mbps_to_cps)
+        k = read("--k", parse=parse_integer)
+        rate = analysis.decay_after(icr, read("--cdf"), mcr, k)
+        print(f"icr = {icr_mbps} Mbps, cdf = {args.cdf}, mcr = {mcr_mbps} Mbps")
+        print(f"rate after {k + 1} consecutive cuts: "
               f"{cps_to_mbps(rate):.6g} Mbps ({rate:.2f} cells/s)")
     elif args.tool == "trigger":
-        fwd = mbps_to_cps(args.fwd_mbps)
-        bwd = mbps_to_cps(args.bwd_mbps)
-        fires = analysis.trigger_predicate(fwd, bwd, args.crm)
-        print(f"forward rate = {args.fwd_mbps} Mbps ({fwd:.2f} cells/s), "
-              f"backward rate = {args.bwd_mbps} Mbps ({bwd:.2f} cells/s), crm = {args.crm}")
+        fwd_mbps, fwd = read("--fwd-mbps", mbps_to_cps)
+        cell_tx_time(fwd, "--fwd-mbps")
+        bwd_mbps, bwd = read("--bwd-mbps", mbps_to_cps)
+        crm = read("--crm", parse=parse_integer)
+        fires = analysis.trigger_predicate(fwd, bwd, crm)
+        print(f"forward rate = {fwd_mbps} Mbps ({fwd:.2f} cells/s), "
+              f"backward rate = {bwd_mbps} Mbps ({bwd:.2f} cells/s), crm = {crm}")
         print(f"cutoff triggers: {'yes' if fires else 'no'}")
-    else:  # flight
-        path = analysis.PathSpec(rtt=ms_to_ps(args.rtt_ms), link_rate=mbps_to_cps(args.mbps))
-        print(f"rtt = {args.rtt_ms} ms, link = {args.mbps} Mbps ({path.link_rate:.2f} cells/s)")
+    else:  # min-crm and flight, over one path
+        rtt_ms, rtt = read("--rtt-ms", ms_to_ps)
+        mbps, rate = read("--mbps", mbps_to_cps)
+        cell_tx_time(rate, "--mbps")
+        path_line = f"rtt = {rtt_ms} ms, link = {mbps} Mbps ({rate:.2f} cells/s)"
+        if args.tool == "flight":
+            path = analysis.PathSpec(rtt, rate)
+            print(path_line)
+        else:
+            nrm, hops = read("--nrm", parse=parse_integer), read("--hops", parse=parse_integer)
+            path = analysis.PathSpec(rtt, rate, nrm, hops)
+            print(f"{path_line}, nrm = {nrm}, hops = {hops}")
         print(f"cells in flight over the round trip: {analysis.flight_capacity(path)}")
+        if args.tool == "min-crm":
+            crm = analysis.min_crm(path)
+            print(f"minimum crm: {crm} RM cells  (tbe >= {crm * nrm} cells)")
     return 0
-
-
-def non_negative(text: str) -> float:
-    """Type of a float flag: a finite number, at least 0."""
-    value = float(text)
-    if not 0 <= value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
-    return value
-
-
-def _converts(convert, text: str) -> float:
-    """``non_negative``, and a value the unit conversion ``convert`` accepts."""
-    value = non_negative(text)
-    try:
-        convert(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
-
-
-def milliseconds(text: str) -> float:
-    """Type of a time flag: ``non_negative`` and within the picosecond clock."""
-    return _converts(ms_to_ps, text)
-
-
-def mbps(text: str) -> float:
-    """Type of a rate flag: ``non_negative`` and finite in cells/s."""
-    return _converts(mbps_to_cps, text)
-
-
-def positive(text: str) -> float:
-    """Type of a link-rate or forward-rate flag: ``mbps`` and not 0."""
-    value = mbps(text)
-    if value == 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
-
-
-def _int_at_least(text: str, low: int) -> int:
-    """An integer from ``low`` to the largest float: the calculators mix counts with rates."""
-    value = int(text)
-    if value < low:
-        raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
-    if value > sys.float_info.max:
-        limit = sys.float_info.max
-        raise argparse.ArgumentTypeError(f"must be at most {limit:g}, got {len(text)} digits")
-    return value
-
-
-def non_negative_int(text: str) -> int:
-    """Type of a count flag that may be 0."""
-    return _int_at_least(text, 0)
-
-
-def positive_int(text: str) -> int:
-    """Type of a count flag that must be at least 1."""
-    return _int_at_least(text, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="scenario file (bundled name or path)")
     run_p.add_argument("--crm", help="override crm on every source")
     run_p.add_argument("--cdf", help="override cdf on every source (e.g. 1/16)")
-    run_p.add_argument("--until-ms", type=milliseconds, dest="until_ms", help="simulation horizon")
+    run_p.add_argument("--until-ms", help="simulation horizon in ms (e.g. 1200 or 1/2)")
     run_p.add_argument("--out", help="output directory (default $ABRSIM_OUT or ./out)")
     run_p.set_defaults(func=cmd_run)
 
@@ -404,29 +360,30 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("config")
     sweep_p.add_argument("--param", required=True, choices=SWEEPABLE)
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
-    sweep_p.add_argument("--until-ms", type=milliseconds, dest="until_ms")
+    sweep_p.add_argument("--until-ms")
     sweep_p.add_argument("--out")
     sweep_p.set_defaults(func=cmd_sweep)
 
+    # Every number is read, and checked, by the rule its value meets in a run.
     analyze_p = sub.add_parser("analyze", help="closed-form calculators")
     tool = analyze_p.add_subparsers(dest="tool", required=True)
     mc = tool.add_parser("min-crm", help="smallest safe cutoff threshold for a path")
-    mc.add_argument("--rtt-ms", type=milliseconds, required=True, dest="rtt_ms")
-    mc.add_argument("--mbps", type=positive, required=True)
-    mc.add_argument("--nrm", type=positive_int, default=32)
-    mc.add_argument("--hops", type=positive_int, default=1)
+    mc.add_argument("--rtt-ms", required=True)
+    mc.add_argument("--mbps", required=True)
+    mc.add_argument("--nrm", default="32")
+    mc.add_argument("--hops", default="1")
     dec = tool.add_parser("decay", help="rate left after consecutive cutoff cuts")
-    dec.add_argument("--icr-mbps", type=mbps, required=True, dest="icr_mbps")
+    dec.add_argument("--icr-mbps", required=True)
     dec.add_argument("--cdf", required=True)
-    dec.add_argument("--mcr-mbps", type=mbps, default=0.0, dest="mcr_mbps")
-    dec.add_argument("--k", type=non_negative_int, default=0)
+    dec.add_argument("--mcr-mbps", default="0")
+    dec.add_argument("--k", default="0")
     trig = tool.add_parser("trigger", help="does the cutoff trigger at these RM rates")
-    trig.add_argument("--fwd-mbps", type=positive, required=True, dest="fwd_mbps")
-    trig.add_argument("--bwd-mbps", type=mbps, required=True, dest="bwd_mbps")
-    trig.add_argument("--crm", type=positive_int, required=True)
+    trig.add_argument("--fwd-mbps", required=True)
+    trig.add_argument("--bwd-mbps", required=True)
+    trig.add_argument("--crm", required=True)
     fl = tool.add_parser("flight", help="cells in flight over a round trip")
-    fl.add_argument("--rtt-ms", type=milliseconds, required=True, dest="rtt_ms")
-    fl.add_argument("--mbps", type=positive, required=True)
+    fl.add_argument("--rtt-ms", required=True)
+    fl.add_argument("--mbps", required=True)
     analyze_p.set_defaults(func=cmd_analyze)
 
     return parser

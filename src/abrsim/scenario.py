@@ -141,8 +141,6 @@ class RunCfg:
 
     def check(self) -> None:
         """The ``[run]`` rule; checked again after ``--until-ms`` sets the horizon."""
-        if self.until_ms < 0:
-            raise ScenarioError(f"run: until_ms must be >= 0, got {self.until_ms}")
         with error_context("run: until_ms"):
             ms_to_ps(self.until_ms)
         for lo, hi in self.windows_ms:
@@ -215,6 +213,14 @@ def parse_number(text: str) -> float:
     raise ValueError(f"expected a finite number, got {text!r}")
 
 
+def parse_integer(text: str) -> int:
+    """Parse a count: a base-10 integer; ValueError otherwise."""
+    try:
+        return int(text, 10)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+
+
 def _parse_windows(text: str) -> tuple[tuple[float, float], ...]:
     windows = []
     for part in text.split(","):
@@ -249,17 +255,12 @@ def _parse_value(f: Field, text: str):
         return _parse_windows(text)
     if f.type == "str":
         return text
-    if not f.type.startswith("int"):
-        return parse_number(text)
-    try:
-        return int(text, 10)
-    except ValueError:
-        raise ValueError(f"expected an integer, got {text!r}") from None
+    return parse_integer(text) if f.type.startswith("int") else parse_number(text)
 
 
-def parse_source_value(key: str, text: str):
-    """Parse ``text`` as the value of ``key`` in a ``[source.*]`` section."""
-    return _parse_value(_section_keys(SourceCfg)[key], text)
+def parse_key(cfg_type, key: str, text: str):
+    """Parse ``text`` as the value of ``key`` in a section of ``cfg_type``."""
+    return _parse_value(_section_keys(cfg_type)[key], text)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -319,8 +320,6 @@ def parse_scenario(text: str) -> Scenario:
         except ValueError as exc:  # the one place a line's number is given
             raise ScenarioError(f"line {line_no}: {exc}") from None
         if key == "delay_ms":  # kept in us: checked here, so that errors quote the ms
-            if parsed < 0:
-                raise ScenarioError(f"link {name}: delay_ms must be >= 0, got {parsed:g}")
             with error_context(f"link {name}: delay_ms"):
                 ms_to_ps(parsed)
             parsed *= 1000.0

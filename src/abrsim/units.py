@@ -58,10 +58,12 @@ def cell_tx_time(rate: CellRate, key: str = "rate") -> SimTime:
 
 
 def _to_ps(value: float, ps_per_unit: int, unit: str) -> SimTime:
+    """The one rule for every time: at least 0 and finite on the picosecond clock."""
     ps = value * ps_per_unit
-    if not math.isfinite(ps):
-        raise ValueError(f"must fit the picosecond clock, got {value:g} {unit}")
-    return round(ps)
+    if 0 <= ps < math.inf:
+        return round(ps)
+    rule = "be >= 0" if ps < 0 else "fit the picosecond clock"
+    raise ValueError(f"must {rule}, got {value:g} {unit}")
 
 
 def us_to_ps(us: float) -> SimTime:

@@ -87,6 +87,15 @@ def test_min_crm_scales_exactly_with_hops():
         assert min_crm(path) == hops * min_crm(single)
 
 
+def test_min_crm_is_at_least_one_rm_cell_per_hop():
+    # crm >= 1 is the source rule, whatever the round trip holds
+    assert min_crm(PathSpec(rtt=0, link_rate=OC3)) == 1
+    assert min_crm(PathSpec(rtt=0, link_rate=OC3, hops=3)) == 3
+    assert min_crm(PathSpec(rtt=1, link_rate=OC3, nrm=32)) == 1
+    crm = min_crm(PathSpec(rtt=0, link_rate=OC3, nrm=32))
+    SourceCfg(crm=crm).resolved()  # a source can take it
+
+
 def test_min_crm_monotone():
     rng = random.Random(7)
     base = PathSpec(rtt=ms_to_ps(550), link_rate=OC3, nrm=32, hops=1)

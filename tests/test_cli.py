@@ -63,6 +63,17 @@ def test_run_writes_all_outputs(tiny_cfg, tmp_path, capsys):
     assert "run complete" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("until_ms, bounds", [
+    ("5", ["[0, 5]", "[1, 5]", "[1.25, 5]"]),  # the whole run, windows_ms, the steady window
+    ("1/2", ["[0, 0.5]", "[0.125, 0.5]"]),  # 1:5 ends past the horizon
+])
+def test_run_prints_each_window_with_its_bounds(tiny_cfg, tmp_path, capsys, until_ms, bounds):
+    out = tmp_path / "out"
+    assert main(["run", str(tiny_cfg), "--until-ms", until_ms, "--out", str(out)]) == 0
+    printed = [line.split(" ms -> ")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert printed == [f"  main: {b}" for b in bounds]
+
+
 def test_zero_horizon_gives_header_only_csvs(tiny_cfg, tmp_path):
     out = tmp_path / "out0"
     assert main(["run", str(tiny_cfg), "--until-ms", "0", "--out", str(out)]) == 0
@@ -492,6 +503,16 @@ def test_analyze_min_crm_hops_multiplier(capsys):
     assert get(three_hop) == 3 * get(one_hop)
 
 
+@pytest.mark.parametrize("rtt, shown, crm", [("0", "0.0", 1), ("1/2", "0.5", 6)])
+def test_analyze_min_crm_reads_the_rtt_as_a_file_does_and_gives_at_least_one(
+    capsys, rtt, shown, crm
+):
+    assert main(["analyze", "min-crm", "--rtt-ms", rtt, "--mbps", "155"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"rtt = {shown} ms, link = 155.0 Mbps")
+    assert f"minimum crm: {crm} RM cells  (tbe >= {crm * 32} cells)\n" in out
+
+
 def test_analyze_decay(capsys):
     assert main(
         ["analyze", "decay", "--icr-mbps", "140", "--cdf", "1/16", "--k", "0"]
@@ -644,25 +665,48 @@ def test_zero_denominator_names_the_flag(tiny_cfg, tmp_path, capsys, argv, flag)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize(
     "horizon, message",
     [
-        ("inf", "must be finite and >= 0"),
-        ("nan", "must be finite and >= 0"),
-        ("-1", "must be finite and >= 0"),
-        ("1e300", "must fit the picosecond clock, got 1e+300 ms"),
+        ("1/2", None),
+        ("-1", "run: until_ms: must be >= 0, got -1 ms"),
+        ("inf", "{label}: expected a finite number, got 'inf'"),
+        ("nan", "{label}: expected a finite number, got 'nan'"),
+        ("abc", "{label}: expected a finite number, got 'abc'"),
+        ("1e300", "run: until_ms: must fit the picosecond clock, got 1e+300 ms"),
     ],
-    ids=["inf", "nan", "-1", "1e300"],
+    ids=["1_2", "-1", "inf", "nan", "abc", "1e300"],
 )
-def test_until_ms_must_be_finite_and_non_negative(tiny_cfg, capsys, command, horizon, message):
-    argv = [command, str(tiny_cfg), "--until-ms", horizon]
-    if command == "sweep":
-        argv += ["--param", "crm", "--values", "32"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert f"argument --until-ms: {message}" in capsys.readouterr().err
+def test_until_ms_must_be_finite_and_non_negative(
+    tiny_cfg, tmp_path, capsys, monkeypatch, horizon, message
+):
+    # One rule per horizon: a file's until_ms, run --until-ms and sweep
+    # --until-ms are read as one key and checked by one rule, and differ
+    # only in the label of an error in reading it.
+    cfg = tmp_path / "horizon.cfg"
+    cfg.write_text(TINY.replace("until_ms = 5", f"until_ms = {horizon}"), encoding="utf-8")
+    line = TINY[:TINY.index("until_ms = 5")].count("\n") + 1
+    sweep = ["--param", "crm", "--values", "32"]
+    ways = [
+        (f"line {line}", ["run", str(cfg)], ""),
+        ("--until-ms", ["run", str(tiny_cfg), "--until-ms", horizon], ""),
+        ("--until-ms", ["sweep", str(tiny_cfg), *sweep, "--until-ms", horizon], "crm=32"),
+    ]
+    built = []
+    if message is not None:
+        monkeypatch.setattr(cli, "Engine", lambda *args: built.append(args))
+    for k, (label, argv, member) in enumerate(ways):
+        out = tmp_path / str(k)
+        code = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        if message is None:
+            assert (code, err) == (0, ""), argv
+            assert "\n[run]\nuntil_ms = 0.5\n" in read(out / member / "meta.txt")
+        else:
+            assert code == 2
+            assert err == f"error: {message.format(label=label)}\n", argv
+            assert not out.exists()
+    assert built == []
 
 
 @pytest.mark.parametrize(
@@ -670,7 +714,7 @@ def test_until_ms_must_be_finite_and_non_negative(tiny_cfg, capsys, command, hor
     [
         ("to = sw1\n", "to = sw1\nrate_mbps = 0\n", "link a: rate_mbps must be > 0, got 0"),
         ("to = sw1\n", "to = sw1\nrate_mbps = -5\n", "link a: rate_mbps: rate must be >= 0"),
-        ("delay_us = 5", "delay_us = -1", "link a: delay_us must be >= 0, got -1"),
+        ("delay_us = 5", "delay_us = -1", "link a: delay_us: must be >= 0, got -1 us"),
         ("path = s1, sw1, d1", "path = s1", "vc main: path needs at least two nodes"),
         ("[switch.sw1]\n", "[switch.sw1]\ntarget_utilization = 2\n", "switch sw1: target_utilization"),
         (
@@ -774,49 +818,64 @@ def test_bad_oscillation_band_fails_before_any_event(tmp_path, capsys, monkeypat
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["flight", "--rtt-ms", "inf", "--mbps", "155.52"], "argument --rtt-ms: must be finite"),
+        (
+            ["flight", "--rtt-ms", "inf", "--mbps", "155.52"],
+            "error: --rtt-ms: expected a finite number, got 'inf'\n",
+        ),
         (
             ["flight", "--rtt-ms", "1e300", "--mbps", "155.52"],
-            "argument --rtt-ms: must fit the picosecond clock, got 1e+300 ms\n",
+            "error: --rtt-ms: must fit the picosecond clock, got 1e+300 ms\n",
         ),
         (
             ["min-crm", "--rtt-ms", "1e300", "--mbps", "155.52"],
-            "argument --rtt-ms: must fit the picosecond clock, got 1e+300 ms\n",
+            "error: --rtt-ms: must fit the picosecond clock, got 1e+300 ms\n",
         ),
         (["decay", "--icr-mbps", "140", "--cdf", "0.05"], "error: cdf must be 0 or a power of two"),
         (
             ["trigger", "--fwd-mbps", "100", "--bwd-mbps", "1", "--crm", "0"],
-            "argument --crm: must be >= 1, got 0\n",
+            "error: crm must be >= 1, got 0\n",
         ),
-        (["min-crm", "--rtt-ms", "550", "--mbps", "0"], "argument --mbps: must be > 0, got 0\n"),
-        (["flight", "--rtt-ms", "550", "--mbps", "0.0"], "argument --mbps: must be > 0, got 0.0\n"),
+        (["min-crm", "--rtt-ms", "550", "--mbps", "0"], "error: --mbps must be > 0, got 0 Mbps\n"),
+        (["flight", "--rtt-ms", "550", "--mbps", "0.0"], "error: --mbps must be > 0, got 0 Mbps\n"),
         (
             ["decay", "--icr-mbps", "100", "--mcr-mbps", "200", "--cdf", "1/16"],
-            "error: --mcr-mbps: must be <= --icr-mbps, got 200.0\n",
+            "error: mcr must be <= icr, got mcr=200 icr=100 Mbps\n",
         ),
         (
             ["trigger", "--fwd-mbps", "0", "--bwd-mbps", "1", "--crm", "32"],
-            "argument --fwd-mbps: must be > 0, got 0\n",
+            "error: --fwd-mbps must be > 0, got 0 Mbps\n",
         ),
         (
             ["decay", "--icr-mbps", "140", "--cdf", "1/16", "--k", "-1"],
-            "argument --k: must be >= 0, got -1\n",
+            "error: k must be >= 0, got -1\n",
         ),
         (
             ["min-crm", "--rtt-ms", "550", "--mbps", "155.52", "--nrm", "0"],
-            "argument --nrm: must be >= 1, got 0\n",
+            "error: nrm must be >= 1, got 0\n",
         ),
         (
             ["min-crm", "--rtt-ms", "550", "--mbps", "155.52", "--hops", "0"],
-            "argument --hops: must be >= 1, got 0\n",
+            "error: hops must be >= 1, got 0\n",
         ),
         (
             ["min-crm", "--rtt-ms", "550", "--mbps", "155", "--nrm", "1" + "0" * 400],
-            f"argument --nrm: must be at most {sys.float_info.max:g}, got 401 digits\n",
+            f"error: nrm must be at most {sys.float_info.max:g}\n",
         ),
         (
             ["trigger", "--fwd-mbps", "140", "--bwd-mbps", "0", "--crm", "1" + "0" * 400],
-            f"argument --crm: must be at most {sys.float_info.max:g}, got 401 digits\n",
+            f"error: crm must be at most {sys.float_info.max:g}\n",
+        ),
+        (
+            ["min-crm", "--rtt-ms", "-1", "--mbps", "155.52"],
+            "error: --rtt-ms: must be >= 0, got -1 ms\n",
+        ),
+        (
+            ["decay", "--icr-mbps", "-1", "--cdf", "1/16"],
+            "error: --icr-mbps: rate must be >= 0 Mbps, got -1.0\n",
+        ),
+        (
+            ["min-crm", "--rtt-ms", "550", "--mbps", "155.52", "--hops", "2.5"],
+            "error: --hops: expected an integer, got '2.5'\n",
         ),
     ],
     ids=[
@@ -834,17 +893,19 @@ def test_bad_oscillation_band_fails_before_any_event(tmp_path, capsys, monkeypat
         "min-crm-hops-0",
         "min-crm-nrm-beyond-float",
         "trigger-crm-beyond-float",
+        "min-crm-rtt-negative",
+        "decay-icr-negative",
+        "min-crm-hops-not-an-integer",
     ],
 )
 def test_analyze_rejects_what_a_run_rejects(capsys, argv, message):
-    try:
-        code = main(["analyze", *argv])
-    except SystemExit as exc:  # argparse rejects the flag
-        code = exc.code
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.count("error:") == 1
-    assert message in err
+    # Each flag is read as a file reads its value and checked by the rule the
+    # value meets in a run: an error names the flag, or the count's key.
+    assert main(["analyze", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
+    assert message in captured.err
 
 
 # A second source shares sw1's egress link b with s1.
@@ -877,20 +938,24 @@ def test_a_rate_must_give_a_cell_time_on_the_clock(tmp_path, capsys, old, new, m
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["flight", "--rtt-ms", "1e290", "--mbps", "1e100"], "error: the cell count overflows"),
+        (
+            ["flight", "--rtt-ms", "1e299", "--mbps", "8e8"],
+            "error: the cell count overflows: the round trip is too long at this rate, "
+            "got rtt = 1e+299 ms at 8e+08 Mbps\n",
+        ),
         (
             ["min-crm", "--rtt-ms", "550", "--mbps", "1e308"],
-            "argument --mbps: rate must be finite in cells/s, got 1e+308 Mbps\n",
+            "error: --mbps: rate must be finite in cells/s, got 1e+308 Mbps\n",
+        ),
+        (
+            ["flight", "--rtt-ms", "1e290", "--mbps", "1e100"],
+            f"error: --mbps {CELL_TIME}, got 1e+100 Mbps\n",
         ),
     ],
-    ids=["flight-cells-overflow", "min-crm-rate-overflow"],
+    ids=["flight-cells-overflow", "min-crm-rate-overflow", "flight-rate-beyond-the-clock"],
 )
 def test_analyze_rejects_what_is_not_finite(capsys, argv, message):
-    try:
-        code = main(["analyze", *argv])
-    except SystemExit as exc:  # argparse rejects the flag
-        code = exc.code
-    assert code == 2
+    assert main(["analyze", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("error:") == 1

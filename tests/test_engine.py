@@ -21,7 +21,7 @@ from abrsim.protocol import SourceParams
 from abrsim.scenario import bundled_config_text, parse_scenario, to_topology
 from abrsim.units import PS_PER_MS, cell_tx_time, mbps_to_cps, ms_to_ps, ps_to_ms, us_to_ps
 from conftest import cpus, delay_lines, snapshot
-from test_random_scenarios import HORIZON_MS, scenario_text
+from test_random_scenarios import HORIZON_MS, SEEDS, scenario_text
 
 OC3 = mbps_to_cps(155.52)
 
@@ -632,8 +632,8 @@ FIG3 = bundled_config_text("fig3.cfg")  # crm = 32, cdf = 1/16
     # past the first delivery at 275 ms; ACR is constant until feedback
     (FIG3.replace("crm = 32", "crm = 6144"), 280, 300, ("recv",)),
     (FIG3.replace("cdf = 1/16", "cdf = 1"), 280, 300, ("acr", "recv")),  # ACR has hit zero
-    *((scenario_text(seed), HORIZON_MS / 2, HORIZON_MS, ("recv",)) for seed in (0, 3, 6)),
-], ids=["fig3", "fig3-crm6144", "fig3-cdf1", "seed-0", "seed-3", "seed-6"])
+    *((scenario_text(seed), HORIZON_MS / 2, HORIZON_MS, ("recv",)) for seed in SEEDS),
+], ids=["fig3", "fig3-crm6144", "fig3-cdf1", *(f"seed-{seed}" for seed in SEEDS)])
 def test_a_shorter_horizon_writes_a_prefix_of_each_trace(
     tmp_path, text, short_ms, long_ms, traced
 ):
@@ -660,8 +660,8 @@ def test_a_shorter_horizon_writes_a_prefix_of_each_trace(
 
 @pytest.mark.parametrize(
     "text",
-    [bundled_config_text("fig3.cfg")] + [scenario_text(seed) for seed in range(24)],
-    ids=["fig3"] + [f"seed-{seed}" for seed in range(24)],
+    [bundled_config_text("fig3.cfg")] + [scenario_text(seed) for seed in SEEDS],
+    ids=["fig3"] + [f"seed-{seed}" for seed in SEEDS],
 )
 def test_each_delay_line_runs_one_way_along_its_route(text):
     # A cell's direction is its line's ``back`` flag.  The port that

@@ -100,9 +100,10 @@ PINNED = [
     "a7ed77441a9311bdd7dc06449f595b8182e5ec5d1d51d2365b2dfe1f7dca30fa",
     "5f5c646c082598e67f4769d608bc09ed82ae4131141558d30cb7f041ce27658b",
 ]
+SEEDS = range(len(PINNED))
 
 
-@pytest.mark.parametrize("seed", range(len(PINNED)))
+@pytest.mark.parametrize("seed", SEEDS)
 def test_random_scenario(tmp_path, monkeypatch, seed):
     text = scenario_text(seed)
     stamps = []

@@ -109,5 +109,13 @@ def test_times_beyond_the_picosecond_clock_are_value_errors(convert, value, unit
         convert(value)
 
 
+@pytest.mark.parametrize("convert, value, unit", [(ms_to_ps, -1, "ms"), (us_to_ps, -1e-9, "us")])
+def test_a_time_below_zero_is_a_value_error(convert, value, unit):
+    # the one time rule: no negative value becomes a clock value, however small
+    with pytest.raises(ValueError, match=re.escape(f"must be >= 0, got {value:g} {unit}")):
+        convert(value)
+    assert convert(-0.0) == 0
+
+
 def test_cell_size_is_53_bytes():
     assert CELL_BITS == 53 * 8
