@@ -19,11 +19,14 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .units import CELL_BITS, CellRate, SimTime, ps_to_ms, ps_to_s
+from .units import CELL_BITS, CellRate, SimTime, cell_tx_time, ps_to_ms, ps_to_s
 
 
-def _check_count(key: str, value: int, low: int) -> None:
-    """A count from ``low`` up to the largest float: the calculators mix counts with rates."""
+def check_count(key: str, value: int, low: int = 1) -> None:
+    """The one count rule: an integer from ``low`` up to the largest float,
+    as sources, switches and the calculators mix counts with rates."""
+    if not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value}")
     if value < low:
         raise ValueError(f"{key} must be >= {low}, got {value}")
     if value > sys.float_info.max:
@@ -47,29 +50,25 @@ class PathSpec:
     def __post_init__(self):
         if self.rtt < 0:
             raise ValueError(f"rtt must be >= 0, got {self.rtt}")
-        if not 0 < self.link_rate < math.inf:
-            raise ValueError(f"link_rate must be > 0 and finite, got {self.link_rate}")
+        cell_tx_time(self.link_rate, "link_rate")
         if ps_to_s(self.rtt) * self.link_rate == math.inf:
             raise ValueError(
                 "the cell count overflows: the round trip is too long at this rate, got "
                 f"rtt = {ps_to_ms(self.rtt):g} ms at {self.link_rate * CELL_BITS / 1e6:g} Mbps"
             )
-        _check_count("nrm", self.nrm, 1)
-        _check_count("hops", self.hops, 1)
+        check_count("nrm", self.nrm)
+        check_count("hops", self.hops)
 
 
 def crm_from_tbe(tbe: int, nrm: int) -> int:
     """Cutoff threshold implied by a transient buffer exposure of ``tbe`` cells.
 
     One RM cell is sent per ``nrm`` cells, so the threshold is the ceiling
-    of ``tbe / nrm``.  Both must be integers >= 1, checked before dividing,
-    nrm first: a tbe derived as crm * nrm is 0 when nrm is.
+    of ``tbe / nrm``.  Both are counts, checked before dividing, nrm
+    first: a tbe derived as crm * nrm is 0 when nrm is.
     """
-    for key, value in (("nrm", nrm), ("tbe", tbe)):
-        if not isinstance(value, int):
-            raise ValueError(f"{key} must be an integer, got {value}")
-        if value < 1:
-            raise ValueError(f"{key} must be >= 1, got {value}")
+    check_count("nrm", nrm)
+    check_count("tbe", tbe)
     return -(-tbe // nrm)
 
 
@@ -101,12 +100,15 @@ def min_crm(path: PathSpec) -> int:
 
 
 def _check_decay(icr: CellRate, cdf: float, mcr: CellRate, k: int) -> None:
-    """Inputs a source could have: a valid cdf, mcr <= icr; and k >= 0."""
+    """Inputs a source could have: a valid cdf, mcr <= icr, timed rates; and k >= 0."""
     check_cdf(cdf)
     if mcr > icr:
         mcr, icr = (f"{r * CELL_BITS / 1e6:g}" for r in (mcr, icr))
         raise ValueError(f"mcr must be <= icr, got mcr={mcr} icr={icr} Mbps")
-    _check_count("k", k, 0)
+    for rate, key in ((icr, "icr"), (mcr, "mcr")):
+        if rate > 0:  # as ``SourceParams`` times them
+            cell_tx_time(rate, key)
+    check_count("k", k, 0)
 
 
 def decay_after(icr: CellRate, cdf: float, mcr: CellRate, k: int) -> CellRate:
@@ -144,5 +146,5 @@ def trigger_predicate(fwd_rate: CellRate, bwd_rate: CellRate, crm: int) -> bool:
     """
     if fwd_rate <= 0:
         raise ValueError(f"forward rate must be > 0, got {fwd_rate}")
-    _check_count("crm", crm, 1)
+    check_count("crm", crm)
     return fwd_rate >= crm * bwd_rate

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import check_cdf, crm_from_tbe
+from .analysis import check_cdf, check_count
 from .units import CELL_BITS, CellRate, SimTime, PS_PER_MS, cell_tx_time
 
 # Keep-alive spacing once ACR has decayed all the way to zero (possible
@@ -47,19 +47,18 @@ class RmFields:
 class SourceParams:
     """Per-VC rate parameters, in cells/second.
 
-    The one rule for a valid source.  ``crm`` and ``tbe`` must agree:
-    crm == crm_from_tbe(tbe, nrm).  There is no size cap on either; crm
+    The one rule for a valid source.  Its counts, like every count, are
+    bounded only by the float range, which is no protocol field size: crm
     values far beyond 8 bits are the point.
     """
 
     pcr: CellRate
     mcr: CellRate
     icr: CellRate
-    nrm: int = 32
-    rif: float = 1.0
-    cdf: float = 1 / 16
-    crm: int = 32
-    tbe: int = 1024
+    nrm: int
+    rif: float
+    cdf: float
+    crm: int
 
     def __post_init__(self):
         if not 0 <= self.mcr <= self.icr <= self.pcr:
@@ -74,16 +73,8 @@ class SourceParams:
         if not 0.0 < self.rif <= 1.0:
             raise ValueError(f"rif must be in (0, 1], got {self.rif}")
         check_cdf(self.cdf)
-        if not isinstance(self.crm, int):
-            raise ValueError(f"crm must be an integer, got {self.crm}")
-        if self.crm < 1:
-            raise ValueError(f"crm must be >= 1, got {self.crm}")
-        implied = crm_from_tbe(self.tbe, self.nrm)  # the nrm and tbe rules
-        if self.crm != implied:
-            raise ValueError(
-                f"crm ({self.crm}) inconsistent with ceil(tbe/nrm) = "
-                f"{implied} (tbe={self.tbe}, nrm={self.nrm})"
-            )
+        check_count("crm", self.crm)
+        check_count("nrm", self.nrm)
 
 
 @dataclass

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import importlib.resources
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import Field, dataclass, field, fields, replace
 
@@ -64,27 +65,25 @@ class SourceCfg:
         """Fill defaults, then validate by building ``SourceParams`` (the rule).
 
         icr = 0.9 * pcr; tbe = crm * nrm when only crm is given (crm defaults
-        to 32); crm = crm_from_tbe(tbe, nrm) when only tbe is given.
+        to 32); crm = crm_from_tbe(tbe, nrm) when only tbe is given, and the
+        two must agree when both are.
         """
         icr = 0.9 * self.pcr_mbps if self.icr_mbps is None else self.icr_mbps
-        crm, tbe = self.crm, self.tbe
-        if tbe is None:
-            crm = 32 if crm is None else crm
-            tbe = crm * self.nrm
-        elif crm is None:
-            crm = crm_from_tbe(tbe, self.nrm)
+        crm = self.crm
+        if crm is None:
+            crm = 32 if self.tbe is None else crm_from_tbe(self.tbe, self.nrm)
+        tbe = crm * self.nrm if self.tbe is None else self.tbe
         cfg = replace(self, icr_mbps=icr, crm=crm, tbe=tbe)
         cfg.to_params()
+        if crm != (implied := crm_from_tbe(tbe, self.nrm)):  # the tbe rule
+            raise ValueError(f"crm ({crm}) inconsistent with ceil(tbe/nrm) = {implied} "
+                             f"(tbe={tbe}, nrm={self.nrm})")
         return cfg
 
     def to_params(self) -> SourceParams:
         """Engine-unit parameters of a resolved configuration."""
-        return SourceParams(
-            pcr=_converted(self, "pcr_mbps"),
-            mcr=_converted(self, "mcr_mbps"),
-            icr=_converted(self, "icr_mbps"),
-            nrm=self.nrm, rif=self.rif, cdf=self.cdf, crm=self.crm, tbe=self.tbe,
-        )
+        pcr, mcr, icr = (_converted(self, key) for key in ("pcr_mbps", "mcr_mbps", "icr_mbps"))
+        return SourceParams(pcr, mcr, icr, self.nrm, self.rif, self.cdf, self.crm)
 
 
 @dataclass
@@ -218,6 +217,9 @@ def parse_integer(text: str) -> int:
     try:
         return int(text, 10)
     except ValueError:
+        if len(text) > (limit := sys.get_int_max_str_digits()) > 0:  # too long to quote
+            raise ValueError(f"expected an integer of at most {limit} digits, "
+                             f"got {len(text)} characters") from None
         raise ValueError(f"expected an integer, got {text!r}") from None
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .analysis import check_count
 from .protocol import RmFields
 from .units import CellRate, SimTime, PS_PER_SEC, PS_PER_US, cell_tx_time
 
@@ -53,8 +54,7 @@ class SwitchParams:
             raise ValueError(
                 f"target_utilization must be in (0, 1], got {self.target_utilization}"
             )
-        if self.interval_cell_limit < 1:
-            raise ValueError(f"interval_cells must be >= 1, got {self.interval_cell_limit}")
+        check_count("interval_cells", self.interval_cell_limit)
         if self.interval_time_limit < 1:
             raise ValueError(f"{INTERVAL_RULE}, got {self.interval_time_limit / PS_PER_US:g}")
 

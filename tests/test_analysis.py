@@ -134,8 +134,10 @@ def test_flight_capacity_consistent_with_min_crm():
 def test_path_spec_rejects_bad_values():
     with pytest.raises(ValueError):
         PathSpec(rtt=-1, link_rate=OC3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^link_rate must be > 0, got 0 Mbps$"):
         PathSpec(rtt=0, link_rate=0.0)
+    with pytest.raises(ValueError, match="^link_rate must give a cell time of at least 1 ps"):
+        PathSpec(rtt=0, link_rate=mbps_to_cps(1e9))  # the rule of a run's rates
     with pytest.raises(ValueError):
         PathSpec(rtt=0, link_rate=OC3, nrm=0)
     with pytest.raises(ValueError):
@@ -203,6 +205,22 @@ def test_decay_rejects_bad_inputs():
     for decay in (decay_after, decay_closed_form):
         with pytest.raises(ValueError, match="mcr must be <= icr"):
             decay(1.0, 1 / 16, 2.0, 0)
+
+
+CELL_TIME = "must give a cell time of at least 1 ps that fits the picosecond clock"
+
+
+@pytest.mark.parametrize("decay", [decay_after, decay_closed_form])
+@pytest.mark.parametrize("icr_mbps, mcr_mbps, message", [
+    (1e9, 0.0, f"icr {CELL_TIME}, got 1e+09 Mbps"),
+    (1e-300, 0.0, f"icr {CELL_TIME}, got 1e-300 Mbps"),
+    (140.0, 1e-300, f"mcr {CELL_TIME}, got 1e-300 Mbps"),
+], ids=["icr-beyond-the-clock", "icr-below-the-clock", "mcr-below-the-clock"])
+def test_decay_takes_only_rates_a_source_can_have(decay, icr_mbps, mcr_mbps, message):
+    # a rate above 0 must give a cell time on the clock, as a source's must
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        decay(mbps_to_cps(icr_mbps), 1 / 16, mbps_to_cps(mcr_mbps), 0)
+    assert decay(0.0, 1 / 16, 0.0, 0) == 0.0  # a rate of 0 is allowed, as in a source
 
 
 def test_decay_iterated_matches_closed_form():

@@ -2,17 +2,21 @@ import functools
 import os
 import pickle
 import re
+import shlex
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from abrsim import cli
+from abrsim.analysis import PathSpec, crm_from_tbe
 from abrsim.cli import apply_override, main
 from abrsim.engine import Engine, Part, SimulationError
-from abrsim.scenario import ScenarioError, parse_scenario, bundled_config_text
+from abrsim.scenario import ScenarioError, SourceCfg, parse_scenario, bundled_config_text
+from abrsim.switch import SwitchParams
 from conftest import cpus
 from test_parts import assert_no_child_left
 
@@ -52,6 +56,11 @@ def tiny_cfg(tmp_path):
 
 def read(path):
     return Path(path).read_text(encoding="utf-8")
+
+
+def no_events(self, t_end):
+    """Stands in for ``Engine.run_until`` where a check must stop the run before it starts."""
+    raise AssertionError("the simulation ran")
 
 
 def test_run_writes_all_outputs(tiny_cfg, tmp_path, capsys):
@@ -556,10 +565,13 @@ def test_non_integer_crm_is_rejected(tiny_cfg, tmp_path, capsys):
     ("crm", "1e3", "expected an integer, got '1e3'"),
     ("crm", "2.7", "expected an integer, got '2.7'"),
     ("crm", "abc", "expected an integer, got 'abc'"),
+    ("crm", "9" * 5000,
+     f"expected an integer of at most {sys.get_int_max_str_digits()} digits, got 5000 characters"),
     ("cdf", "abc", "expected a finite number, got 'abc'"),
     ("cdf", "1/0", "expected a finite number, got '1/0'"),
     ("cdf", "0.05", "source s1: cdf must be 0 or a power of two in [1/64, 1], got 0.05"),
-], ids=["crm-32.0", "crm-1e3", "crm-2.7", "crm-abc", "cdf-abc", "cdf-1_0", "cdf-0.05"])
+], ids=["crm-32.0", "crm-1e3", "crm-2.7", "crm-abc", "crm-5000-digits", "cdf-abc", "cdf-1_0",
+        "cdf-0.05"])
 def test_a_bad_source_value_fails_alike_in_a_file_a_run_flag_and_a_sweep(
     tiny_cfg, tmp_path, capsys, monkeypatch, param, text, message
 ):
@@ -783,9 +795,6 @@ EMPTY = " is empty on the picosecond clock"
 def test_run_rule_holds_for_the_file_and_the_until_ms_flag(
     tmp_path, capsys, monkeypatch, command, run_keys, flags, message
 ):
-    def no_events(self, t_end):
-        raise AssertionError("the simulation ran")
-
     monkeypatch.setattr(Engine, "run_until", no_events)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(TINY.replace("windows_ms = 1:5", run_keys), encoding="utf-8")
@@ -802,9 +811,6 @@ def test_run_rule_holds_for_the_file_and_the_until_ms_flag(
 
 @pytest.mark.parametrize("low, high", [("200", "130"), ("-1", "130"), ("10", "10")])
 def test_bad_oscillation_band_fails_before_any_event(tmp_path, capsys, monkeypatch, low, high):
-    def no_events(self, t_end):
-        raise AssertionError("the simulation ran")
-
     monkeypatch.setattr(Engine, "run_until", no_events)
     cfg = tmp_path / "osc.cfg"
     cfg.write_text(TINY + f"osc_low_mbps = {low}\nosc_high_mbps = {high}\n", encoding="utf-8")
@@ -813,6 +819,9 @@ def test_bad_oscillation_band_fails_before_any_event(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert f"error: run: osc_low_mbps must be >= 0 and below osc_high_mbps, got {float(low)}" in err
     assert not out.exists()
+
+
+CELL_TIME = "must give a cell time of at least 1 ps that fits the picosecond clock"
 
 
 @pytest.mark.parametrize(
@@ -877,6 +886,18 @@ def test_bad_oscillation_band_fails_before_any_event(tmp_path, capsys, monkeypat
             ["min-crm", "--rtt-ms", "550", "--mbps", "155.52", "--hops", "2.5"],
             "error: --hops: expected an integer, got '2.5'\n",
         ),
+        (
+            ["decay", "--icr-mbps", "1e9", "--cdf", "1/16"],
+            f"error: icr {CELL_TIME}, got 1e+09 Mbps\n",
+        ),
+        (
+            ["decay", "--icr-mbps", "1e-300", "--cdf", "1/16"],
+            f"error: icr {CELL_TIME}, got 1e-300 Mbps\n",
+        ),
+        (
+            ["decay", "--icr-mbps", "140", "--mcr-mbps", "1e-300", "--cdf", "1/16"],
+            f"error: mcr {CELL_TIME}, got 1e-300 Mbps\n",
+        ),
     ],
     ids=[
         "flight-rtt-inf",
@@ -896,6 +917,9 @@ def test_bad_oscillation_band_fails_before_any_event(tmp_path, capsys, monkeypat
         "min-crm-rtt-negative",
         "decay-icr-negative",
         "min-crm-hops-not-an-integer",
+        "decay-icr-beyond-the-clock",
+        "decay-icr-below-the-clock",
+        "decay-mcr-below-the-clock",
     ],
 )
 def test_analyze_rejects_what_a_run_rejects(capsys, argv, message):
@@ -908,9 +932,96 @@ def test_analyze_rejects_what_a_run_rejects(capsys, argv, message):
     assert message in captured.err
 
 
+def test_a_crm_whose_tbe_has_too_many_digits_to_print_fails_before_the_run(
+    tmp_path, capsys, monkeypatch
+):
+    # tbe = crm * nrm would have 4,302 digits, more than meta.txt can print;
+    # the count rule stops crm before any engine is built or output written
+    monkeypatch.setattr(Engine, "run_until", no_events)
+    cfg = tmp_path / "huge.cfg"
+    text = TINY.replace("crm = 32", "crm = " + "9" * 4300).replace("until_ms = 5", "until_ms = 2")
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: source s1: crm must be at most {sys.float_info.max:g}\n"
+    assert not out.exists()
+
+
+def _in_tiny(tmp_path, old="", new=""):
+    """The path of TINY, with ``old`` replaced by ``new``, written to a file."""
+    cfg = tmp_path / "count.cfg"
+    cfg.write_text(TINY.replace(old, new, 1), encoding="utf-8")
+    return str(cfg)
+
+
+MIN_CRM = ["analyze", "min-crm", "--rtt-ms", "550", "--mbps", "155.52"]
+DECAY = ["analyze", "decay", "--icr-mbps", "140", "--cdf", "1/16"]
+TRIGGER = ["analyze", "trigger", "--fwd-mbps", "140", "--bwd-mbps", "1"]
+# Each way to give a count: the argv that gives it the text ``v``, the count
+# as its errors name it, and its floor.
+COUNTS = {
+    "file-crm": (lambda t, v: ["run", _in_tiny(t, "crm = 32", f"crm = {v}")], "source s1: crm", 1),
+    "file-nrm": (lambda t, v: ["run", _in_tiny(t, "crm = 32", f"nrm = {v}")], "source s1: nrm", 1),
+    "file-tbe": (lambda t, v: ["run", _in_tiny(t, "crm = 32", f"tbe = {v}")], "source s1: tbe", 1),
+    "file-interval-cells": (
+        lambda t, v: ["run", _in_tiny(t, "[switch.sw1]", f"[switch.sw1]\ninterval_cells = {v}")],
+        "switch sw1: interval_cells",
+        1,
+    ),
+    "run-crm": (lambda t, v: ["run", _in_tiny(t), "--crm", v], "source s1: crm", 1),
+    "sweep-crm": (
+        lambda t, v: ["sweep", _in_tiny(t), "--param", "crm", "--values", v], "source s1: crm", 1
+    ),
+    "analyze-nrm": (lambda t, v: [*MIN_CRM, "--nrm", v], "nrm", 1),
+    "analyze-hops": (lambda t, v: [*MIN_CRM, "--hops", v], "hops", 1),
+    "analyze-k": (lambda t, v: [*DECAY, "--k", v], "k", 0),
+    "analyze-crm": (lambda t, v: [*TRIGGER, "--crm", v], "crm", 1),
+}
+# Each library entry point that takes a count, given one that is not an integer.
+NOT_AN_INTEGER = {
+    "SourceParams": (
+        lambda: replace(SourceCfg().resolved().to_params(), crm=32.0),
+        "crm must be an integer, got 32.0",
+    ),
+    "SwitchParams": (
+        lambda: SwitchParams(interval_cell_limit=30.0),
+        "interval_cells must be an integer, got 30.0",
+    ),
+    "PathSpec": (
+        lambda: PathSpec(rtt=0, link_rate=1e5, hops=1.0), "hops must be an integer, got 1.0"
+    ),
+    "crm_from_tbe": (lambda: crm_from_tbe(1024.0, 32), "tbe must be an integer, got 1024.0"),
+}
+AT_MOST = f"must be at most {sys.float_info.max:g}"
+
+
+@pytest.mark.parametrize("where, text, message", [
+    *(pytest.param(where, str(low - 1), f"{key} must be >= {low}, got {low - 1}",
+                   id=f"{where}-below-the-floor") for where, (_, key, low) in COUNTS.items()),
+    *(pytest.param(where, "1" + "0" * 400, f"{key} {AT_MOST}", id=f"{where}-beyond-the-floats")
+      for where, (_, key, _) in COUNTS.items()),
+    *(pytest.param(where, None, message, id=f"{where}-not-an-integer")
+      for where, (_, message) in NOT_AN_INTEGER.items()),
+])
+def test_every_count_meets_the_one_count_rule(tmp_path, capsys, monkeypatch, where, text, message):
+    # A count is an integer from its floor up to the largest float wherever it
+    # is given: every way checks it with ``analysis.check_count``, before any run.
+    if where in NOT_AN_INTEGER:
+        with pytest.raises(ValueError) as exc:
+            NOT_AN_INTEGER[where][0]()
+        assert str(exc.value) == message
+        return
+    monkeypatch.setattr(Engine, "run_until", no_events)
+    argv = COUNTS[where][0](tmp_path, text)
+    out = tmp_path / "o"
+    assert main(argv if argv[0] == "analyze" else [*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # A second source shares sw1's egress link b with s1.
 SHARED = TINY.replace("[run]", "[link.c]\nfrom = s2\nto = sw1\n\n[vc.second]\npath = s2, sw1, d1\n\n[run]")
-CELL_TIME = "must give a cell time of at least 1 ps that fits the picosecond clock"
 
 
 @pytest.mark.parametrize(
@@ -960,3 +1071,19 @@ def test_analyze_rejects_what_is_not_finite(capsys, argv, message):
     assert captured.out == ""
     assert captured.err.count("error:") == 1
     assert message in captured.err
+
+
+README = (SRC.parent / "README.md").read_text(encoding="utf-8")
+
+
+def test_the_readme_examples_run(tmp_path):
+    # The five ``abrsim analyze`` lines, then the Library block, run from
+    # tmp_path so that its out/demo is written there.
+    lines = [line for line in README.splitlines() if line.startswith("abrsim analyze ")]
+    assert len(lines) == 5
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+    library = README.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = run_python(tmp_path, library)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert (tmp_path / "out" / "demo" / "meta.txt").is_file()

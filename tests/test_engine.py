@@ -28,7 +28,7 @@ OC3 = mbps_to_cps(155.52)
 
 def table_params(**kw):
     defaults = dict(
-        pcr=OC3, mcr=0.0, icr=0.9 * OC3, nrm=32, rif=1.0, cdf=1 / 16, crm=32, tbe=1024
+        pcr=OC3, mcr=0.0, icr=0.9 * OC3, nrm=32, rif=1.0, cdf=1 / 16, crm=32
     )
     defaults.update(kw)
     return SourceParams(**defaults)
@@ -178,7 +178,7 @@ def test_run_until_rejects_going_backwards():
 def test_er_feedback_is_min_of_port_offers_along_the_path():
     # second switch runs a lower utilization target; the source must end
     # up at the smaller offer
-    topo = one_source_topology(crm=100_000, tbe=3_200_000)
+    topo = one_source_topology(crm=100_000)
     topo.switch_params["sw2"] = SwitchParams(target_utilization=0.7)
     eng = Engine(topo)
     eng.run_until(ms_to_ps(600))
@@ -188,7 +188,7 @@ def test_er_feedback_is_min_of_port_offers_along_the_path():
 
 
 def test_single_vc_feedback_sits_at_the_target_rate():
-    topo = one_source_topology(crm=100_000, tbe=3_200_000)
+    topo = one_source_topology(crm=100_000)
     eng = Engine(topo)
     eng.run_until(ms_to_ps(700))
     assert eng.vcs["fwd"].state.acr == pytest.approx(0.9 * OC3, rel=1e-9)
@@ -523,7 +523,7 @@ def test_identical_runs_produce_identical_traces():
 
 def test_work_conserving_service_keeps_up_with_a_single_source():
     # arrival rate is 90% of service rate, so queues stay tiny
-    topo = one_source_topology(crm=100_000, tbe=3_200_000)
+    topo = one_source_topology(crm=100_000)
     eng = Engine(topo)
     eng.run_until(ms_to_ps(100))
     for sw in eng.switches.values():

@@ -20,7 +20,7 @@ ICR = mbps_to_cps(140)
 
 
 def make_params(**kw):
-    defaults = dict(pcr=PCR, mcr=0.0, icr=ICR, nrm=32, rif=1.0, cdf=1 / 16, crm=32, tbe=1024)
+    defaults = dict(pcr=PCR, mcr=0.0, icr=ICR, nrm=32, rif=1.0, cdf=1 / 16, crm=32)
     defaults.update(kw)
     return SourceParams(**defaults)
 
@@ -30,7 +30,7 @@ def make_params(**kw):
 
 def test_params_accept_table_defaults():
     p = make_params()
-    assert p.crm == 32 and p.tbe == 1024
+    assert p.crm == 32
 
 
 def test_params_reject_rate_ordering_violations():
@@ -52,18 +52,7 @@ def test_params_accept_all_valid_cdfs():
         make_params(cdf=cdf)
 
 
-def test_params_reject_inconsistent_crm_tbe():
-    with pytest.raises(ValueError):
-        make_params(crm=33, tbe=1024)
-    make_params(crm=33, tbe=1025)  # ceil(1025/32) == 33
-
-
-def test_params_allow_large_crm():
-    # far beyond 8 bits; a 24-bit tbe implies a 19-bit crm
-    make_params(crm=2**19, tbe=(2**19) * 32)
-
-
-@pytest.mark.parametrize("key, value", [("nrm", 32.0), ("crm", 2.7), ("tbe", 1024.0)])
+@pytest.mark.parametrize("key, value", [("nrm", 32.0), ("crm", 2.7)])
 def test_params_reject_a_count_that_is_not_an_integer(key, value):
     with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value}$"):
         make_params(**{key: value})

@@ -82,6 +82,17 @@ def test_inconsistent_crm_and_tbe_rejected():
         parse_scenario("[source.s1]\ncrm = 32\ntbe = 1025\n")
 
 
+def test_params_reject_inconsistent_crm_tbe():
+    with pytest.raises(ValueError):
+        SourceCfg(crm=33, tbe=1024).resolved()
+    SourceCfg(crm=33, tbe=1025).resolved()  # ceil(1025/32) == 33
+
+
+def test_params_allow_large_crm():
+    # far beyond 8 bits; a 24-bit tbe implies a 19-bit crm
+    SourceCfg(crm=2**19, tbe=(2**19) * 32).resolved()
+
+
 def test_non_power_of_two_cdf_rejected():
     with pytest.raises(ScenarioError, match="cdf"):
         parse_scenario("[source.s1]\ncdf = 0.05\n")
