@@ -22,13 +22,25 @@ from dataclasses import dataclass
 from .units import CELL_BITS, CellRate, SimTime, cell_tx_time, ps_to_ms, ps_to_s
 
 
+def _shown(value: int) -> str:
+    """``value`` in full or, past the digits Python prints an integer with
+    (``sys.get_int_max_str_digits``), by its number of digits."""
+    try:
+        return str(value)
+    except ValueError:
+        size = abs(value)
+        digits = int(math.log10(size)) + 1  # a float: off by one at most
+        digits += (size >= 10**digits) - (size < 10 ** (digits - 1))
+        return f"a{' negative' if value < 0 else 'n'} integer of {digits} digits"
+
+
 def check_count(key: str, value: int, low: int = 1) -> None:
     """The one count rule: an integer from ``low`` up to the largest float,
     as sources, switches and the calculators mix counts with rates."""
     if not isinstance(value, int):
         raise ValueError(f"{key} must be an integer, got {value}")
     if value < low:
-        raise ValueError(f"{key} must be >= {low}, got {value}")
+        raise ValueError(f"{key} must be >= {low}, got {_shown(value)}")
     if value > sys.float_info.max:
         raise ValueError(f"{key} must be at most {sys.float_info.max:g}")
 

@@ -8,7 +8,11 @@ identical traces.  Both sit in one integer, the event's *key*
 ``time << 64 | seq << 1 | is_rm`` (``_key``), whose low bit marks an RM
 cell.  While ``seq < 2**63`` the low 64 bits hold ``seq << 1 | is_rm``
 whole, so keys order as ``(time, seq)`` does, and no two are equal, as
-no two events share a sequence number.
+no two events share a sequence number.  The tie rule follows: equal-time
+events of a part run in the order of the events that scheduled them,
+since each takes its number when the event that schedules it runs (an
+EMIT's cell before the EMIT it re-arms), and so on back to set-up, which
+schedules the TICK before the EMITs.
 
 Node model: end systems originate VCs (persistent greedy sources) and
 turn forward RM cells around; switches queue forward-path cells on the
@@ -74,12 +78,13 @@ A run is made of *parts* (``Engine.parts``).  Two VCs fall in one part
 when a chain of shared switch ports on their forward paths links them.
 Backward RM cells are stamped only at their own VC's forward ports, so no
 two parts share a port, a line, a source or a per-VC trace.  Each part
-(``Part``) owns its VCs, their lines, the ports they use, its event heap,
-its sequence counter, its TICK and its ``Recorder``, and runs the event
-loop on them alone; its TICK samples only the switches it crosses.  A
-part's events read and write only its own state, so their order does not
-depend on the other parts: ``Engine.run_until`` runs the parts one after
-another, and ``Engine.run_parts`` cuts them into at most one group of
+(``Part``, or ``OneVcPart`` below) owns its VCs, their lines, the ports
+they use, its event heap, its sequence counter, its TICK and its
+``Recorder``, and runs the event loop on them alone; its TICK samples
+only the switches it crosses.  A part's events read and write only its
+own state, so their order does not depend on the other parts:
+``Engine.run_until`` runs the parts one after another, and
+``Engine.run_parts`` cuts them into at most one group of
 consecutive parts per CPU, runs the first group here and each other one
 in a forked worker (``forked``) that sends its parts back whole; both
 leave every part in the same state.  A split run fails with its first
@@ -93,6 +98,45 @@ above once, then the parts' deviations ordered by the time each was
 first recorded, then by part order.
 ``events_processed`` and ``audits_passed`` count the TICKs and their
 audits, which every part takes, once.
+
+A part of one VC that no port slows runs from its RM cells
+(``OneVcPart``; ``part_type`` picks it, with no setting to choose).  Its
+precondition is that every port on the VC's path has ``tx_time <=
+cell_tx_time(pcr)``.  The source sends cells ``cell_tx_time(acr) >=
+cell_tx_time(pcr)`` apart, so each cell reaches a port no earlier than
+the one before it departs: no cell waits, and every cell reaches path
+position ``k`` a fixed delay ``arrive[k]`` after it was sent.  With one
+VC, ``PortState.compute_er`` offers the port's target rate whatever the
+port measured, so the measurement changes nothing either.  A data cell's
+hops thus change nothing that another event reads, and take no event:
+between two other events the EMIT emits data cells in one batch, each
+taking the number of the EMIT it re-arms, and stops before the first
+emission whose key is not below the heap's head.  RM cells keep one event
+per hop, keyed as ``Part.run_until`` keys them, and switches stamp them
+with ``PortState.stamp_backward``.  As with the sink, numbers that no
+event takes leave every other event in its order, so each event runs as
+in ``Part``.  Every cell's send time joins ``sent``, an ``array("q")``,
+and what the part reports is derived from it, exactly:
+
+- ``recv``: each send time plus ``arrive`` at the destination, up to
+  ``now``, in order, as the sink's and the RM cells' deliveries are;
+- a queue sample: ``PortState.pop``'s backlog, the cells that reached the
+  port and depart at or after ``now``, found by bisecting ``sent``.  A
+  cell due at the port at the TICK's own time counts only if its arrival
+  runs first by the tie rule, which ``_ahead_of_tick`` decides from the
+  times of the two events' schedulers, back to the first that differ;
+- ``max_queue``: ``PortState.enqueue`` counts the arriving cell and those
+  departing at or after its arrival, so 1, or 2 once a cell reaches the
+  port at the picosecond its predecessor departs, as a cell sent exactly
+  ``tx_time`` after the one before it does (ACR at a PCR equal to the
+  link rate);
+- the audit: the delivered, queued and in-flight cells counted from
+  ``sent`` and the RM cells in the heap, checked against the source's
+  count of cells sent, ``recv`` and the turnaround and feedback counts;
+  the report is ``Part.audit``'s.
+
+Its ``events_processed`` counts the TICKs and each RM cell's emission and
+hops.  The per-cell ``Part`` stays the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -197,6 +241,9 @@ class DelayLine(deque):
 
 
 class VcRuntime:
+    """One VC's state in its part.  In a ``OneVcPart`` its lines and sink
+    stay empty: that part keeps send times instead."""
+
     __slots__ = (
         "vc_id", "params", "fwd", "bwd", "sink", "recv", "state", "turned", "bwd_delivered"
     )
@@ -252,10 +299,11 @@ _AUDIT_EVERY_TICKS = 100  # conservation audit cadence
 
 
 class Part:
-    """One part of a run, simulated on its own: its VCs, their delay lines,
-    the ports they use (``ports``, by switch and next hop, in first use),
-    its event heap, sequence counter and TICK, and the ``recorder`` of its
-    traces, which samples only the switches this part crosses."""
+    """One part of a run, simulated on its own, cell by cell: its VCs, their
+    delay lines, the ports they use (``ports``, by switch and next hop, in
+    first use), its event heap, sequence counter and TICK, and the
+    ``recorder`` of its traces, which samples only the switches this part
+    crosses."""
 
     def __init__(self, topology: Topology, specs: list[VcSpec]):
         self.recorder = recorder = Recorder()
@@ -512,6 +560,246 @@ class Part:
         return report
 
 
+def part_type(topology: Topology, specs: list[VcSpec]) -> type:
+    """The part that runs the VCs ``specs``: ``OneVcPart`` for one VC with
+    no port on its path slower than its PCR, ``Part`` for any other."""
+    if len(specs) != 1:
+        return Part
+    path = specs[0].path
+    gap = cell_tx_time(topology.source_params[path[0]].pcr)
+    ports = zip(path[1:-1], path[2:])
+    if all(cell_tx_time(topology.links[port].rate) <= gap for port in ports):
+        return OneVcPart
+    return Part
+
+
+class OneVcPart:
+    """A part of one VC that no port slows, run from its RM cells (see the
+    module docstring).  ``sent`` holds every cell's send time, in order;
+    the heap holds the EMIT, the TICK and one ``(key, _DELIVER, (hop,
+    rm))`` per RM cell in flight.  Over a path of ``n`` links, hop ``j <
+    n`` is the cell's arrival at path position ``j + 1`` (``n - 1`` is the
+    turnaround), and hop ``j >= n`` its arrival back at ``2n - 1 - j``."""
+
+    def __init__(self, topology: Topology, specs: list[VcSpec]):
+        (spec,) = specs
+        vc_id, path = spec.vc_id, spec.path
+        params = topology.source_params[path[0]]
+        self.recorder = recorder = Recorder()
+        self.now: SimTime = 0
+        self.heap: list = []
+        self.seq = 0
+        self.events = 0  # processed: the TICKs, the RM cells' emissions and hops
+        self.sent = array("q")
+        recorder.start_vc(vc_id, params.icr)
+        self.vcs = {vc_id: VcRuntime(vc_id, params, recorder.recv[vc_id])}
+        self.ports: dict[tuple[str, str], PortState] = {}
+        for node, nxt in zip(path[1:-1], path[2:]):
+            link = topology.links[node, nxt]
+            self.ports[node, nxt] = PortState(
+                f"{node}->{nxt}", link.rate, link.prop_delay, topology.switch_params[node]
+            )
+            recorder.start_switch(node)
+        ports = list(self.ports.values())
+        first = topology.links[path[0], path[1]]
+        # arrive[k]: the fixed delay from a cell's send time to its arrival at path position k
+        arrive = [0, cell_tx_time(first.rate) + first.prop_delay]
+        for port in ports:
+            arrive.append(arrive[-1] + port.tx_time + port.prop_delay)
+        back = [topology.links[b, a] for a, b in zip(path, path[1:])]  # back[k]: k + 1 to k
+        self.arrive = tuple(arrive)
+        # delay[j]: from hop j to hop j + 1; stamp[j]: the port hop j stamps at
+        self.delay = tuple(b - a for a, b in zip(arrive[1:], arrive[2:])) + tuple(
+            cell_tx_time(link.rate) + link.prop_delay for link in reversed(back)
+        )
+        self.stamp = (None,) * len(back) + tuple(reversed(ports))
+        # By port cell time, the first send at that gap after the cell before
+        # it: at such a port that cell arrives at the picosecond its
+        # predecessor departs, which ``PortState.enqueue`` counts as a
+        # backlog of 2.  None until a cell is sent so.
+        self.paired: dict[SimTime, SimTime | None] = dict.fromkeys(port.tx_time for port in ports)
+        self._push(_TICK_INTERVAL, _TICK, None)
+        self._push(0, _EMIT, None)
+
+    _push = Part._push
+
+    def run_until(self, t_end: SimTime) -> None:
+        """Process every event with timestamp <= t_end, in order, as
+        ``Part.run_until`` does; an EMIT goes on emitting data cells, in
+        one batch, up to the next other event.  On return ``recv`` and
+        each port's ``max_queue`` are derived up to ``now``."""
+        now = self.now
+        if t_end < now:
+            raise SimulationError(f"cannot run backwards: now={now}, t_end={t_end}")
+        heap, sent, recorder = self.heap, self.sent, self.recorder
+        heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
+        ((vc_id, vc),) = self.vcs.items()
+        params, state = vc.params, vc.state
+        next_cell, append, paired = protocol.next_cell, sent.append, self.paired
+        delay, stamp, first_hop = self.delay, self.stamp, self.arrive[1]
+        turn, home = len(self.arrive) - 2, len(delay)  # the turnaround's hop and the source's
+        seq = self.seq << 1  # shifted into place in a key
+        events = self.events
+        limit = _key(t_end + 1, 0)
+        try:
+            while True:  # the heap is never empty: the TICK is always pending
+                key, kind, payload = heap[0]
+                if key >= limit:
+                    break
+                now = key >> 64
+                if kind == _DELIVER:  # an RM cell's hop
+                    events += 1
+                    hop, rm = payload
+                    if hop == home:  # feedback reaches the source
+                        heappop(heap)
+                        vc.bwd_delivered += 1
+                        prev_acr = state.acr
+                        protocol.on_backward_rm(state, params, rm)
+                        recorder.backward_rm(vc_id, now)
+                        if state.acr != prev_acr:
+                            recorder.acr_change(vc_id, now, state.acr)
+                        continue
+                    if hop == turn:
+                        vc.turned += 1
+                    elif stamp[hop] is not None:
+                        stamp[hop].stamp_backward(rm, vc_id, now)
+                    seq += 2
+                    heapreplace(heap, ((now + delay[hop]) << 64 | seq | 1, _DELIVER, (hop + 1, rm)))
+                elif kind == _EMIT:
+                    # A re-armed EMIT's number is above every pending one, so
+                    # its key is below the next other event's exactly when its
+                    # time is earlier.  The EMIT is first: that event is the
+                    # lower of heap[1] and heap[2].
+                    stop = min(heap[1][0], heap[2][0] if len(heap) > 2 else limit, limit) >> 64
+                    while True:
+                        if sent and paired.get(now - sent[-1], 0) is None:  # see ``paired``
+                            paired[now - sent[-1]] = now
+                        prev_acr = state.acr
+                        rm = next_cell(state, params, now)
+                        append(now)
+                        if state.acr != prev_acr:
+                            recorder.acr_change(vc_id, now, state.acr)
+                        if state.acr == 0:  # recorded once: ``Recorder.deviation`` dedupes
+                            recorder.deviation(
+                                f"vc {vc_id}: rate decayed to zero; keep-alive RM probing engaged",
+                                now,
+                            )
+                        if rm is not None:  # it takes its own events
+                            events += 1
+                            seq += 2
+                            heappush(heap, ((now + first_hop) << 64 | seq | 1, _DELIVER, (0, rm)))
+                        seq += 2  # the next EMIT's number
+                        following = state.next_departure
+                        if rm is not None or not following < stop:
+                            break
+                        now = following
+                    heapreplace(heap, (state.next_departure << 64 | seq, _EMIT, None))
+                else:  # TICK: sample the switches crossed, audit now and then
+                    events += 1
+                    self.now = now
+                    for k, ((name, _), port) in enumerate(self.ports.items(), 1):
+                        recorder.queue_sample(name, now, self._departing(k, port))
+                    if now // _TICK_INTERVAL % _AUDIT_EVERY_TICKS == 0:  # TICKs fall on the grid
+                        self.audit()
+                    seq += 2
+                    heapreplace(heap, ((now + _TICK_INTERVAL) << 64 | seq, _TICK, None))
+            if t_end > now:
+                now = t_end
+        finally:
+            self.now, self.seq, self.events = now, seq >> 1, events
+        recv, arrive = vc.recv, self.arrive
+        recv.extend(map(arrive[-1].__add__, sent[len(recv):bisect_right(sent, now - arrive[-1])]))
+        for port, at in zip(self.ports.values(), arrive[1:]):
+            first_paired = paired[port.tx_time]
+            if first_paired is not None and first_paired + at <= now:
+                port.max_queue = 2
+            elif sent and sent[0] + at <= now:
+                port.max_queue = 1
+
+    # -- derived counts ----------------------------------------------------
+
+    def _reached(self, k: int, ticking: bool) -> int:
+        """The cells whose arrival at path position ``k`` has run: each one
+        due before ``now``, and the one due at ``now`` unless the TICK being
+        processed (``ticking``) runs first."""
+        sent, due = self.sent, self.now - self.arrive[k]
+        if not ticking:
+            return bisect_right(sent, due)
+        i = bisect_left(sent, due)
+        return i + (i < len(sent) and sent[i] == due and self._ahead_of_tick(i, k))
+
+    def _ahead_of_tick(self, i: int, k: int) -> bool:
+        """Whether cell ``i``'s arrival at path position ``k``, due at the
+        time of the TICK at ``now``, runs first.  Equal-time events run in
+        the order of the events that scheduled them: the cell's arrival
+        before, back to its EMIT, then each EMIT before it, against the
+        TICK one ms before, and so on, each TICK since the first, which
+        set-up schedules before the first EMIT."""
+        sent, now = self.sent, self.now
+        schedulers = chain(
+            (sent[i] + at for at in reversed(self.arrive[:k])),
+            map(sent.__getitem__, range(i - 1, -1, -1)),
+        )
+        m = 0
+        for m, t in enumerate(schedulers, 1):
+            tick = now - m * _TICK_INTERVAL
+            if tick <= 0:  # set-up scheduled the TICK's chain first
+                return False
+            if t != tick:
+                return t < tick
+        return now - (m + 1) * _TICK_INTERVAL > 0  # set-up scheduled the cell's chain first
+
+    def _departing(self, k: int, port: PortState) -> int:
+        """``PortState.pop``'s backlog at ``port``, at path position ``k``,
+        during the TICK at ``now``: the cells that reached it and depart at
+        or after ``now``, each ``tx_time`` after its arrival."""
+        return self._reached(k, True) - bisect_left(
+            self.sent, self.now - self.arrive[k] - port.tx_time
+        )
+
+    def audit(self) -> dict[str, dict[str, int]]:
+        """Check cell conservation, as ``Part.audit`` does, from the send
+        times, ``recv`` and the RM cells in flight; the report is
+        ``Part.audit``'s.  Inside a TICK the heap's first entry is that
+        TICK, and the events due at ``now`` after it have not run."""
+        now, heap, sent = self.now, self.heap, self.sent
+        ((vc_id, vc),) = self.vcs.items()
+        ticking = heap[0][1] == _TICK and heap[0][0] >> 64 == now
+        turn = len(self.arrive) - 2
+        hops = [(key >> 64, payload[0]) for key, kind, payload in heap if kind == _DELIVER]
+        emitted = vc.state.cells_sent_total
+        if emitted != len(sent):
+            raise SimulationError(
+                f"vc {vc_id}: forward cell conservation violated at t={now}: "
+                f"emitted {emitted} != {len(sent)} send times"
+            )
+        # an RM cell due at the destination at ``now`` that the TICK runs first is still in flight
+        late = sum(time == now and hop == turn for time, hop in hops)
+        delivered = bisect_right(sent, now - self.arrive[-1]) - late
+        queued = sum(
+            self._reached(k, ticking) - bisect_right(sent, now - self.arrive[k] - port.tx_time)
+            for k, port in enumerate(self.ports.values(), 1)
+        )
+        in_flight = emitted - delivered - queued
+        if len(vc.recv) > delivered or in_flight < 0:
+            raise SimulationError(
+                f"vc {vc_id}: forward cell conservation violated at t={now}: "
+                f"{len(vc.recv)} recorded, {delivered} delivered and {queued} queued "
+                f"of {emitted} emitted"
+            )
+        in_flight_bwd = sum(hop > turn for _, hop in hops)
+        if vc.turned != vc.bwd_delivered + in_flight_bwd:
+            raise SimulationError(
+                f"vc {vc_id}: backward RM conservation violated at t={now}: "
+                f"turned {vc.turned} != delivered {vc.bwd_delivered} + "
+                f"in-flight {in_flight_bwd}"
+            )
+        self.recorder.audits_passed += 1
+        counts = {"emitted": emitted, "delivered": delivered, "queued": queued,
+                  "in_flight": in_flight}
+        return {vc_id: counts}
+
+
 def _outcome(job, *args) -> tuple:
     """``(None, job(*args))``, or ``(the exception it raised, None)``."""
     try:
@@ -629,7 +917,7 @@ class Engine:
         parts: dict[int, list[VcSpec]] = {}
         for i, spec in enumerate(specs):
             parts.setdefault(find(i), []).append(spec)
-        self.parts = [Part(topology, group) for group in parts.values()]
+        self.parts = [part_type(topology, group)(topology, group) for group in parts.values()]
 
     @property
     def vcs(self) -> dict[str, VcRuntime]:

@@ -209,6 +209,8 @@ def parse_number(text: str) -> float:
             return value
     except ValueError:
         pass
+    if len(text) > sys.get_int_max_str_digits() > 0:  # too long to quote, as ``parse_integer`` says
+        raise ValueError(f"expected a finite number, got {len(text)} characters")
     raise ValueError(f"expected a finite number, got {text!r}")
 
 

@@ -1,8 +1,11 @@
 """Helpers shared by the engine and parts tests."""
 
 import os
+import re
 from contextlib import contextmanager
 from unittest import mock
+
+from abrsim import engine
 
 
 @contextmanager
@@ -10,6 +13,20 @@ def cpus(n):
     """Run the block as on a host with ``n`` CPUs: ``os.cpu_count()`` is the
     only input that decides how a run or a sweep forks."""
     with mock.patch.object(os, "cpu_count", lambda: n):
+        yield
+
+
+def per_cell_part(topology, specs):
+    """Stands in for ``engine.part_type``: the per-cell ``Part`` for every part."""
+    return engine.Part
+
+
+@contextmanager
+def per_cell():
+    """Build every part of the engines made in the block as the per-cell
+    ``Part``, the reference that ``OneVcPart`` is checked against, and
+    the only part that has delay lines and sinks."""
+    with mock.patch.object(engine, "part_type", per_cell_part):
         yield
 
 
@@ -50,3 +67,11 @@ def snapshot(eng):
         "vcs": vcs,
         "audit": eng.audit(),
     }
+
+
+def without_events(files):
+    """A run's files by name, with ``meta.txt``'s ``events_processed`` line
+    left out: the one line in which a one-VC part's run differs from the
+    per-cell ``Part``'s."""
+    line = rb"\nevents_processed = \d+\n"
+    return {name: re.sub(line, b"\n", data) for name, data in files.items()}

@@ -11,13 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from abrsim import cli
+from abrsim import cli, engine
 from abrsim.analysis import PathSpec, crm_from_tbe
 from abrsim.cli import apply_override, main
 from abrsim.engine import Engine, Part, SimulationError
 from abrsim.scenario import ScenarioError, SourceCfg, parse_scenario, bundled_config_text
 from abrsim.switch import SwitchParams
-from conftest import cpus
+from conftest import cpus, per_cell_part
 from test_parts import assert_no_child_left
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -357,6 +357,7 @@ def test_a_sweep_member_runs_its_parts_in_its_own_worker(tmp_path, monkeypatch, 
         return run_until(part, t_end)
 
     monkeypatch.setattr(Part, "run_until", stamped)
+    monkeypatch.setattr(engine, "part_type", per_cell_part)
     argv = ["sweep", "fig3.cfg", "--param", "crm", "--values", "32", "--until-ms", "3"]
     with cpus(n):
         assert main([*argv, "--out", str(tmp_path / "out")]) == 0
@@ -569,9 +570,10 @@ def test_non_integer_crm_is_rejected(tiny_cfg, tmp_path, capsys):
      f"expected an integer of at most {sys.get_int_max_str_digits()} digits, got 5000 characters"),
     ("cdf", "abc", "expected a finite number, got 'abc'"),
     ("cdf", "1/0", "expected a finite number, got '1/0'"),
+    ("cdf", "1" * 5000, "expected a finite number, got 5000 characters"),
     ("cdf", "0.05", "source s1: cdf must be 0 or a power of two in [1/64, 1], got 0.05"),
 ], ids=["crm-32.0", "crm-1e3", "crm-2.7", "crm-abc", "crm-5000-digits", "cdf-abc", "cdf-1_0",
-        "cdf-0.05"])
+        "cdf-5000-digits", "cdf-0.05"])
 def test_a_bad_source_value_fails_alike_in_a_file_a_run_flag_and_a_sweep(
     tiny_cfg, tmp_path, capsys, monkeypatch, param, text, message
 ):
@@ -994,6 +996,23 @@ NOT_AN_INTEGER = {
     "crm_from_tbe": (lambda: crm_from_tbe(1024.0, 32), "tbe must be an integer, got 1024.0"),
 }
 AT_MOST = f"must be at most {sys.float_info.max:g}"
+# Each library entry point that takes a count, given one below its floor
+# with more digits than Python prints an integer with.
+UNPRINTABLE = -(10**5000)
+BELOW_THE_FLOOR_UNPRINTABLE = {
+    "SourceParams": (lambda: replace(SourceCfg().resolved().to_params(), nrm=UNPRINTABLE), "nrm"),
+    "SwitchParams": (lambda: SwitchParams(interval_cell_limit=UNPRINTABLE), "interval_cells"),
+    "PathSpec": (lambda: PathSpec(rtt=0, link_rate=1e5, nrm=UNPRINTABLE), "nrm"),
+    "crm_from_tbe": (lambda: crm_from_tbe(UNPRINTABLE, 32), "tbe"),
+}
+
+
+@pytest.mark.parametrize("where", list(BELOW_THE_FLOOR_UNPRINTABLE))
+def test_a_count_too_long_to_print_is_named_with_its_digit_count(where):
+    build, key = BELOW_THE_FLOOR_UNPRINTABLE[where]
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == f"{key} must be >= 1, got a negative integer of 5001 digits"
 
 
 @pytest.mark.parametrize("where, text, message", [

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import itertools
 import pickle
 import random
 import tracemalloc
@@ -20,7 +22,7 @@ from abrsim.engine import (
 from abrsim.protocol import SourceParams
 from abrsim.scenario import bundled_config_text, parse_scenario, to_topology
 from abrsim.units import PS_PER_MS, cell_tx_time, mbps_to_cps, ms_to_ps, ps_to_ms, us_to_ps
-from conftest import cpus, delay_lines, snapshot
+from conftest import cpus, delay_lines, per_cell, snapshot
 from test_random_scenarios import HORIZON_MS, SEEDS, scenario_text
 
 OC3 = mbps_to_cps(155.52)
@@ -229,7 +231,8 @@ def test_a_line_holds_keys_and_its_rm_fields_in_step(text, times_ms):
     # Lines hold plain keys; an RM cell's fields wait in its line's
     # ``rms``, one for each key with the RM bit, and a backward line
     # carries only RM cells.
-    eng = Engine(to_topology(parse_scenario(text)))
+    with per_cell():
+        eng = Engine(to_topology(parse_scenario(text)))
     forward_rm = backward = 0
     for t_ms in times_ms:
         eng.run_until(ms_to_ps(t_ms))
@@ -253,7 +256,8 @@ def test_a_cell_in_flight_costs_at_most_64_traced_bytes():
     apply_override(sc, "crm", 6144)
     tracemalloc.start()
     try:
-        part = Engine(to_topology(sc)).parts[0]
+        with per_cell():
+            part = Engine(to_topology(sc)).parts[0]
         before = tracemalloc.get_traced_memory()[0]
         part.run_until(ms_to_ps(20))
         grown = tracemalloc.get_traced_memory()[0] - before
@@ -290,7 +294,8 @@ def test_a_hand_built_engine_samples_queues_and_audits():
 
 def test_tampered_port_backlog_fails_the_audit():
     topo = to_topology(parse_scenario(bundled_config_text("fig3.cfg")))
-    eng = Engine(topo)
+    with per_cell():
+        eng = Engine(topo)
     eng.run_until(ms_to_ps(23))  # sw1->sw2 is busy: a cell is in service
     eng.audit()
     port = eng.switches["sw1"].ports["sw2"]
@@ -303,7 +308,8 @@ def test_tampered_port_backlog_fails_the_audit():
 
 def test_cell_missing_from_a_delay_line_fails_the_audit():
     topo = to_topology(parse_scenario(bundled_config_text("fig3.cfg")))
-    eng = Engine(topo)
+    with per_cell():
+        eng = Engine(topo)
     eng.run_until(ms_to_ps(30))
     eng.audit()
     line = eng.vcs["fwd"].fwd[1]  # the cells sw1->sw2 has served
@@ -314,7 +320,8 @@ def test_cell_missing_from_a_delay_line_fails_the_audit():
 
 def test_line_head_out_of_step_with_the_heap_fails_the_audit():
     topo = to_topology(parse_scenario(bundled_config_text("fig3.cfg")))
-    eng = Engine(topo)
+    with per_cell():
+        eng = Engine(topo)
     eng.run_until(ms_to_ps(30))
     eng.vcs["fwd"].fwd[1].popleft()  # the heap still holds this head
     with pytest.raises(SimulationError, match="stale head"):
@@ -328,7 +335,8 @@ def test_wrong_cell_at_a_line_head_fails_the_audit(rm_bit):
     # heap still match.  A cell's direction is its line's, so an RM cell
     # heads any line rightly.
     topo = to_topology(parse_scenario(bundled_config_text("fig3.cfg")))
-    eng = Engine(topo)
+    with per_cell():
+        eng = Engine(topo)
     eng.run_until(ms_to_ps(290))  # the satellite hop back carries RM cells from 275 ms
     eng.audit()
     line = max(eng.vcs["fwd"].bwd, key=len)
@@ -344,7 +352,8 @@ def test_rm_cell_missing_from_a_backward_line_fails_the_audit():
     # The tail goes, so the line's head, and the heap entry that holds it,
     # still match: only the backward count can catch it.
     topo = to_topology(parse_scenario(bundled_config_text("fig3.cfg")))
-    eng = Engine(topo)
+    with per_cell():
+        eng = Engine(topo)
     eng.run_until(ms_to_ps(290))  # the satellite hop back carries RM cells from 275 ms
     eng.audit()
     line = max(eng.vcs["fwd"].bwd, key=len)
@@ -423,7 +432,8 @@ def scan_lines(eng):
 def test_audit_by_counting_matches_a_per_cell_scan_on_fig3_at_full_rate():
     sc = parse_scenario(bundled_config_text("fig3.cfg"))
     apply_override(sc, "crm", 6144)
-    eng = Engine(to_topology(sc))
+    with per_cell():
+        eng = Engine(to_topology(sc))
     reports = []
     for t_ms in (1, 23, 150, 275.5, 290):  # deliveries at d1 start at 275.018 ms
         eng.run_until(ms_to_ps(t_ms))
@@ -438,7 +448,8 @@ def test_audit_by_counting_matches_a_per_cell_scan_on_fig3_at_full_rate():
 def test_audit_by_counting_matches_a_per_cell_scan_at_every_event(seed):
     text = scenario_text(seed)
     assert "delay_us = 0\n" in text
-    eng = Engine(to_topology(parse_scenario(text)))
+    with per_cell():
+        eng = Engine(to_topology(parse_scenario(text)))
     t_end = ms_to_ps(HORIZON_MS)
     checks = 0
     while next_pending_time(eng) <= t_end:
@@ -465,7 +476,8 @@ def test_audits_inside_the_loop_match_a_per_cell_scan(monkeypatch, seed):
 
     monkeypatch.setattr(Part, "audit", checked_audit)
     monkeypatch.setattr("abrsim.engine._AUDIT_EVERY_TICKS", 1)
-    eng = Engine(to_topology(parse_scenario(scenario_text(seed))))
+    with per_cell():
+        eng = Engine(to_topology(parse_scenario(scenario_text(seed))))
     assert len(eng.parts) > 1
     eng.run_until(ms_to_ps(HORIZON_MS))
     assert len(unrecorded) == HORIZON_MS and all(unrecorded.values())
@@ -474,7 +486,8 @@ def test_audits_inside_the_loop_match_a_per_cell_scan(monkeypatch, seed):
 def test_heap_holds_line_heads_not_every_cell_in_flight():
     sc = parse_scenario(bundled_config_text("fig3.cfg"))
     apply_override(sc, "crm", 6144)
-    eng = Engine(to_topology(sc))
+    with per_cell():
+        eng = Engine(to_topology(sc))
     busy = 0
     for step in range(1, 301):
         eng.run_until(step * PS_PER_MS // 10)
@@ -495,7 +508,8 @@ def test_data_cells_reaching_a_destination_are_not_events():
     # RM cells there keep their events, since turnaround is ordered.
     sc = parse_scenario(bundled_config_text("fig3.cfg"))
     apply_override(sc, "crm", 32)
-    eng = Engine(to_topology(sc))
+    with per_cell():
+        eng = Engine(to_topology(sc))
     eng.run_until(ms_to_ps(300))
     data_delivered = sum(vc.delivered - vc.turned for vc in eng.vcs.values())
     assert data_delivered > 4000
@@ -615,7 +629,8 @@ def test_slicing_run_until_changes_nothing(text, until_ms):
     t_end = ms_to_ps(until_ms)
     results = []
     for drive in (run_whole, run_in_ms_slices, run_to_each_pending_time):
-        eng = Engine(to_topology(parse_scenario(text)))
+        with per_cell():
+            eng = Engine(to_topology(parse_scenario(text)))
         drive(eng, t_end)
         results.append(snapshot(eng))
     whole, *sliced = results
@@ -667,7 +682,8 @@ def test_each_delay_line_runs_one_way_along_its_route(text):
     # A cell's direction is its line's ``back`` flag.  The port that
     # stamps a VC's feedback at a node must be the port that queues its
     # data there, since its offer is what the source's rate should track.
-    eng = Engine(to_topology(parse_scenario(text)))
+    with per_cell():
+        eng = Engine(to_topology(parse_scenario(text)))
     for vc in eng.vcs.values():
         fwd, bwd = vc.fwd, vc.bwd
         assert len(fwd) == len(bwd)
@@ -687,27 +703,28 @@ def test_a_run_result_pickles_and_both_copies_run_on_alike(tmp_path):
     # stay one object in the copy: fig3 delivers nothing before 275 ms, so
     # the default LAN, which delivers from its first millisecond, checks
     # that.  With two processes fig3's ``rev`` part comes back from a
-    # worker already pickled once.
-    for n in (1, 2):
-        for name, text, until_ms, on_ms in (
-            ("fig3", bundled_config_text("fig3.cfg"), 20, 30),
-            ("lan", "", 3, 5),
-        ):
-            sc = parse_scenario(text)
-            sc.run.until_ms = until_ms
-            with cpus(n):
-                result = execute_run(sc, tmp_path / f"{name}-{n}")
-            copy = pickle.loads(pickle.dumps(result))
-            assert copy.summary == result.summary
-            vcs = copy.engine.vcs
-            assert all(line.vc is vcs[line.vc.vc_id] for line in delay_lines(copy.engine))
-            for part in copy.engine.parts:
-                for vc_id, vc in part.vcs.items():
-                    assert vc.recv is part.recorder.recv[vc_id] is copy.recorder.recv[vc_id]
-                    assert vc is copy.engine.vcs[vc_id]
-            for eng in (result.engine, copy.engine):
-                eng.run_until(ms_to_ps(on_ms))
-            assert copy.engine.events_processed == result.engine.events_processed > 0
-            for vc_id, vc in copy.engine.vcs.items():
-                assert vc.delivered == result.engine.vcs[vc_id].delivered
-            assert snapshot(copy.engine) == snapshot(result.engine)  # the audits included
+    # worker already pickled once.  Both scenarios are one-VC parts, which
+    # hold no lines; the same runs on per-cell parts check the lines.
+    for n, (name, text, until_ms, on_ms), (way, build) in itertools.product(
+        (1, 2),
+        (("fig3", bundled_config_text("fig3.cfg"), 20, 30), ("lan", "", 3, 5)),
+        (("per-cell", per_cell), ("one-vc", contextlib.nullcontext)),
+    ):
+        sc = parse_scenario(text)
+        sc.run.until_ms = until_ms
+        with build(), cpus(n):
+            result = execute_run(sc, tmp_path / f"{name}-{n}-{way}")
+        copy = pickle.loads(pickle.dumps(result))
+        assert copy.summary == result.summary
+        vcs = copy.engine.vcs
+        assert all(line.vc is vcs[line.vc.vc_id] for line in delay_lines(copy.engine))
+        for part in copy.engine.parts:
+            for vc_id, vc in part.vcs.items():
+                assert vc.recv is part.recorder.recv[vc_id] is copy.recorder.recv[vc_id]
+                assert vc is copy.engine.vcs[vc_id]
+        for eng in (result.engine, copy.engine):
+            eng.run_until(ms_to_ps(on_ms))
+        assert copy.engine.events_processed == result.engine.events_processed > 0
+        for vc_id, vc in copy.engine.vcs.items():
+            assert vc.delivered == result.engine.vcs[vc_id].delivered
+        assert snapshot(copy.engine) == snapshot(result.engine)  # the audits included

@@ -20,7 +20,7 @@ from abrsim.cli import apply_override, execute_run, main
 from abrsim.engine import Engine, Part, SimulationError, forked
 from abrsim.scenario import Scenario, bundled_config_text, parse_scenario, to_topology
 from abrsim.units import ms_to_ps
-from conftest import cpus, delay_lines, snapshot
+from conftest import cpus, delay_lines, per_cell, per_cell_part, snapshot, without_events
 from test_random_scenarios import HORIZON_MS, SEEDS, scenario_text
 
 
@@ -54,7 +54,8 @@ def test_fig3_has_one_part_per_direction_and_the_default_lan_one():
 def test_parts_of_the_seeded_scenarios_share_no_port():
     split = 0
     for seed in SEEDS:
-        eng = Engine(to_topology(parse_scenario(scenario_text(seed))))
+        with per_cell():
+            eng = Engine(to_topology(parse_scenario(scenario_text(seed))))
         parts = eng.parts
         assert sorted(v for part in parts for v in part.vcs) == sorted(eng.vcs)
         ports = []
@@ -116,7 +117,11 @@ def test_fig3_split_and_serial_write_the_same_bytes(tmp_path, case):
     (split, result), (serial, _) = results[2], results[1]
     assert split == serial
     assert len(result.engine.parts) == 2
-    assert result.engine.events_processed > events
+    # the per-cell parts write the same, but for the events they count
+    with per_cell(), cpus(2):
+        reference = execute_run(scenario(), tmp_path / "per-cell")
+    assert without_events(outputs(reference.out_dir)) == without_events(split)
+    assert reference.engine.events_processed > events
     if collapse is not None:
         vcs, times = collapse
         collapsed = {m: t for m, t in result.recorder.deviations.items() if "zero" in m}
@@ -327,9 +332,10 @@ def long_hop_scenario():
     (scenario_text(0), 0.99, HORIZON_MS),
     (scenario_text(20), 1.98, HORIZON_MS),
 ], ids=["long-hop", "seed-0", "seed-20"])
-def test_a_spliced_engine_runs_on_as_a_serial_one(tmp_path, text, split_ms, until_ms):
+def test_a_spliced_engine_runs_on_as_a_serial_one(tmp_path, monkeypatch, text, split_ms, until_ms):
     # A part that comes back from a worker takes the place of the
     # parent's copy, and the engine then runs on serially.
+    monkeypatch.setattr(engine, "part_type", per_cell_part)  # ``pending_order`` reads lines
     sc = parse_scenario(text)
     sc.run.until_ms = split_ms
     with cpus(2):
@@ -364,7 +370,8 @@ def test_a_spliced_engine_runs_on_as_a_serial_one(tmp_path, text, split_ms, unti
 def test_a_split_after_a_serial_prefix_runs_as_a_serial_one(scenario):
     # The workers start from parts that already hold cells in flight,
     # sink times and open measurement intervals.
-    split, serial = (Engine(to_topology(scenario())) for _ in range(2))
+    with per_cell():
+        split, serial = (Engine(to_topology(scenario())) for _ in range(2))
     split.run_until(ms_to_ps(5))
     assert any(any(vc.fwd) for vc in split.vcs.values())
     assert any(p.accum_cells for sw in split.switches.values() for p in sw.ports.values())
@@ -377,7 +384,8 @@ def test_a_split_after_a_serial_prefix_runs_as_a_serial_one(scenario):
 
 
 def test_the_engine_holds_only_its_topology_and_parts(monkeypatch):
-    eng = Engine(to_topology(fig3(3)))
+    with per_cell():
+        eng = Engine(to_topology(fig3(3)))
     parts, seen = eng.parts, []
     run_until = Part.run_until
 
@@ -412,6 +420,7 @@ def test_a_failing_part_fails_the_run_and_leaves_no_process(
 
     monkeypatch.setattr(Part, "audit", failing_audit)
     monkeypatch.setattr(engine, "_AUDIT_EVERY_TICKS", 1)
+    monkeypatch.setattr(engine, "part_type", per_cell_part)
     argv = ["run", "fig3.cfg", "--until-ms", "3", "--out", str(tmp_path)]
     with cpus(2):  # split on any host
         assert main(argv) == code
@@ -429,6 +438,7 @@ def test_a_worker_that_sends_no_result_fails_the_run(tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(Part, "audit", dying_audit)
     monkeypatch.setattr(engine, "_AUDIT_EVERY_TICKS", 1)
+    monkeypatch.setattr(engine, "part_type", per_cell_part)
     with cpus(2):
         assert main(["run", "fig3.cfg", "--until-ms", "3", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err

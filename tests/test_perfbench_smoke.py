@@ -4,7 +4,9 @@
 ``Recorder.delivery``, ``cli._sweep_worker`` and others); a renamed
 function or a changed signature makes its run fail or count no engines,
 and an engine that stops calling ``protocol.next_cell`` or
-``PortState.enqueue`` through those names leaves their spans empty.
+``PortState.enqueue`` through those names leaves their spans empty.  A
+one-VC part, such as each of fig3's, calls no ``PortState.enqueue``: two
+VCs that share a port run through it.
 """
 
 import json
@@ -45,21 +47,42 @@ def run_child(tmp_path, argv, mode, cpus=None):
     return proc, [json.loads(p.read_text(encoding="utf-8")) for p in records.glob("*.json")]
 
 
+SHARED_PORT = """
+[switch.sw1]
+[link.a]
+from = s1
+to = sw1
+[link.b]
+from = s2
+to = sw1
+[link.c]
+from = sw1
+to = d1
+[vc.v1]
+path = s1, sw1, d1
+[vc.v2]
+path = s2, sw1, d1
+"""
+
+
 @pytest.mark.parametrize(
-    "argv, runs",
+    "argv, runs, names",
     [
-        (["run", "fig3.cfg", "--until-ms", "2"], 1),
-        (["sweep", "fig3.cfg", "--param", "cdf", "--values", "1/64,1", "--until-ms", "2"], 2),
+        (["run", "fig3.cfg", "--until-ms", "2"], 1, ("protocol.next_cell",)),
+        (["sweep", "fig3.cfg", "--param", "cdf", "--values", "1/64,1", "--until-ms", "2"], 2,
+         ("protocol.next_cell",)),
+        (["run", "shared.cfg", "--until-ms", "2"], 1, ("protocol.next_cell", "switch.enqueue")),
     ],
-    ids=["run", "sweep"],
+    ids=["run", "sweep", "shared-port"],
 )
-def test_trace_mode_runs_clean_and_counts_every_engine(tmp_path, argv, runs):
+def test_trace_mode_runs_clean_and_counts_every_engine(tmp_path, argv, runs, names):
+    (tmp_path / "shared.cfg").write_text(SHARED_PORT, encoding="utf-8")
     proc, loaded = run_child(tmp_path, argv, "trace")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert sum(len(r["engines"]) for r in loaded) == runs
     assert all(e["events"] > 0 for r in loaded for e in r["engines"])
     # the per-layer view: the hot path still calls the names the child wraps
-    for name in ("protocol.next_cell", "switch.enqueue"):
+    for name in names:
         assert sum(r["agg"].get(name, [0])[0] for r in loaded) > 0, name
 
 

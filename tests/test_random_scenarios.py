@@ -13,7 +13,9 @@ picoseconds, which reaches the switch's tie rule (a deadline equal to
 
 Each seed runs split into its parts (``Engine.parts``) and serially; the
 two must write the same bytes.  One sha256 over the CSV files pins the
-outputs; the properties are checked on the serial run.
+outputs.  A run with every part built as the per-cell ``Part`` must
+write them too, but for ``events_processed``; the properties are checked
+on it.
 """
 
 import hashlib
@@ -27,7 +29,7 @@ from abrsim.cli import execute_run
 from abrsim.scenario import parse_scenario
 from abrsim.switch import PortState
 from abrsim.units import PS_PER_US, cell_tx_time, ms_to_ps
-from conftest import cpus
+from conftest import cpus, per_cell, without_events
 
 HORIZON_MS = 3
 CELL_US = 5  # one cell at LINK_MBPS
@@ -127,6 +129,13 @@ def test_random_scenario(tmp_path, monkeypatch, seed):
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         runs.append(files)
     assert runs[0] == runs[1]  # byte-identical, meta.txt included
+    # The per-cell parts write the same, but for the events they count.
+    # They hold delay lines, which the properties below read; their stamps
+    # join the serial run's.
+    with per_cell(), cpus(1):
+        result = execute_run(parse_scenario(text), tmp_path / "per-cell")
+    per_cell_files = {p.name: p.read_bytes() for p in sorted(result.out_dir.iterdir())}
+    assert without_events(per_cell_files) == without_events(runs[0])
 
     digest = hashlib.sha256()
     for name, data in runs[0].items():
